@@ -12,7 +12,6 @@
 #include "klsm/dist_lsm.hpp"
 #include "klsm/k_lsm.hpp"
 #include "mm/item_pool.hpp"
-#include "util/bloom_filter.hpp"
 #include "util/rng.hpp"
 #include "util/stamped_ptr.hpp"
 

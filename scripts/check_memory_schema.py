@@ -218,6 +218,10 @@ def check_report(report, path, require_timeline=False):
         # DistLSM pools; the shared pools' safety valve is exempt.
         assert pools["dist_blocks"]["growth_beyond_bound"] == 0, \
             f"{path}: {structure} DistLSM pool grew beyond the bound"
+        # Block pools allocate one block per fresh acquire, on demand.
+        for name in ("dist_blocks", "shared_blocks"):
+            assert pools[name]["chunks"] == pools[name]["fresh_allocs"], \
+                f"{path}: {structure} {name} chunks != fresh_allocs"
         checked += 1
     assert checked, f"{path}: no k-LSM-family records with memory data"
     if require_timeline:

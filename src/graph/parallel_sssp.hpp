@@ -99,12 +99,18 @@ private:
 };
 
 /// The lazy-deletion policy plugged into k_lsm for SSSP (Section 4.5).
+///
+/// The verdict reads the item's own key, not the key cached in the
+/// block entry: a merge may read a torn entry from a recycled block
+/// (item and version of the new entry, cached key of the old one), and
+/// the take that follows certifies only the item's payload, through
+/// its version.  Judging the cached key could drop a live entry.
 struct sssp_lazy {
     sssp_state *state = nullptr;
 
-    bool operator()(const std::uint64_t &key,
+    bool operator()(const std::uint64_t &,
                     const item<std::uint64_t, std::uint32_t> *it) const {
-        return state->dist(it->value()) < key;
+        return state->dist(it->value()) < it->key();
     }
 
     /// The queue lazily deleted one entry: keep the termination counter

@@ -21,12 +21,15 @@
 //     pushed by a CAS whose expected value is an array that still
 //     references it), so absence is a stable reclamation criterion.
 //
-// We allocate four blocks per level eagerly on first use of a level, per
-// the paper's bound, but allow the pool to grow as a safety valve — an
-// extra allocation is strictly better than an unbounded search or a
+// Blocks are allocated on demand, one at a time: an acquire creates a
+// block only when its capacity bucket holds no free or recyclable one,
+// so a level pays only for the blocks it holds at once.  The paper's
+// bound of four live blocks per level is not enforced: a fifth
+// allocation is strictly better than an unbounded search or a
 // corruption if the bound were ever exceeded by a code path we reasoned
-// about incorrectly.  Growth is counted so tests can assert the paper's
-// bound actually holds.
+// about incorrectly.  Every allocation beyond the fourth block of a
+// level is counted as growth so tests can assert the paper's bound
+// actually holds.
 
 #include <cassert>
 #include <cstdint>
@@ -63,13 +66,6 @@ public:
                          Pred &&may_recycle) {
         assert(capacity_pow < max_levels);
         auto &bucket = buckets_[capacity_pow];
-        bool allocated = false;
-        if (bucket.empty()) {
-            bucket.reserve(blocks_per_level);
-            for (std::size_t i = 0; i < blocks_per_level; ++i)
-                push_new_block(bucket, capacity_pow);
-            allocated = true;
-        }
         block<K, V> *found = nullptr;
         for (auto &b : bucket) {
             switch (b->pool_state()) {
@@ -86,17 +82,17 @@ public:
             if (found)
                 break;
         }
-        if (!found) {
-            // Safety valve; see header comment.
+        if (found) {
+            stats_.count_reuse_hit();
+        } else {
+            // Past the fourth block of a level this is the safety
+            // valve; see header comment.
+            if (bucket.size() >= blocks_per_level)
+                stats_.count_growth();
             push_new_block(bucket, capacity_pow);
             found = bucket.back().get();
-            allocated = true;
-            stats_.count_growth();
-        }
-        if (allocated)
             stats_.count_fresh();
-        else
-            stats_.count_reuse_hit();
+        }
         if (found->entries_released()) {
             // A shrink released this block's entry pages; they refault
             // (zeroed) as the new mutation window writes them.

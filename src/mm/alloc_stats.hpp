@@ -16,9 +16,13 @@
 //   * reuse_hits            — allocations satisfied by recycling
 //                             (item-pool sweep hit, block-pool bucket
 //                             hit);
-//   * fresh_allocs          — allocations that had to create storage;
-//   * growth_beyond_bound   — block acquisitions beyond the paper's
-//                             four-blocks-per-level bound (Section 4.4).
+//   * fresh_allocs          — allocations that had to create storage
+//                             (block pools allocate one block per
+//                             fresh acquire, so there it equals
+//                             chunks);
+//   * growth_beyond_bound   — block allocations beyond the fourth live
+//                             block of a level, the paper's bound
+//                             (Section 4.4).
 //                             Structural for DistLSM pools (tests assert
 //                             it stays 0 there); for shared-LSM pools
 //                             the conservative torn-scan reclamation

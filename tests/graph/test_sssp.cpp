@@ -11,7 +11,9 @@
 #include "graph/dijkstra.hpp"
 #include "graph/erdos_renyi.hpp"
 #include "graph/parallel_sssp.hpp"
+#include "klsm/block.hpp"
 #include "klsm/k_lsm.hpp"
+#include "mm/item_pool.hpp"
 
 #include <gtest/gtest.h>
 
@@ -154,6 +156,37 @@ TEST(ParallelSssp, LazyDeletionReducesStalePops) {
     // them surface as stale pops.  (Both runs are still correct; this is
     // a statistical expectation on a seed chosen to be stable.)
     EXPECT_LE(lazy_stats.stale_pops, plain_stats.stale_pops);
+}
+
+// A merge can read a torn entry from a recycled block: the item and
+// version of the new entry next to the cached key of the old one.  The
+// lazy verdict must judge the item's own key, which the take's version
+// check certifies, not the cached one.
+TEST(SsspLazy, JudgesTheItemKeyNotTheCachedKey) {
+    using block_t = block<std::uint64_t, std::uint32_t>;
+    constexpr std::uint32_t u = 3;
+    sssp_state state{8};
+    state.relax(u, 10);
+    state.pending().store(1);
+    item_pool<std::uint64_t, std::uint32_t> pool;
+    const sssp_lazy lazy{&state};
+
+    // Current entry for u (key 10 == dist) behind a stale cached key.
+    auto live = pool.allocate(10, u);
+    live.key = 50;
+    block_t b{1};
+    b.reuse_begin(1);
+    EXPECT_TRUE(b.append(live, lazy)) << "a live entry was dropped";
+    EXPECT_TRUE(live.alive());
+
+    // Superseded entry for u (key 50 > dist) behind a cached key of 10.
+    auto stale = pool.allocate(50, u);
+    stale.key = 10;
+    EXPECT_FALSE(b.append(stale, lazy));
+    EXPECT_FALSE(stale.alive()) << "an expired entry must be taken";
+    b.seal();
+    EXPECT_EQ(b.filled(), 1u);
+    EXPECT_EQ(state.pending().load(), 0) << "one drop notification";
 }
 
 } // namespace

@@ -23,13 +23,15 @@ TEST(BlockPool, AcquireReturnsMutatingBlockOfRequestedShape) {
     EXPECT_EQ(b->pool_state(), block_state::free);
 }
 
-TEST(BlockPool, FourBlocksPerLevelPreallocated) {
+TEST(BlockPool, FourHeldBlocksPerLevelAllocateOnDemand) {
     pool_t pool;
     std::set<block_t *> distinct;
     block_t *held[4];
     for (int i = 0; i < 4; ++i) {
         held[i] = pool.acquire(2, 2, pool_t::always_recyclable);
         distinct.insert(held[i]);
+        EXPECT_EQ(pool.total_blocks(), static_cast<std::size_t>(i + 1))
+            << "one block per acquire, the first included";
     }
     EXPECT_EQ(distinct.size(), 4u);
     EXPECT_EQ(pool.overflow_allocations(), 0u);
@@ -45,7 +47,8 @@ TEST(BlockPool, RecyclesFreedBlocksWithoutGrowth) {
         seen.insert(b);
         pool.release(b);
     }
-    EXPECT_LE(seen.size(), 4u);
+    EXPECT_EQ(seen.size(), 1u) << "a free block is reused first";
+    EXPECT_EQ(pool.total_blocks(), 1u);
     EXPECT_EQ(pool.overflow_allocations(), 0u);
 }
 
@@ -54,7 +57,8 @@ TEST(BlockPool, OverflowAllocatesInsteadOfFailing) {
     std::vector<block_t *> held;
     for (int i = 0; i < 6; ++i)
         held.push_back(pool.acquire(0, 0, pool_t::always_recyclable));
-    EXPECT_EQ(pool.overflow_allocations(), 2u);
+    EXPECT_EQ(pool.overflow_allocations(), 2u) << "the 5th and 6th";
+    EXPECT_EQ(pool.total_blocks(), 6u);
     std::set<block_t *> distinct(held.begin(), held.end());
     EXPECT_EQ(distinct.size(), 6u);
     for (auto *b : held)
@@ -119,7 +123,7 @@ TEST(BlockPool, SeparateBucketsPerCapacity) {
     EXPECT_NE(a, b);
     EXPECT_EQ(a->capacity(), 1u);
     EXPECT_EQ(b->capacity(), 32u);
-    EXPECT_EQ(pool.total_blocks(), 8u) << "4 per touched level";
+    EXPECT_EQ(pool.total_blocks(), 2u) << "1 per touched level";
     pool.release(a);
     pool.release(b);
 }
