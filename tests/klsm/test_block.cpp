@@ -151,41 +151,6 @@ TEST(Block, MergeCombinesBloomFilters) {
     EXPECT_TRUE(m.bloom_may_contain(14));
 }
 
-// The property local ordering depends on: no false negatives, ever.
-TEST(Block, BloomHasNoFalseNegatives) {
-    for (std::uint32_t id = 0; id < 256; ++id) {
-        block_t b{0};
-        EXPECT_FALSE(b.bloom_may_contain(id)) << "empty filter, id " << id;
-        b.bloom_insert(id);
-        EXPECT_TRUE(b.bloom_may_contain(id)) << "false negative, id " << id;
-    }
-}
-
-TEST(Block, BloomOrIsUnionOfBits) {
-    block_t a{0}, c{0};
-    for (std::uint32_t id = 0; id < 16; ++id)
-        a.bloom_insert(id);
-    for (std::uint32_t id = 16; id < 32; ++id)
-        c.bloom_insert(id);
-    const std::uint64_t expected = a.bloom_raw() | c.bloom_raw();
-    a.bloom_or(c.bloom_raw());
-    EXPECT_EQ(a.bloom_raw(), expected);
-    for (std::uint32_t id = 0; id < 32; ++id)
-        EXPECT_TRUE(a.bloom_may_contain(id)) << "id " << id;
-}
-
-TEST(Block, BloomFalsePositiveRateIsBounded) {
-    block_t b{0};
-    for (std::uint32_t id = 0; id < 4; ++id)
-        b.bloom_insert(id);
-    int fp = 0;
-    for (std::uint32_t id = 4; id < 260; ++id)
-        fp += b.bloom_may_contain(id);
-    // 4 inserted ids set <= 8 of 64 bits; two-probe false positive rate
-    // is about (8/64)^2 ~ 1.6%, so 256 probes should see only a handful.
-    EXPECT_LT(fp, 40);
-}
-
 TEST(Block, CopyFromFiltersDeadAndKeepsOrder) {
     pool_t pool;
     auto srcp = make_block(pool, {8, 6, 4, 2}, 2);
