@@ -1,19 +1,25 @@
 // Micro-benchmarks (google-benchmark) for the design choices DESIGN.md
 // calls out: versioned item allocation/reuse, block two-way merges,
 // Bloom-filter local-ordering checks, stamped-pointer CAS, DistLSM
-// insert/merge chains, spying, and single-thread k-LSM operation costs
-// across k.  These quantify the component costs behind Figure 3's
-// single-thread ordering (DLSM ~ binary heap >> k-LSM(0)).
+// insert/merge chains, spying, the shared LSM's take path, and
+// single-thread k-LSM operation costs across k.  These quantify the
+// component costs behind Figure 3's single-thread ordering (DLSM ~
+// binary heap >> k-LSM(0)).
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "baselines/dary_heap.hpp"
 #include "klsm/block.hpp"
 #include "klsm/dist_lsm.hpp"
 #include "klsm/k_lsm.hpp"
+#include "klsm/shared_lsm.hpp"
 #include "mm/item_pool.hpp"
 #include "util/rng.hpp"
 #include "util/stamped_ptr.hpp"
+#include "util/thread_id.hpp"
 
 namespace {
 
@@ -128,6 +134,52 @@ void BM_spy(benchmark::State &state) {
         static_cast<std::int64_t>(state.iterations()) * n);
 }
 BENCHMARK(BM_spy)->Arg(256)->Arg(4096);
+
+// Shared-LSM delete path: find_min plus take on ~10^5 items, refilled one
+// 1024-item block at a time (refills untimed).  Takes leave dead entries
+// behind, so find_min keeps consolidating and updating its pivots —
+// the cost a find_min that never takes does not see.
+void BM_shared_lsm_take_min(benchmark::State &state) {
+    constexpr std::uint32_t block_items = 1024;
+    constexpr std::uint32_t prefill_blocks = 98;
+    const std::uint32_t pow =
+        block<bench_key, bench_val>::level_for(block_items);
+    item_pool<bench_key, bench_val> pool;
+    shared_lsm<bench_key, bench_val> s{
+        static_cast<std::size_t>(state.range(0))};
+    block<bench_key, bench_val> src{pow};
+    xoroshiro128 rng{13};
+    std::vector<bench_key> keys(block_items);
+    auto refill = [&] {
+        for (auto &k : keys)
+            k = static_cast<bench_key>(rng());
+        std::sort(keys.rbegin(), keys.rend());
+        src.reuse_begin(pow);
+        for (bench_key k : keys)
+            src.append(pool.allocate(k, 0));
+        src.seal();
+        s.insert(&src, src.filled());
+    };
+    for (std::uint32_t i = 0; i < prefill_blocks; ++i)
+        refill();
+    const std::uint32_t tid = thread_index();
+    std::uint32_t taken = 0;
+    for (auto _ : state) {
+        item_ref<bench_key, bench_val> ref;
+        do {
+            ref = s.find_min(tid);
+        } while (!ref.take());
+        benchmark::DoNotOptimize(ref.key);
+        if (++taken == block_items) {
+            state.PauseTiming();
+            refill();
+            taken = 0;
+            state.ResumeTiming();
+        }
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_shared_lsm_take_min)->Arg(256)->Arg(4096);
 
 // Single-thread cost of the full k-LSM vs a plain binary heap — the
 // paper's intro comparison (Section 6.1: "the performance of the DLSM is

@@ -31,6 +31,7 @@
 
 #include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 
 #include "klsm/block.hpp"
@@ -147,6 +148,82 @@ struct alignas(2048) block_array {
             copy_slot(j, j - 1);
         size.store(n + 1, std::memory_order_relaxed);
         set_slot(i, b, filled, level);
+    }
+
+    // ---- candidate pivots (Listing 2) --------------------------------------
+
+    /// Set every slot's pivot so the ranges [pivot, filled) hold the k+1
+    /// smallest entries of the array: a multiway walk down from each
+    /// slot's fill.
+    void calculate_pivots(std::size_t k) {
+        std::uint32_t cur[max_blocks];
+        const std::uint32_t n = count();
+        for (std::uint32_t i = 0; i < n; ++i)
+            cur[i] = slots[i].filled.load(std::memory_order_relaxed);
+        walk_pivots(cur, k + 1);
+    }
+
+    /// The same walk, continued from the current pivots.  Valid only after
+    /// a consolidation that trimmed dead suffixes and merged nothing: the
+    /// surviving candidates are then still the smallest entries, so
+    /// walking on for the trimmed ones yields the same candidate keys as
+    /// calculate_pivots.  If more than k+1 candidates survive (k was
+    /// lowered since the pivots were set), recompute from scratch.
+    void extend_pivots(std::size_t k) {
+        std::uint32_t cur[max_blocks];
+        std::size_t have = 0;
+        const std::uint32_t n = count();
+        for (std::uint32_t i = 0; i < n; ++i) {
+            const std::uint32_t f =
+                slots[i].filled.load(std::memory_order_relaxed);
+            const std::uint32_t p =
+                slots[i].pivot.load(std::memory_order_relaxed);
+            cur[i] = p < f ? p : f;
+            have += f - cur[i];
+        }
+        if (have > k + 1) {
+            calculate_pivots(k);
+            return;
+        }
+        walk_pivots(cur, k + 1 - have);
+    }
+
+private:
+    /// Move `remaining` candidates into the ranges, smallest next key
+    /// first, starting from the per-slot positions `cur`.
+    void walk_pivots(std::uint32_t *cur, std::size_t remaining) {
+        const std::uint32_t n = count();
+        K next_key[max_blocks];
+        bool has_next[max_blocks];
+        for (std::uint32_t i = 0; i < n; ++i) {
+            has_next[i] = cur[i] > 0;
+            if (has_next[i])
+                next_key[i] = key_at(i, cur[i] - 1);
+        }
+        while (remaining > 0) {
+            std::uint32_t best = max_blocks;
+            for (std::uint32_t i = 0; i < n; ++i) {
+                if (!has_next[i])
+                    continue;
+                if (best == max_blocks || next_key[i] < next_key[best])
+                    best = i;
+            }
+            if (best == max_blocks)
+                break;
+            --cur[best];
+            --remaining;
+            has_next[best] = cur[best] > 0;
+            if (has_next[best])
+                next_key[best] = key_at(best, cur[best] - 1);
+        }
+        for (std::uint32_t i = 0; i < n; ++i)
+            slots[i].pivot.store(cur[i], std::memory_order_relaxed);
+    }
+
+    K key_at(std::uint32_t slot, std::uint32_t pos) const {
+        return slots[slot].blk.load(std::memory_order_relaxed)
+            ->load_entry(pos)
+            .key;
     }
 };
 

@@ -20,6 +20,14 @@
 // ids lets a thread find its own minimal key first, preserving local
 // ordering semantics.
 //
+// Pivots (block_array::calculate_pivots / extend_pivots): an insert, or
+// a consolidation that merged blocks, recomputes them with a (k+1)-step
+// walk from every block's fill.  A consolidation that only trimmed dead
+// suffixes extends them instead: the surviving candidates are still the
+// smallest entries, so the walk continues from them for as many steps as
+// candidates were trimmed.  If more than k+1 survive (k was lowered), it
+// recomputes.
+//
 // Progress: operations retry only when another thread successfully
 // replaced the shared array or recycled an array/block we were reading —
 // i.e. when someone else made progress — so insert and find_min are
@@ -124,7 +132,7 @@ public:
             ts.created.push_back(nb);
 
             insert_block_slot(ts, snap, nb, lazy);
-            calculate_pivots(snap);
+            snap->calculate_pivots(k_.load(std::memory_order_relaxed));
             const std::uint64_t v = snap->seal();
 
             if (snap->count() == 0) {
@@ -182,7 +190,11 @@ public:
             // changed (Listing 3).
             snap->begin_mutate();
             const bool merged = consolidate(ts, snap, lazy);
-            calculate_pivots(snap);
+            const std::size_t k = k_.load(std::memory_order_relaxed);
+            if (merged)
+                snap->calculate_pivots(k);
+            else
+                snap->extend_pivots(k);
             const std::uint64_t v = snap->seal();
 
             if (snap->count() == 0) {
@@ -474,8 +486,6 @@ private:
         }
         s.filled.store(f, std::memory_order_relaxed);
         s.level.store(block<K, V>::level_for(f), std::memory_order_relaxed);
-        if (s.pivot.load(std::memory_order_relaxed) > f)
-            s.pivot.store(f, std::memory_order_relaxed);
     }
 
     /// Merge adjacent slots violating strictly-decreasing levels.
@@ -559,44 +569,7 @@ private:
         // array) — nothing to do here.
     }
 
-    // ---- pivots and candidate selection (Listing 2) ------------------------
-
-    /// Compute per-slot pivot indices delimiting the <= k+1 smallest
-    /// entries, by a multiway suffix walk over the sorted blocks.
-    void calculate_pivots(arr *snap) {
-        const std::uint32_t n = snap->count();
-        std::uint32_t cur[max_blocks];
-        K next_key[max_blocks];
-        bool has_next[max_blocks];
-        for (std::uint32_t i = 0; i < n; ++i) {
-            cur[i] = snap->slots[i].filled.load(std::memory_order_relaxed);
-            block<K, V> *b = snap->slots[i].blk.load(std::memory_order_relaxed);
-            has_next[i] = cur[i] > 0;
-            if (has_next[i])
-                next_key[i] = b->load_entry(cur[i] - 1).key;
-        }
-        std::size_t remaining = k_.load(std::memory_order_relaxed) + 1;
-        while (remaining > 0) {
-            std::uint32_t best = max_blocks;
-            for (std::uint32_t i = 0; i < n; ++i) {
-                if (!has_next[i])
-                    continue;
-                if (best == max_blocks || next_key[i] < next_key[best])
-                    best = i;
-            }
-            if (best == max_blocks)
-                break;
-            --cur[best];
-            --remaining;
-            block<K, V> *b =
-                snap->slots[best].blk.load(std::memory_order_relaxed);
-            has_next[best] = cur[best] > 0;
-            if (has_next[best])
-                next_key[best] = b->load_entry(cur[best] - 1).key;
-        }
-        for (std::uint32_t i = 0; i < n; ++i)
-            snap->slots[i].pivot.store(cur[i], std::memory_order_relaxed);
-    }
+    // ---- candidate selection (Listing 2) ------------------------------------
 
     /// Listing 2's find_min: draw uniformly from the candidate ranges,
     /// fall back to the block minimum if the pick is deleted, and prefer

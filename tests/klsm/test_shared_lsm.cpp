@@ -1,11 +1,13 @@
 #include "klsm/shared_lsm.hpp"
 
 #include "mm/item_pool.hpp"
+#include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -15,6 +17,8 @@ namespace {
 using shared_t = shared_lsm<std::uint32_t, std::uint64_t>;
 using block_t = block<std::uint32_t, std::uint64_t>;
 using pool_t = item_pool<std::uint32_t, std::uint64_t>;
+using array_t = block_array<std::uint32_t, std::uint64_t>;
+using ref_t = item_ref<std::uint32_t, std::uint64_t>;
 
 /// Build a standalone sealed source block (as a DistLSM spill would).
 struct source_block {
@@ -30,6 +34,45 @@ struct source_block {
     }
     block_t blk;
 };
+
+/// Take one item through the relaxed find_min/take loop and return its
+/// rank among the keys not yet deleted.
+std::size_t take_one(shared_t &s, std::vector<bool> &deleted) {
+    ref_t ref;
+    do {
+        ref = s.find_min(0);
+        if (ref.empty()) {
+            ADD_FAILURE() << "shared LSM drained early";
+            return deleted.size();
+        }
+    } while (!ref.take());
+    EXPECT_LT(ref.key, deleted.size());
+    EXPECT_FALSE(deleted[ref.key]) << "key " << ref.key << " taken twice";
+    std::size_t rank = 0;
+    for (std::uint32_t j = 0; j < ref.key; ++j)
+        rank += deleted[j] ? 0 : 1;
+    deleted[ref.key] = true;
+    return rank;
+}
+
+/// Keys 0..sum(sizes)-1 dealt round-robin over one source block per size
+/// (every block holds some of the smallest keys), so with distinct
+/// levels the shared LSM keeps one slot per block.
+std::vector<std::unique_ptr<source_block>>
+dealt_blocks(pool_t &items, const std::vector<std::uint32_t> &sizes,
+             std::uint32_t tid) {
+    std::vector<std::vector<std::uint32_t>> keys(sizes.size());
+    const std::uint32_t rounds = *std::max_element(sizes.begin(), sizes.end());
+    std::uint32_t next = 0;
+    for (std::uint32_t round = 0; round < rounds; ++round)
+        for (std::size_t b = 0; b < sizes.size(); ++b)
+            if (round < sizes[b])
+                keys[b].push_back(next++);
+    std::vector<std::unique_ptr<source_block>> blocks;
+    for (auto &k : keys)
+        blocks.push_back(std::make_unique<source_block>(items, k, tid));
+    return blocks;
+}
 
 TEST(SharedLsm, EmptyFindMin) {
     shared_t s{4};
@@ -105,23 +148,71 @@ TEST(SharedLsm, DeleteDrainsInRelaxedOrder) {
     s.insert(&src.blk, src.blk.filled());
 
     std::vector<bool> deleted(30, false);
-    for (int step = 0; step < 30; ++step) {
-        item_ref<std::uint32_t, std::uint64_t> ref;
-        do {
-            ref = s.find_min(0);
-            ASSERT_FALSE(ref.empty()) << "step " << step;
-        } while (!ref.take());
-        ASSERT_LT(ref.key, 30u);
-        ASSERT_FALSE(deleted[ref.key]);
-        // Rank among remaining keys must be <= k.
-        std::size_t rank = 0;
-        for (std::uint32_t j = 0; j < ref.key; ++j)
-            rank += deleted[j] ? 0 : 1;
-        EXPECT_LE(rank, k);
-        deleted[ref.key] = true;
-    }
+    for (int step = 0; step < 30; ++step)
+        ASSERT_LE(take_one(s, deleted), k) << "step " << step;
     EXPECT_TRUE(s.find_min(0).empty()) << "drained shared LSM is empty";
     EXPECT_EQ(s.item_count_estimate(), 0u);
+}
+
+TEST(SharedLsm, MultiBlockDeleteDrainsInRelaxedOrder) {
+    pool_t items;
+    constexpr std::size_t k = 4;
+    shared_t s{k};
+    // Blocks of levels 6, 5, 4, 3 from another thread (tid 5), so the own-
+    // minimum rule of tid 0 never masks the random pick.
+    auto blocks = dealt_blocks(items, {64, 32, 16, 8}, /*tid=*/5);
+    for (auto &b : blocks)
+        s.insert(&b->blk, b->blk.filled());
+    const std::size_t n = 64 + 32 + 16 + 8;
+    EXPECT_EQ(s.item_count_estimate(), n);
+
+    std::vector<bool> deleted(n, false);
+    std::set<std::size_t> ranks;
+    for (std::size_t step = 0; step < n; ++step) {
+        const std::size_t rank = take_one(s, deleted);
+        ASSERT_LE(rank, k) << "step " << step;
+        ranks.insert(rank);
+    }
+    // Candidates are replenished after every trim, so the picks keep
+    // spreading over the k+1 smallest instead of collapsing onto one.
+    EXPECT_GE(ranks.size(), 4u);
+    EXPECT_TRUE(s.find_min(0).empty()) << "drained shared LSM is empty";
+    EXPECT_EQ(s.item_count_estimate(), 0u);
+}
+
+TEST(SharedLsm, LoweredKTakesEffectAtNextConsolidation) {
+    pool_t items;
+    shared_t s{64};
+    // Levels 7, 6, 5, 4; keys 0..239.  The last block holds 3, 7, ..., 63
+    // and the block minima are 0..3.
+    auto blocks = dealt_blocks(items, {128, 64, 32, 16}, /*tid=*/5);
+    for (auto &b : blocks)
+        s.insert(&b->blk, b->blk.filled());
+    const std::size_t n = 128 + 64 + 32 + 16;
+    std::vector<bool> deleted(n, false);
+
+    // The published pivots span the 65 smallest keys, 0..64.  Delete all
+    // of them but 40, 41 and 42 behind the queue's back.  A pick is then
+    // either one of those three or dead with a dead block minimum, which
+    // forces a consolidation.  It only trims (the last block empties,
+    // the levels stay distinct), and 19 candidates survive it: 40, 41,
+    // 42 and the dead keys above them in their blocks, more than k+1 = 3.
+    s.set_relaxation(2);
+    for (auto &b : blocks) {
+        for (std::uint32_t i = 0; i < b->blk.filled(); ++i) {
+            ref_t ref = b->blk.load_entry(i);
+            if (ref.key <= 64 && (ref.key < 40 || ref.key > 42)) {
+                ASSERT_TRUE(ref.take());
+                deleted[ref.key] = true;
+            }
+        }
+    }
+    const std::size_t live = n - 62;
+    // From that consolidation on, the candidates must be the 3 smallest
+    // of the trimmed array.
+    for (std::size_t step = 0; step < live; ++step)
+        ASSERT_LE(take_one(s, deleted), 2u) << "step " << step;
+    EXPECT_TRUE(s.find_min(0).empty());
 }
 
 TEST(SharedLsm, MultipleInsertsMergeLevels) {
@@ -221,6 +312,94 @@ TEST(SharedLsm, ConcurrentInsertDeleteConservation) {
     // duplicated.
     EXPECT_EQ(deletes.load(), std::uint64_t{threads} * per_thread);
     EXPECT_TRUE(s.find_min(thread_index()).empty());
+}
+
+// ---- pivot walk (block_array::calculate_pivots / extend_pivots) ---------
+
+/// Sorted multiset of the keys in the candidate ranges [pivot, filled).
+std::vector<std::uint32_t> candidate_keys(const array_t &a) {
+    std::vector<std::uint32_t> keys;
+    for (std::uint32_t i = 0; i < a.count(); ++i) {
+        const auto *b = a.slots[i].blk.load();
+        const std::uint32_t f = a.slots[i].filled.load();
+        for (std::uint32_t j = a.slots[i].pivot.load(); j < f; ++j)
+            keys.push_back(b->load_entry(j).key);
+    }
+    std::sort(keys.begin(), keys.end());
+    return keys;
+}
+
+TEST(PivotWalk, ExtendAfterTrimMatchesFullWalk) {
+    pool_t items;
+    xoroshiro128 rng{2024};
+    for (int round = 0; round < 300; ++round) {
+        // 4..8 slots of strictly decreasing levels; keys drawn from a
+        // small range so duplicates within and across blocks are common.
+        const std::uint32_t n_slots = 4 + rng.bounded(5);
+        const std::uint32_t key_range = 1 + rng.bounded(64);
+        std::vector<std::unique_ptr<block_t>> blocks;
+        auto a = std::make_unique<array_t>();
+        auto b = std::make_unique<array_t>();
+        a->begin_mutate();
+        b->begin_mutate();
+        for (std::uint32_t i = 0; i < n_slots; ++i) {
+            const std::uint32_t level = n_slots + 1 - i;
+            const auto size = static_cast<std::uint32_t>(
+                (std::uint32_t{1} << (level - 1)) + 1 +
+                rng.bounded(std::uint64_t{1} << (level - 1)));
+            std::vector<std::uint32_t> keys(size);
+            for (auto &key : keys)
+                key = static_cast<std::uint32_t>(rng.bounded(key_range));
+            std::sort(keys.rbegin(), keys.rend());
+            blocks.push_back(std::make_unique<block_t>(level));
+            block_t &blk = *blocks.back();
+            blk.reuse_begin(level);
+            for (auto key : keys)
+                blk.append(items.allocate(key, key));
+            blk.seal();
+            a->insert_slot(i, &blk, size, level);
+            b->insert_slot(i, &blk, size, level);
+        }
+        const std::size_t k = rng.bounded(200);
+        a->calculate_pivots(k);
+
+        // Trim a random dead suffix off some slots, emptying a few.
+        for (std::uint32_t i = 0; i < n_slots; ++i) {
+            const std::uint32_t f = a->slots[i].filled.load();
+            const std::uint32_t candidates = f - a->slots[i].pivot.load();
+            std::uint32_t trimmed = f; // case 0: untouched
+            switch (rng.bounded(4)) {
+            case 1: // within the candidate range
+                trimmed -= static_cast<std::uint32_t>(
+                    rng.bounded(candidates + 1));
+                break;
+            case 2: // anywhere, possibly past the pivot
+                trimmed = static_cast<std::uint32_t>(rng.bounded(f + 1));
+                break;
+            case 3: // the whole slot
+                trimmed = 0;
+                break;
+            }
+            a->slots[i].filled.store(trimmed);
+            b->slots[i].filled.store(trimmed);
+        }
+
+        // Unchanged, raised or lowered k: the extension must agree with
+        // a full walk over the trimmed array.
+        std::size_t k2 = k;
+        if (rng.bounded(3) == 1)
+            k2 = k + rng.bounded(100);
+        else if (rng.bounded(2) == 1)
+            k2 = rng.bounded(k + 1);
+        a->extend_pivots(k2);
+        b->calculate_pivots(k2);
+        const auto ext = candidate_keys(*a);
+        const auto full = candidate_keys(*b);
+        ASSERT_EQ(ext.size(), full.size()) << "round " << round;
+        ASSERT_EQ(ext, full) << "round " << round;
+        a->seal();
+        b->seal();
+    }
 }
 
 } // namespace
