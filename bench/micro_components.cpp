@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the design choices DESIGN.md
 // calls out: versioned item allocation/reuse, block two-way merges,
-// Bloom-filter local-ordering checks, stamped-pointer CAS, DistLSM
-// insert/merge chains, spying, the shared LSM's take path, and
+// stamped-pointer CAS, DistLSM insert/merge chains, spying, the shared
+// LSM's take path and its own-entry (local ordering) scan, and
 // single-thread k-LSM operation costs across k.  These quantify the
 // component costs behind Figure 3's single-thread ordering (DLSM ~
 // binary heap >> k-LSM(0)).
@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "baselines/dary_heap.hpp"
@@ -62,20 +63,6 @@ void BM_block_merge(benchmark::State &state) {
         static_cast<std::int64_t>(state.iterations()) * 2 * n);
 }
 BENCHMARK(BM_block_merge)->Arg(64)->Arg(1024)->Arg(16384);
-
-void BM_bloom_check(benchmark::State &state) {
-    block<bench_key, bench_val> b{0};
-    b.reuse_begin(0);
-    for (std::uint32_t tid = 0; tid < 8; ++tid)
-        b.bloom_insert(tid);
-    b.seal();
-    std::uint32_t tid = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(b.bloom_may_contain(tid));
-        tid = (tid + 1) & 63;
-    }
-}
-BENCHMARK(BM_bloom_check);
 
 void BM_stamped_ptr_cas(benchmark::State &state) {
     struct alignas(2048) target {
@@ -180,6 +167,57 @@ void BM_shared_lsm_take_min(benchmark::State &state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_shared_lsm_take_min)->Arg(256)->Arg(4096);
+
+// Shared-LSM local ordering: the same find_min plus take, but the caller
+// owns only every fourth of the ~10^5 entries (keys dealt round-robin over
+// four owner slots).  find_min serves the caller's own smallest key when
+// it is no larger than the random pick, so this times the own-entry scan
+// and its cursors as the caller's own keys drain ahead of the others.
+void BM_shared_lsm_own_scan(benchmark::State &state) {
+    constexpr std::uint32_t block_items = 1024;
+    constexpr std::uint32_t prefill_blocks = 98;
+    constexpr std::uint32_t owners = 4;
+    const std::uint32_t pow =
+        block<bench_key, bench_val>::level_for(block_items);
+    const std::uint32_t tid = thread_index();
+    std::vector<std::unique_ptr<item_pool<bench_key, bench_val>>> pools;
+    for (std::uint32_t o = 0; o < owners; ++o)
+        pools.push_back(std::make_unique<item_pool<bench_key, bench_val>>(
+            mm::mem_placement{}, (tid + o) % max_registered_threads));
+    shared_lsm<bench_key, bench_val> s{
+        static_cast<std::size_t>(state.range(0))};
+    block<bench_key, bench_val> src{pow};
+    xoroshiro128 rng{17};
+    std::vector<bench_key> keys(block_items);
+    auto refill = [&] {
+        for (auto &k : keys)
+            k = static_cast<bench_key>(rng());
+        std::sort(keys.rbegin(), keys.rend());
+        src.reuse_begin(pow);
+        for (std::uint32_t i = 0; i < block_items; ++i)
+            src.append(pools[i % owners]->allocate(keys[i], 0));
+        src.seal();
+        s.insert(&src, src.filled());
+    };
+    for (std::uint32_t i = 0; i < prefill_blocks; ++i)
+        refill();
+    std::uint32_t taken = 0;
+    for (auto _ : state) {
+        item_ref<bench_key, bench_val> ref;
+        do {
+            ref = s.find_min(tid);
+        } while (!ref.take());
+        benchmark::DoNotOptimize(ref.key);
+        if (++taken == block_items) {
+            state.PauseTiming();
+            refill();
+            taken = 0;
+            state.ResumeTiming();
+        }
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_shared_lsm_own_scan)->Arg(256)->Arg(4096);
 
 // Single-thread cost of the full k-LSM vs a plain binary heap — the
 // paper's intro comparison (Section 6.1: "the performance of the DLSM is

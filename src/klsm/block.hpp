@@ -25,6 +25,12 @@
 // Capacity is fixed at construction (2^capacity_pow entries); the logical
 // `level` can be lowered below capacity_pow when logical deletions shrink
 // a run (the paper's shrink(), without the copy).
+//
+// Local ordering needs to know which thread inserted each entry.  The
+// paper keeps a per-block Bloom filter of contributing threads; here each
+// entry's expected version already carries its item's exact owner slot
+// (klsm/item.hpp), so append, copy and merge carry ownership along with
+// the entry and a block has no ownership state of its own.
 
 #include <atomic>
 #include <cassert>
@@ -34,7 +40,6 @@
 #include "klsm/lazy.hpp"
 #include "mm/placement.hpp"
 #include "util/bits.hpp"
-#include "util/tabulation_hash.hpp"
 
 namespace klsm {
 
@@ -82,7 +87,6 @@ public:
         std::atomic_thread_fence(std::memory_order_release);
         filled_.store(0, std::memory_order_relaxed);
         level_.store(level, std::memory_order_relaxed);
-        bloom_.store(0, std::memory_order_relaxed);
     }
 
     /// End of the mutation window; content becomes immutable.
@@ -138,12 +142,10 @@ public:
                                         : static_cast<std::uint32_t>(src.capacity());
         for (std::uint32_t i = 0; i < n; ++i)
             append(src.load_entry(i), lazy);
-        bloom_or(src.bloom_raw());
     }
 
     /// Two-way merge of `a[0, a_filled)` and `b[0, b_filled)` (Listing 1's
-    /// merge_in), dropping logically deleted items and OR-ing the thread
-    /// Bloom filters.
+    /// merge_in), dropping logically deleted items.
     template <typename Lazy = no_lazy>
     void merge_from(const block &a, std::uint32_t a_filled, const block &b,
                     std::uint32_t b_filled, const Lazy &lazy = {}) {
@@ -170,8 +172,6 @@ public:
             append(a.load_entry(i), lazy);
         for (; j < nb; ++j)
             append(b.load_entry(j), lazy);
-        bloom_or(a.bloom_raw());
-        bloom_or(b.bloom_raw());
     }
 
     /// Racy copy used by DistLSM::spy.  Returns false (content must be
@@ -187,7 +187,6 @@ public:
             n = static_cast<std::uint32_t>(capacity());
         for (std::uint32_t i = 0; i < n; ++i)
             append(victim.load_entry(i));
-        bloom_or(victim.bloom_raw());
         std::atomic_thread_fence(std::memory_order_acquire);
         return victim.seq_.load(std::memory_order_relaxed) == g1;
     }
@@ -274,34 +273,6 @@ public:
         level_.store(level, std::memory_order_relaxed);
     }
 
-    // ---- thread Bloom filter (local ordering semantics) -------------------
-
-    void bloom_insert(std::uint32_t thread_id) {
-        bloom_.store(bloom_raw() | bloom_mask(thread_id),
-                     std::memory_order_relaxed);
-    }
-
-    void bloom_or(std::uint64_t bits) {
-        bloom_.store(bloom_raw() | bits, std::memory_order_relaxed);
-    }
-
-    std::uint64_t bloom_raw() const {
-        return bloom_.load(std::memory_order_relaxed);
-    }
-
-    /// May `thread_id` have contributed an item to this block?  False
-    /// negatives never happen on stable blocks, which is what the local
-    /// ordering argument requires.
-    bool bloom_may_contain(std::uint32_t thread_id) const {
-        const std::uint64_t m = bloom_mask(thread_id);
-        return (bloom_raw() & m) == m;
-    }
-
-    static std::uint64_t bloom_mask(std::uint32_t thread_id) {
-        return (std::uint64_t{1} << (thread_hash_a()(thread_id) & 63)) |
-               (std::uint64_t{1} << (thread_hash_b()(thread_id) & 63));
-    }
-
     // ---- pool bookkeeping (owner thread only) ----------------------------
 
     block_state pool_state() const { return pool_state_; }
@@ -329,7 +300,6 @@ private:
     std::atomic<std::uint32_t> level_;
     std::atomic<std::uint32_t> filled_{0};
     std::atomic<std::uint64_t> seq_{0};
-    std::atomic<std::uint64_t> bloom_{0};
     block_state pool_state_ = block_state::free;
     bool entries_released_ = false;
 };

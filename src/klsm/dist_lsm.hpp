@@ -51,24 +51,28 @@ public:
 
     /// `place` governs where this LSM's item and block pages live
     /// (mm/placement.hpp); numa_klsm passes each shard's node here.
-    explicit dist_lsm_local(mm::mem_placement place = {})
-        : pool_(place), items_(place) {}
+    /// `owner` is the thread slot this LSM belongs to; its item pool
+    /// stamps it into every item (klsm/item.hpp).
+    explicit dist_lsm_local(mm::mem_placement place = {},
+                            std::uint32_t owner = 0)
+        : pool_(place), items_(place, owner) {}
     dist_lsm_local(const dist_lsm_local &) = delete;
     dist_lsm_local &operator=(const dist_lsm_local &) = delete;
 
     /// Owner: insert a key.  If the total number of items would exceed
     /// `spill_bound`, everything is merged into one block and passed to
-    /// `spill(block*, filled)` instead of staying local.
+    /// `spill(block*, filled)` instead of staying local.  `tid` must be
+    /// this LSM's owner slot.
     template <typename Lazy, typename Spill>
-    void insert(const K &key, const V &value, std::uint32_t tid,
-                std::size_t spill_bound, const Lazy &lazy, Spill &&spill) {
+    void insert(const K &key, const V &value,
+                [[maybe_unused]] std::uint32_t tid, std::size_t spill_bound,
+                const Lazy &lazy, Spill &&spill) {
+        assert(tid == items_.owner());
         item_ref<K, V> ref = items_.allocate(key, value);
 
         block<K, V> *b = pool_.acquire(0, 0, block_pool<K, V>::always_recyclable);
         b->append(ref, lazy);
-        b->bloom_insert(tid);
-        publish_merge(b, tid, spill_bound, lazy,
-                      std::forward<Spill>(spill));
+        publish_merge(b, spill_bound, lazy, std::forward<Spill>(spill));
     }
 
     /// Owner: insert `n` key/value pairs, pre-sorted in DECREASING key
@@ -80,8 +84,10 @@ public:
     /// chain of single inserts would drop them.
     template <typename Lazy, typename Spill>
     void insert_batch(const std::pair<K, V> *kv, std::size_t n,
-                      std::uint32_t tid, std::size_t spill_bound,
-                      const Lazy &lazy, Spill &&spill) {
+                      [[maybe_unused]] std::uint32_t tid,
+                      std::size_t spill_bound, const Lazy &lazy,
+                      Spill &&spill) {
+        assert(tid == items_.owner());
         if (n == 0)
             return;
         const std::uint32_t lvl =
@@ -98,20 +104,16 @@ public:
             return;
         }
         b->set_level(block<K, V>::level_for(b->filled()));
-        b->bloom_insert(tid);
         KLSM_TRACE_EVENT(trace::kind::dist_batch_flush, 0, b->filled());
-        publish_merge(b, tid, spill_bound, lazy,
-                      std::forward<Spill>(spill));
+        publish_merge(b, spill_bound, lazy, std::forward<Spill>(spill));
     }
 
 private:
     /// Common insert tail: run the held block `b` through Listing 4's
     /// merge chain, apply the combined k-LSM spill bound, and publish.
     template <typename Lazy, typename Spill>
-    void publish_merge(block<K, V> *b, std::uint32_t tid,
-                       std::size_t spill_bound, const Lazy &lazy,
-                       Spill &&spill) {
-        (void)tid;
+    void publish_merge(block<K, V> *b, std::size_t spill_bound,
+                       const Lazy &lazy, Spill &&spill) {
         KLSM_TRACE_SPAN(publish_span, trace::kind::dist_publish);
         const std::uint32_t old_size = size_.load(std::memory_order_relaxed);
         std::uint32_t i = old_size;

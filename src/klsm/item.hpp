@@ -9,18 +9,30 @@
 //    Blocks store the expected flag value together with each pointer to
 //    Item."
 //
-// An item's `version` is a monotonically increasing counter:
-//   * odd  = alive (inserted, not yet deleted),
-//   * even = free (never used, logically deleted, or awaiting reuse).
+// An item's `version` is one 64-bit word with two fields:
+//   * the top byte is the item's OWNER, the thread slot whose item pool
+//     allocated it (set once, on the item's first use, and never
+//     changed: every later publish and take only moves the low bits);
+//   * the low 56 bits are a monotonically increasing counter:
+//       odd  = alive (inserted, not yet deleted),
+//       even = free (never used, logically deleted, or awaiting reuse).
 //
 // Logical deletion ("take") is CAS(version, expected_odd, expected_odd+1).
 // Reuse republishes payload and bumps the version to the next odd value.
-// Because the counter never repeats, a stale (pointer, expected_version)
-// pair held by any block anywhere in the system can never successfully
-// take a reused item: the CAS simply fails.  Combined with type-stable
-// item storage (items are never freed while the queue lives, see
-// mm/item_pool.hpp), this makes every dereference safe and every stale
-// reference harmless.
+// Both compare and move the full word, and the owner byte is constant per
+// item, so the pair (item, word) never repeats exactly as (item, counter)
+// never repeats: a stale (pointer, expected_version) pair held by any
+// block anywhere in the system can never successfully take a reused
+// item, because the CAS simply fails.  (The counter would need 2^55
+// reuses of one item to carry into the owner byte.)  Combined with
+// type-stable item storage (items are never freed while the queue lives,
+// see mm/item_pool.hpp), this makes every dereference safe and every
+// stale reference harmless.
+//
+// Because blocks store the expected version next to each item pointer,
+// every block entry carries its item's owner for free: the shared LSM's
+// local-ordering check (shared_lsm.hpp) reads it from the entry and never
+// dereferences another thread's item.
 //
 // Payload reads are validated seqlock-style *by the take CAS itself*: a
 // reader loads the version (acquire), reads key/value, and then tries the
@@ -29,10 +41,12 @@
 // together with `expected`.
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <type_traits>
 
 #include "mm/reclaim/freelist.hpp"
+#include "util/thread_id.hpp"
 
 namespace klsm {
 
@@ -47,9 +61,27 @@ public:
     using key_type = K;
     using value_type = V;
 
+    /// The owner byte sits above a 56-bit counter.
+    static constexpr unsigned owner_shift = 56;
+    static_assert(max_registered_threads <= 256,
+                  "a thread slot must fit the version's owner byte");
+
     item() = default;
     item(const item &) = delete;
     item &operator=(const item &) = delete;
+
+    /// The owning thread slot recorded in a version word.
+    static std::uint32_t owner_of(std::uint64_t version) {
+        return static_cast<std::uint32_t>(version >> owner_shift);
+    }
+
+    /// Stamp a fresh item (version 0, never published) with its pool's
+    /// owner slot.  Pool-only, before the first publish.
+    void set_owner(std::uint32_t slot) {
+        assert(version_.load(std::memory_order_relaxed) == 0);
+        version_.store(std::uint64_t{slot} << owner_shift,
+                       std::memory_order_relaxed);
+    }
 
     /// Publish a new payload in a free item and return the new (odd)
     /// version.  May only be called by the pool that owns the item, on an
@@ -116,9 +148,10 @@ public:
     }
 
     /// Owner-only, quiescent-only: reinitialize an item whose chunk was
-    /// madvise'd away (storage zeroed).  `even_floor` must be even and
-    /// >= every version the item ever held, so global version
-    /// monotonicity — the ABA defense — survives the zeroing.
+    /// madvise'd away (storage zeroed).  `even_floor` must be even, carry
+    /// the item's owner byte and be >= every version the item ever held,
+    /// so global version monotonicity — the ABA defense — survives the
+    /// zeroing.
     void reset_after_reclaim(std::uint64_t even_floor,
                              std::uintptr_t sink_word) {
         version_.store(even_floor, std::memory_order_release);

@@ -16,9 +16,11 @@
 // Guarantees (Section 5): insert and try_delete_min are lock-free;
 // try_delete_min is linearizable under structural rho-relaxation with
 // rho = T*k (T = number of participating threads), and local ordering
-// semantics hold — a thread never skips keys it inserted itself, because
-// its own DistLSM is always consulted and the shared find_min prefers the
-// thread's own minimum (Bloom filter check).
+// semantics hold — a thread never skips keys it inserted itself.  Its own
+// DistLSM is always consulted, and every item records the slot that
+// inserted it (the owner byte of its version, item.hpp), so the shared
+// find_min serves the thread's own smallest key whenever it is no larger
+// than the random candidate.
 //
 // The Lazy template parameter implements Section 4.5's lazy deletion: a
 // stateful predicate consulted whenever items are copied between blocks
@@ -59,8 +61,8 @@ public:
                    mm::mem_placement place = {})
         : k_(k), max_k_seen_(k), lazy_(lazy), place_(place),
           shared_(k, place) {
-        for (auto &d : dist_)
-            d = std::make_unique<dist_lsm_local<K, V>>(place);
+        for (std::uint32_t slot = 0; slot < max_registered_threads; ++slot)
+            dist_[slot] = std::make_unique<dist_lsm_local<K, V>>(place, slot);
     }
 
     k_lsm(const k_lsm &) = delete;
@@ -460,8 +462,8 @@ public:
     using value_type = V;
 
     explicit dist_pq(mm::mem_placement place = {}) : place_(place) {
-        for (auto &d : dist_)
-            d = std::make_unique<dist_lsm_local<K, V>>(place);
+        for (std::uint32_t slot = 0; slot < max_registered_threads; ++slot)
+            dist_[slot] = std::make_unique<dist_lsm_local<K, V>>(place, slot);
     }
 
     dist_pq(const dist_pq &) = delete;

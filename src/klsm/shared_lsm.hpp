@@ -16,9 +16,19 @@
 // delete-min relaxation: find_min picks uniformly at random one of the
 // <= k+1 smallest entries, delimited per block by the pivot indices
 // (Listing 2), falling back to the block minimum when the pick is
-// logically deleted.  A per-block Bloom filter over contributing thread
-// ids lets a thread find its own minimal key first, preserving local
-// ordering semantics.
+// logically deleted.
+//
+// Local ordering: every entry's expected version carries the exact slot
+// of the thread that inserted its item (item.hpp).  find_min looks for
+// the caller's smallest alive entry no larger than the random candidate
+// and serves it instead when there is one, so a thread never skips its
+// own keys.  A per-block Bloom filter of contributing threads, the
+// paper's device, saturates once blocks merge: every block then "may
+// contain" every thread, and each thread's own minimum is simply the
+// global minimum, which all threads chase.  The exact owner keeps the
+// relaxation intact.  The own scan reads owners from the entries,
+// dereferences only the caller's items, and resumes from per-slot
+// cursors that stay valid while the snapshot is unchanged.
 //
 // Pivots (block_array::calculate_pivots / extend_pivots): an insert, or
 // a consolidation that merged blocks, recomputes them with a (k+1)-step
@@ -172,7 +182,7 @@ public:
                 continue;
             }
 
-            item_ref<K, V> cand = select_candidate(snap, tid);
+            item_ref<K, V> cand = select_candidate(ts, snap, tid);
             if (!cand.empty() && cand.alive()) {
                 // Lemma 2 linearizes a successful delete at the *last*
                 // comparison of shared with observed; re-verify here so
@@ -289,6 +299,14 @@ private:
         std::uint64_t observed_version = 0;
         block_pool<K, V> pool;
         std::vector<block<K, V> *> created;
+
+        /// Own-scan cursors (own_minimum), valid for one snapshot pointer,
+        /// version and owner: every entry of slot i at or above
+        /// own_cursor[i] is another owner's or dead, both permanent.
+        const arr *cursor_snap = nullptr;
+        std::uint64_t cursor_version = 0;
+        std::uint32_t cursor_owner = 0;
+        std::uint32_t own_cursor[max_blocks] = {};
     };
 
     thread_state &self() { return *threads_[thread_index()]; }
@@ -573,9 +591,10 @@ private:
 
     /// Listing 2's find_min: draw uniformly from the candidate ranges,
     /// fall back to the block minimum if the pick is deleted, and prefer
-    /// the calling thread's own minimal key (Bloom filter check) when it
-    /// is at least as small (local ordering semantics).
-    item_ref<K, V> select_candidate(arr *snap, std::uint32_t tid) {
+    /// the calling thread's own minimal key when it is at least as small
+    /// (local ordering semantics).
+    item_ref<K, V> select_candidate(thread_state &ts, arr *snap,
+                                    std::uint32_t tid) {
         const std::uint32_t n = snap->count();
         std::uint64_t total = 0;
         for (std::uint32_t i = 0; i < n; ++i) {
@@ -617,30 +636,57 @@ private:
             }
         }
 
-        // Local ordering: the minimal key among blocks this thread may
-        // have contributed to wins — but only when it is at least as
-        // small as a *valid* random candidate.  When the candidate is
-        // empty or already deleted, the caller must consolidate and
-        // retry instead: the own minimum alone carries no rank bound (it
-        // may be far from the global minimum when the smallest blocks
-        // hold only other threads' items).
+        // Local ordering: the caller's own minimal key wins — but only
+        // against a *valid* random candidate at least as large.  When the
+        // candidate is empty or already deleted, the caller must
+        // consolidate and retry instead: the own minimum alone carries no
+        // rank bound (it may be far from the global minimum when the
+        // smallest entries are all other threads').
         if (chosen.empty() || !chosen.it->is_alive(chosen.version))
             return chosen;
+        const item_ref<K, V> own = own_minimum(ts, snap, tid, chosen.key);
+        return own.empty() ? chosen : own;
+    }
+
+    /// The caller's smallest alive entry with key <= `bound`, or an empty
+    /// ref.  Each slot is walked from its fill toward larger keys; the
+    /// walk stops at the first key above the bound, which drops to the
+    /// best own key found, or at the slot's first live own entry.  It
+    /// resumes from ts.own_cursor and moves a cursor only past entries
+    /// that are another owner's or dead, never past a live own entry.
+    item_ref<K, V> own_minimum(thread_state &ts, const arr *snap,
+                               std::uint32_t tid, K bound) {
+        const std::uint32_t n = snap->count();
+        const std::uint64_t version =
+            snap->version.load(std::memory_order_relaxed);
+        if (ts.cursor_snap != snap || ts.cursor_version != version ||
+            ts.cursor_owner != tid) {
+            for (std::uint32_t i = 0; i < n; ++i)
+                ts.own_cursor[i] =
+                    snap->slots[i].filled.load(std::memory_order_relaxed);
+            ts.cursor_snap = snap;
+            ts.cursor_version = version;
+            ts.cursor_owner = tid;
+        }
         item_ref<K, V> own{};
         for (std::uint32_t i = 0; i < n; ++i) {
-            block<K, V> *b =
+            const block<K, V> *b =
                 snap->slots[i].blk.load(std::memory_order_relaxed);
-            if (!b->bloom_may_contain(tid))
-                continue;
-            const std::uint32_t f =
-                snap->slots[i].filled.load(std::memory_order_relaxed);
-            item_ref<K, V> m = b->peek_min(f);
-            if (!m.empty() && (own.empty() || m.key < own.key))
-                own = m;
+            std::uint32_t c = ts.own_cursor[i];
+            for (; c > 0; --c) {
+                const item_ref<K, V> e = b->load_entry(c - 1);
+                if (bound < e.key)
+                    break;
+                if (item<K, V>::owner_of(e.version) == tid &&
+                    e.it != nullptr && e.it->is_alive(e.version)) {
+                    own = e;
+                    bound = e.key;
+                    break;
+                }
+            }
+            ts.own_cursor[i] = c;
         }
-        if (!own.empty() && own.key <= chosen.key)
-            return own;
-        return chosen;
+        return own;
     }
 
     /// Relaxed-atomic so the adaptive-k controller can retune a live

@@ -2,7 +2,9 @@
 
 // Wait-free item reuse pool (paper Section 4.4).
 //
-// Each thread owns one pool per queue.  Storage is type-stable (arena):
+// Each thread owns one pool per queue, and the pool stamps its thread slot
+// (the pool's `owner`) into the top byte of every item's version when the
+// item is first allocated (klsm/item.hpp).  Storage is type-stable (arena):
 // item addresses remain valid for the queue's lifetime, so stale
 // references held in blocks anywhere in the system are always safe to
 // dereference and are rejected by the version check in item::take.
@@ -39,6 +41,7 @@
 //     defense across the zeroing.
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -66,8 +69,12 @@ public:
     /// `place` governs where the arena's chunk pages live and which
     /// reclamation mechanisms are on (mm/placement.hpp); the default is
     /// the historical plain heap allocation with reclamation off.
-    explicit item_pool(mm::mem_placement place = {})
-        : arena_(256, place, &stats_), reclaim_(place.reclaim) {}
+    /// `owner` is the thread slot stamped into every item's version.
+    explicit item_pool(mm::mem_placement place = {}, std::uint32_t owner = 0)
+        : arena_(256, place, &stats_), reclaim_(place.reclaim),
+          owner_(owner) {
+        assert(owner < max_registered_threads);
+    }
     item_pool(const item_pool &) = delete;
     item_pool &operator=(const item_pool &) = delete;
 
@@ -87,6 +94,7 @@ public:
         if (it == nullptr) {
             stats_.count_fresh();
             it = arena_.allocate();
+            it->set_owner(owner_);
             if (reclaim_.freelist_enabled())
                 it->attach_reclaim_sink(freelist_.sink_word());
             all_.push_back(it);
@@ -130,6 +138,9 @@ public:
         }
         return released;
     }
+
+    /// The thread slot stamped into every item this pool allocates.
+    std::uint32_t owner() const { return owner_; }
 
     /// Total items currently in circulation (live + sweep-reusable);
     /// quarantined and released chunks' items are excluded until their
@@ -374,6 +385,10 @@ private:
         const std::uintptr_t sink =
             reclaim_.freelist_enabled() ? freelist_.sink_word() : 0;
         const bool was_released = rec.st == chunk_rec::released;
+        // Every item of a full chunk was stamped before its first
+        // publish, so the floor (a max over their versions) carries the
+        // owner byte and revived items keep their owner.
+        assert((item<K, V>::owner_of(rec.version_floor) == owner_));
         for (std::size_t i = 0; i < n; ++i) {
             if (was_released)
                 base[i].reset_after_reclaim(rec.version_floor, sink);
@@ -399,6 +414,7 @@ private:
     std::vector<chunk_rec> chunk_state_;
     std::size_t maintenance_cursor_ = 0;
     std::uint32_t allocs_since_maintenance_ = 0;
+    std::uint32_t owner_;
 };
 
 } // namespace klsm

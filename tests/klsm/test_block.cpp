@@ -134,23 +134,6 @@ TEST(Block, MergePreservesOrderAndFiltersDead) {
         EXPECT_EQ(m.load_entry(i).key, expect[i]);
 }
 
-TEST(Block, MergeCombinesBloomFilters) {
-    pool_t pool;
-    auto ap = make_block(pool, {1}, 0);
-    auto cp = make_block(pool, {2}, 0);
-    block_t &a = *ap;
-    block_t &c = *cp;
-    // Simulate two contributing threads.
-    a.bloom_insert(3);
-    c.bloom_insert(14);
-    block_t m{1};
-    m.reuse_begin(1);
-    m.merge_from(a, a.filled(), c, c.filled());
-    m.seal();
-    EXPECT_TRUE(m.bloom_may_contain(3));
-    EXPECT_TRUE(m.bloom_may_contain(14));
-}
-
 TEST(Block, CopyFromFiltersDeadAndKeepsOrder) {
     pool_t pool;
     auto srcp = make_block(pool, {8, 6, 4, 2}, 2);

@@ -20,20 +20,53 @@ using pool_t = item_pool<std::uint32_t, std::uint64_t>;
 using array_t = block_array<std::uint32_t, std::uint64_t>;
 using ref_t = item_ref<std::uint32_t, std::uint64_t>;
 
+/// Item pools of owner slots first .. first+n-1; key k belongs to owner
+/// first + k % n, so owners interleave in key order.
+struct dealt_owners {
+    dealt_owners(std::uint32_t first, std::uint32_t n) : first(first) {
+        for (std::uint32_t i = 0; i < n; ++i)
+            pools.push_back(
+                std::make_unique<pool_t>(mm::mem_placement{}, first + i));
+    }
+    std::uint32_t owner_of_key(std::uint32_t key) const {
+        return first + key % static_cast<std::uint32_t>(pools.size());
+    }
+    std::uint32_t first;
+    std::vector<std::unique_ptr<pool_t>> pools;
+};
+
+/// The pool a key's item comes from.
+pool_t &pool_for(pool_t &pool, std::uint32_t) { return pool; }
+pool_t &pool_for(dealt_owners &owners, std::uint32_t key) {
+    return *owners.pools[key % owners.pools.size()];
+}
+
 /// Build a standalone sealed source block (as a DistLSM spill would).
 struct source_block {
-    explicit source_block(pool_t &pool, std::vector<std::uint32_t> keys,
-                          std::uint32_t tid = 0)
+    template <typename Items>
+    source_block(Items &items, std::vector<std::uint32_t> keys)
         : blk(block_t::level_for(static_cast<std::uint32_t>(keys.size()))) {
         std::sort(keys.rbegin(), keys.rend());
         blk.reuse_begin(blk.capacity_pow());
         for (auto k : keys)
-            blk.append(pool.allocate(k, k));
-        blk.bloom_insert(tid);
+            blk.append(pool_for(items, k).allocate(k, k));
         blk.seal();
     }
     block_t blk;
 };
+
+/// Every entry of `blocks`, indexed by key (keys are 0..n-1).
+std::vector<ref_t>
+refs_by_key(const std::vector<std::unique_ptr<source_block>> &blocks,
+            std::size_t n) {
+    std::vector<ref_t> refs(n);
+    for (const auto &b : blocks)
+        for (std::uint32_t i = 0; i < b->blk.filled(); ++i) {
+            const ref_t ref = b->blk.load_entry(i);
+            refs[ref.key] = ref;
+        }
+    return refs;
+}
 
 /// Take one item through the relaxed find_min/take loop and return its
 /// rank among the keys not yet deleted.
@@ -58,9 +91,9 @@ std::size_t take_one(shared_t &s, std::vector<bool> &deleted) {
 /// Keys 0..sum(sizes)-1 dealt round-robin over one source block per size
 /// (every block holds some of the smallest keys), so with distinct
 /// levels the shared LSM keeps one slot per block.
+template <typename Items>
 std::vector<std::unique_ptr<source_block>>
-dealt_blocks(pool_t &items, const std::vector<std::uint32_t> &sizes,
-             std::uint32_t tid) {
+dealt_blocks(Items &items, const std::vector<std::uint32_t> &sizes) {
     std::vector<std::vector<std::uint32_t>> keys(sizes.size());
     const std::uint32_t rounds = *std::max_element(sizes.begin(), sizes.end());
     std::uint32_t next = 0;
@@ -70,7 +103,7 @@ dealt_blocks(pool_t &items, const std::vector<std::uint32_t> &sizes,
                 keys[b].push_back(next++);
     std::vector<std::unique_ptr<source_block>> blocks;
     for (auto &k : keys)
-        blocks.push_back(std::make_unique<source_block>(items, k, tid));
+        blocks.push_back(std::make_unique<source_block>(items, k));
     return blocks;
 }
 
@@ -123,12 +156,12 @@ TEST(SharedLsm, CandidatesStayWithinKPlus1Smallest) {
 }
 
 TEST(SharedLsm, RandomSelectionSpreadsOverCandidates) {
-    pool_t items;
+    pool_t items{{}, 55};
     shared_t s{7};
     std::vector<std::uint32_t> keys;
     for (std::uint32_t i = 0; i < 64; ++i)
         keys.push_back(i);
-    source_block src{items, keys, /*tid=*/55};
+    source_block src{items, keys};
     s.insert(&src.blk, src.blk.filled());
     std::map<std::uint32_t, int> histogram;
     for (int i = 0; i < 500; ++i)
@@ -155,12 +188,12 @@ TEST(SharedLsm, DeleteDrainsInRelaxedOrder) {
 }
 
 TEST(SharedLsm, MultiBlockDeleteDrainsInRelaxedOrder) {
-    pool_t items;
+    pool_t items{{}, 5};
     constexpr std::size_t k = 4;
     shared_t s{k};
-    // Blocks of levels 6, 5, 4, 3 from another thread (tid 5), so the own-
-    // minimum rule of tid 0 never masks the random pick.
-    auto blocks = dealt_blocks(items, {64, 32, 16, 8}, /*tid=*/5);
+    // Blocks of levels 6, 5, 4, 3 of another thread's items (owner 5), so
+    // the own-minimum rule of tid 0 never masks the random pick.
+    auto blocks = dealt_blocks(items, {64, 32, 16, 8});
     for (auto &b : blocks)
         s.insert(&b->blk, b->blk.filled());
     const std::size_t n = 64 + 32 + 16 + 8;
@@ -181,11 +214,11 @@ TEST(SharedLsm, MultiBlockDeleteDrainsInRelaxedOrder) {
 }
 
 TEST(SharedLsm, LoweredKTakesEffectAtNextConsolidation) {
-    pool_t items;
+    pool_t items{{}, 5};
     shared_t s{64};
-    // Levels 7, 6, 5, 4; keys 0..239.  The last block holds 3, 7, ..., 63
-    // and the block minima are 0..3.
-    auto blocks = dealt_blocks(items, {128, 64, 32, 16}, /*tid=*/5);
+    // Levels 7, 6, 5, 4; keys 0..239, all owner 5's.  The last block
+    // holds 3, 7, ..., 63 and the block minima are 0..3.
+    auto blocks = dealt_blocks(items, {128, 64, 32, 16});
     for (auto &b : blocks)
         s.insert(&b->blk, b->blk.filled());
     const std::size_t n = 128 + 64 + 32 + 16;
@@ -235,21 +268,85 @@ TEST(SharedLsm, MultipleInsertsMergeLevels) {
 }
 
 TEST(SharedLsm, LocalOrderingPrefersOwnMinimum) {
-    pool_t items;
+    pool_t items{{}, 7};
     // Large k so the random candidate is usually NOT the global minimum.
     shared_t s{63};
     std::vector<std::uint32_t> keys;
     for (std::uint32_t i = 0; i < 64; ++i)
         keys.push_back(i);
-    source_block src{items, keys, /*tid=*/7};
+    source_block src{items, keys};
     s.insert(&src.blk, src.blk.filled());
-    // Thread 7 contributed every key, so its own minimum (0) must always
-    // win the comparison against the random candidate.
+    // Thread 7 owns every key, so its own minimum (0) must always win the
+    // comparison against the random candidate.
     for (int i = 0; i < 50; ++i) {
         auto ref = s.find_min(/*tid=*/7);
         ASSERT_FALSE(ref.empty());
         EXPECT_EQ(ref.key, 0u);
     }
+}
+
+TEST(SharedLsm, OwnMinimumIgnoresOtherOwnersEntries) {
+    // Keys 0..255 dealt round-robin to owners 1..4: owner 2 holds
+    // 1, 5, 9, ...  Its own minimum is 1, not the block minimum 0, so
+    // find_min(2) serves 1 against every random pick but 0.
+    dealt_owners owners{1, 4};
+    std::vector<std::uint32_t> keys;
+    for (std::uint32_t i = 0; i < 256; ++i)
+        keys.push_back(i);
+    source_block src{owners, keys};
+    shared_t s{63};
+    s.insert(&src.blk, src.blk.filled());
+    int ones = 0;
+    for (int i = 0; i < 200; ++i) {
+        const ref_t ref = s.find_min(/*tid=*/2);
+        ASSERT_FALSE(ref.empty());
+        ASSERT_LE(ref.key, 1u) << "own minimum 1 must beat the pick";
+        ones += ref.key == 1;
+    }
+    // P(no pick above 0 in 200 draws) = 64^-200.
+    EXPECT_GT(ones, 0) << "the own minimum is another owner's key";
+}
+
+TEST(SharedLsm, OwnCursorNeverSkipsALiveOwnEntry) {
+    // Four blocks, owners 1..4 interleaved in key order.  Between
+    // find_min(2) calls, other owners' entries and some of owner 2's own
+    // die behind the queue's back, and the returned own entry is left
+    // alive half the time.  find_min must never serve a key above the
+    // smallest alive own key: the own-scan cursors may skip dead and
+    // foreign entries, but never a live own one.
+    constexpr std::uint32_t me = 2;
+    dealt_owners owners{1, 4};
+    auto blocks = dealt_blocks(owners, {512, 256, 128, 64});
+    const std::size_t n = 512 + 256 + 128 + 64;
+    shared_t s{255};
+    for (auto &b : blocks)
+        s.insert(&b->blk, b->blk.filled());
+    const std::vector<ref_t> refs = refs_by_key(blocks, n);
+    xoroshiro128 rng{77};
+    const auto own_min = [&] {
+        for (std::uint32_t k = 0; k < n; ++k)
+            if (owners.owner_of_key(k) == me && refs[k].alive())
+                return k;
+        return static_cast<std::uint32_t>(n);
+    };
+    std::size_t served = 0;
+    for (std::size_t step = 0; step < 20 * n; ++step) {
+        const std::uint32_t m = own_min();
+        const ref_t ref = s.find_min(me);
+        if (ref.empty())
+            break;
+        ++served;
+        ASSERT_LE(ref.key, m) << "step " << step;
+        if (rng.bounded(2) == 0)
+            ref.take();
+        for (int j = 0; j < 3; ++j) {
+            const auto k = static_cast<std::uint32_t>(rng.bounded(n));
+            if (owners.owner_of_key(k) != me || rng.bounded(4) == 0)
+                refs[k].take();
+        }
+    }
+    EXPECT_GT(served, n / 4);
+    EXPECT_TRUE(s.find_min(me).empty()) << "everything was taken";
 }
 
 TEST(SharedLsm, TwoArraysPerThreadSuffice) {
@@ -276,21 +373,23 @@ TEST(SharedLsm, ConcurrentInsertDeleteConservation) {
     shared_t s{16};
     std::atomic<std::uint64_t> deletes{0};
     // Pools and source blocks must outlive every thread: items stay
-    // referenced by the shared LSM until the final drain.
-    pool_t items_by_thread[threads];
+    // referenced by the shared LSM until the final drain.  Each thread's
+    // items are owned by its slot, as a k-LSM's DistLSM pool would own them.
+    std::unique_ptr<pool_t> items_by_thread[threads];
     std::vector<std::unique_ptr<source_block>> sources_by_thread[threads];
     std::vector<std::thread> ts;
     for (int t = 0; t < threads; ++t) {
         ts.emplace_back([&, t] {
-            pool_t &items = items_by_thread[t];
-            auto &sources = sources_by_thread[t];
             const std::uint32_t tid = thread_index();
+            items_by_thread[t] =
+                std::make_unique<pool_t>(mm::mem_placement{}, tid);
+            pool_t &items = *items_by_thread[t];
+            auto &sources = sources_by_thread[t];
             for (std::uint32_t i = 0; i < per_thread; ++i) {
                 sources.push_back(std::make_unique<source_block>(
                     items,
                     std::vector<std::uint32_t>{
-                        static_cast<std::uint32_t>(t) * per_thread + i},
-                    tid));
+                        static_cast<std::uint32_t>(t) * per_thread + i}));
                 s.insert(&sources.back()->blk, 1);
                 auto ref = s.find_min(tid);
                 if (!ref.empty() && ref.take())
