@@ -219,6 +219,67 @@ void BM_shared_lsm_own_scan(benchmark::State &state) {
 }
 BENCHMARK(BM_shared_lsm_own_scan)->Arg(256)->Arg(4096);
 
+// Shared-LSM spills under contention: four threads each publish 1024
+// blocks of 257 keys (a DistLSM spill just past level 8) into a shared
+// LSM prefilled with ~10^6 entries (~2*10^6 at the end), so carries
+// climb into the big levels while other threads keep publishing.
+// Reported time is wall time per publish across all four threads
+// (k = 256).
+void BM_shared_lsm_spill_t4(benchmark::State &state) {
+    constexpr std::uint32_t spill_items = 257;
+    constexpr std::uint32_t prefill_spills = 3891; // ~10^6 entries
+    constexpr std::size_t publishes = 1024;        // per thread
+    using shared_t = shared_lsm<bench_key, bench_val>;
+    using block_t = block<bench_key, bench_val>;
+    using pool_t = item_pool<bench_key, bench_val>;
+    static std::unique_ptr<shared_t> s;
+    static std::unique_ptr<pool_t> prefill_items;
+    const std::uint32_t pow = block_t::level_for(spill_items);
+    const std::uint32_t tid = thread_index();
+    xoroshiro128 rng{23 + static_cast<std::uint64_t>(state.thread_index())};
+    auto fill = [&](block_t &b, pool_t &items) {
+        std::vector<bench_key> keys(spill_items);
+        for (auto &k : keys)
+            k = static_cast<bench_key>(rng());
+        std::sort(keys.rbegin(), keys.rend());
+        b.reuse_begin(pow);
+        for (bench_key k : keys)
+            b.append(items.allocate(k, 0));
+        b.seal();
+    };
+    if (state.thread_index() == 0) {
+        s = std::make_unique<shared_t>(256);
+        prefill_items = std::make_unique<pool_t>(mm::mem_placement{}, tid);
+        block_t src{pow};
+        for (std::uint32_t i = 0; i < prefill_spills; ++i) {
+            fill(src, *prefill_items);
+            s->insert(&src, src.filled());
+        }
+    }
+    // Every thread builds its spills before the timed loop, whose start
+    // is a barrier across the threads.
+    pool_t items{mm::mem_placement{}, tid};
+    std::vector<std::unique_ptr<block_t>> spills;
+    for (std::size_t i = 0; i < publishes; ++i) {
+        spills.push_back(std::make_unique<block_t>(pow));
+        fill(*spills.back(), items);
+    }
+    std::size_t next = 0;
+    for (auto _ : state) {
+        const block_t &b = *spills[next++ % publishes];
+        s->insert(&b, b.filled());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+    if (state.thread_index() == 0) {
+        s.reset();
+        prefill_items.reset();
+    }
+}
+BENCHMARK(BM_shared_lsm_spill_t4)
+    ->Threads(4)
+    ->Iterations(1024)
+    ->UseRealTime();
+
 // Single-thread cost of the full k-LSM vs a plain binary heap — the
 // paper's intro comparison (Section 6.1: "the performance of the DLSM is
 // close to the binary heap ... k = 0 is significantly slower").

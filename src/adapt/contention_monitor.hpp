@@ -46,8 +46,13 @@ enum class event : unsigned {
     /// A spy copied items out of another thread's DistLSM (both own
     /// components observed empty).
     spy,
+    /// shared_lsm published a big merge it settled off the publish path.
+    shared_settle,
+    /// A settled merge was discarded: an input left the shared array
+    /// first.
+    shared_settle_discard,
 };
-inline constexpr unsigned event_kinds = 5;
+inline constexpr unsigned event_kinds = 7;
 
 /// One sampling window's view of the queue: raw per-event deltas since
 /// the previous sample_window() call plus the monitor's EWMAs after
@@ -59,6 +64,10 @@ struct contention_window {
     std::uint64_t shared_hits = 0;
     std::uint64_t local_hits = 0;
     std::uint64_t spies = 0;
+    /// Settles follow a publish and are not publish attempts: they stay
+    /// out of fail_rate() and idle().
+    std::uint64_t settles = 0;
+    std::uint64_t settle_discards = 0;
 
     /// EWMA of the failed-publish-CAS rate; NaN-free (0 before the
     /// first window with publish activity).
@@ -126,6 +135,10 @@ public:
         w.local_hits = totals[idx(event::delete_hit_local)] -
                        last_[idx(event::delete_hit_local)];
         w.spies = totals[idx(event::spy)] - last_[idx(event::spy)];
+        w.settles = totals[idx(event::shared_settle)] -
+                    last_[idx(event::shared_settle)];
+        w.settle_discards = totals[idx(event::shared_settle_discard)] -
+                            last_[idx(event::shared_settle_discard)];
         for (unsigned i = 0; i < event_kinds; ++i)
             last_[i] = totals[i];
 
@@ -158,6 +171,8 @@ public:
         w.shared_hits = t[idx(event::delete_hit_shared)];
         w.local_hits = t[idx(event::delete_hit_local)];
         w.spies = t[idx(event::spy)];
+        w.settles = t[idx(event::shared_settle)];
+        w.settle_discards = t[idx(event::shared_settle_discard)];
         w.fail_rate_ewma = fail_rate_ewma_;
         w.shared_fraction_ewma = shared_fraction_ewma_;
         return w;
@@ -169,7 +184,7 @@ private:
     }
 
     /// One thread's private counters, padded so adjacent slots never
-    /// share a cache line (five 8-byte counters fit in one line).
+    /// share a cache line (seven 8-byte counters fit in one line).
     struct alignas(cache_line_size) slot {
         std::atomic<std::uint64_t> counts[event_kinds] = {};
     };

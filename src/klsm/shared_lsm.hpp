@@ -38,10 +38,52 @@
 // candidates were trimmed.  If more than k+1 survive (k was lowered), it
 // recomputes.
 //
+// Shape and settling.  Listing 3 merges every level violation into the
+// private snapshot before the publish CAS, so a lost CAS discards all of
+// that work.  Once a spill's carry reaches the big levels, every thread
+// that spills meanwhile recomputes the same huge merge and all but one
+// throw it away.  Here a merge is *big* when its two inputs hold more
+// than 16(k+1) entries together (k read once per operation), and the
+// publish path (normalize, from insert and from find_min's
+// consolidation) merges only small violations.  The shape invariant is
+// therefore: slot levels decrease strictly, except at big violating
+// pairs (equal or lower level on the left) that wait to be settled.
+// After a successful publish, a thread that sees a big violation in the
+// array it just published tries one atomic claim word (`settling_`);
+// nobody waits on it.  The winner merges the pair's two immutable blocks
+// outside any snapshot, then substitutes the result for both inputs in a
+// fresh snapshot: the result takes the lower-index slot, the other slot
+// goes, the small-only normalize and the pivot walk run, and the array
+// is published.  A lost CAS retries only this O(max_blocks)
+// substitution, and only while both inputs are still present with the
+// generations they had when picked.  The winner keeps settling while
+// its last publish left a big violation, so a carry climbs one level per
+// publish, and releases the claim on every exit.
+//
+// Why a substitution loses and corrupts nothing:
+//   * Blocks are immutable once published, and a slot's fill view only
+//     shrinks: a trim lowers it past dead entries, and nothing raises
+//     it for the same block life.  Every entry past a slot's current
+//     view is dead for good, so the settled block holds every item that
+//     is still alive in the two inputs.
+//   * The inputs are picked from a copy of an array that was current
+//     both before and after their generations were read, so the
+//     generations name the lives that array references.  An input found
+//     at that generation in a later current array was never recycled in
+//     between (recycling bumps the generation), so the merge read
+//     consistent entries, and block_pool.hpp's reclamation rule
+//     (absence from the current array) holds unchanged.
+//   * Pivots are recomputed over the whole array on every publish, so
+//     the array's shape never enters the rho bound.
+//   * The slot bound stays hard: once an array is within four slots of
+//     max_blocks, normalize merges every violation, big ones too.
+//
 // Progress: operations retry only when another thread successfully
 // replaced the shared array or recycled an array/block we were reading —
 // i.e. when someone else made progress — so insert and find_min are
-// lock-free (Lemmas 3-4).
+// lock-free (Lemmas 3-4).  A settle retry likewise follows another
+// thread's publish; a stalled settler only leaves its big pair in place,
+// and the four-slot safety merge keeps inserts going.
 
 #include <atomic>
 #include <cassert>
@@ -58,6 +100,7 @@
 #include "mm/alloc_stats.hpp"
 #include "mm/placement.hpp"
 #include "trace/tracer.hpp"
+#include "util/align.hpp"
 #include "util/backoff.hpp"
 #include "util/rng.hpp"
 #include "util/stamped_ptr.hpp"
@@ -105,63 +148,15 @@ public:
     /// Insert the contents of `src[0, src_filled)` (a sealed block owned
     /// by the calling thread's DistLSM) as a new block (Listing 3's
     /// insert: build on the private snapshot, then CAS-publish, retrying
-    /// on a fresh snapshot until the CAS succeeds).
+    /// on a fresh snapshot until the CAS succeeds), then settle any big
+    /// merge the publish left behind.
     template <typename Lazy = no_lazy>
     void insert(const block<K, V> *src, std::uint32_t src_filled,
                 const Lazy &lazy = {}) {
         thread_state &ts = self();
-        exp_backoff backoff;
-        KLSM_TRACE_SPAN(publish_span, trace::kind::shared_publish);
-        std::uint16_t publish_retries = 0;
-        for (;;) {
-            assert(ts.created.empty());
-            arr *snap;
-            if (refresh_if_needed(ts)) {
-                snap = ts.snapshot;
-                snap->begin_mutate();
-            } else {
-                snap = acquire_scratch(ts, nullptr);
-                snap->begin_mutate();
-                snap->size.store(0, std::memory_order_relaxed);
-            }
-
-            // Copy the source into a shared-pool block so DistLSM blocks
-            // never escape into the shared structure.
-            block<K, V> *nb = acquire_block(
-                ts, block<K, V>::level_for(src_filled));
-            nb->copy_from(*src, src_filled, lazy);
-            nb->seal();
-            if (nb->filled() == 0) {
-                // Everything was already deleted or lazily expired;
-                // nothing to publish.
-                ts.pool.release(nb);
-                snap->seal();
-                publish_span.cancel();
-                return;
-            }
-            ts.created.push_back(nb);
-
-            insert_block_slot(ts, snap, nb, lazy);
-            snap->calculate_pivots(k_.load(std::memory_order_relaxed));
-            const std::uint64_t v = snap->seal();
-
-            if (snap->count() == 0) {
-                // Cannot happen after inserting a non-empty block.
-                assert(false);
-            }
-            if (push_snapshot(ts, snap, v)) {
-                commit_created(ts);
-                note(adapt::event::shared_publish);
-                publish_span.arg(publish_retries);
-                return;
-            }
-            rollback_created(ts);
-            ts.snapshot = nullptr;
-            note(adapt::event::shared_publish_retry);
-            if (publish_retries != 0xffff)
-                ++publish_retries;
-            backoff();
-        }
+        const std::size_t k = k_.load(std::memory_order_relaxed);
+        if (const arr *published = publish(ts, src, src_filled, k, lazy))
+            settle(ts, published, k, lazy);
     }
 
     /// Find a candidate among the <= k+1 smallest entries (Listing 3's
@@ -199,8 +194,8 @@ public:
             // logically deleted: consolidate, and publish if the shape
             // changed (Listing 3).
             snap->begin_mutate();
-            const bool merged = consolidate(ts, snap, lazy);
             const std::size_t k = k_.load(std::memory_order_relaxed);
+            const bool merged = consolidate(ts, snap, big_merge(k), lazy);
             if (merged)
                 snap->calculate_pivots(k);
             else
@@ -217,6 +212,7 @@ public:
                 if (push_snapshot(ts, snap, v)) {
                     commit_created(ts);
                     ts.snapshot = nullptr;
+                    settle(ts, snap, k, lazy);
                 } else {
                     rollback_created(ts);
                     ts.snapshot = nullptr;
@@ -253,6 +249,18 @@ public:
                 continue;
             return total;
         }
+    }
+
+    /// Diagnostic: the slot levels of the current shared array, left to
+    /// right (quiescent-only: reads the published array without
+    /// validating it).
+    std::vector<std::uint32_t> slot_levels() const {
+        std::vector<std::uint32_t> levels;
+        if (const arr *a = shared_.load().ptr())
+            for (std::uint32_t i = 0; i < a->count(); ++i)
+                levels.push_back(
+                    a->slots[i].level.load(std::memory_order_relaxed));
+        return levels;
     }
 
     /// Diagnostic: number of BlockArray instances allocated beyond the
@@ -309,6 +317,10 @@ private:
         std::uint32_t own_cursor[max_blocks] = {};
     };
 
+    static constexpr std::uint32_t no_slot = max_blocks;
+    /// normalize merges big pairs too once this close to max_blocks.
+    static constexpr std::uint32_t tight_slots = 4;
+
     thread_state &self() { return *threads_[thread_index()]; }
 
     /// One predictable branch when no monitor is attached.
@@ -317,6 +329,65 @@ private:
             monitor_.load(std::memory_order_relaxed);
         if (m)
             m->count(e);
+    }
+
+    /// Listing 3's insert proper: build on the private snapshot, then
+    /// CAS-publish, retrying on a fresh snapshot until the CAS succeeds.
+    /// Returns the array it published, or null when every entry of the
+    /// source was already dead.
+    template <typename Lazy>
+    const arr *publish(thread_state &ts, const block<K, V> *src,
+                       std::uint32_t src_filled, std::size_t k,
+                       const Lazy &lazy) {
+        exp_backoff backoff;
+        KLSM_TRACE_SPAN(publish_span, trace::kind::shared_publish);
+        std::uint16_t publish_retries = 0;
+        for (;;) {
+            assert(ts.created.empty());
+            arr *snap;
+            if (refresh_if_needed(ts)) {
+                snap = ts.snapshot;
+                snap->begin_mutate();
+            } else {
+                snap = acquire_scratch(ts, nullptr);
+                snap->begin_mutate();
+                snap->size.store(0, std::memory_order_relaxed);
+            }
+
+            // Copy the source into a shared-pool block so DistLSM blocks
+            // never escape into the shared structure.
+            block<K, V> *nb = acquire_block(
+                ts, block<K, V>::level_for(src_filled));
+            nb->copy_from(*src, src_filled, lazy);
+            nb->seal();
+            if (nb->filled() == 0) {
+                // Everything was already deleted or lazily expired;
+                // nothing to publish.
+                ts.pool.release(nb);
+                snap->seal();
+                publish_span.cancel();
+                return nullptr;
+            }
+            ts.created.push_back(nb);
+
+            insert_block_slot(ts, snap, nb, big_merge(k), lazy);
+            snap->calculate_pivots(k);
+            const std::uint64_t v = snap->seal();
+
+            assert(snap->count() > 0 && "inserted a non-empty block");
+            if (push_snapshot(ts, snap, v)) {
+                commit_created(ts);
+                note(adapt::event::shared_publish);
+                publish_span.arg(publish_retries);
+                return snap;
+            }
+            rollback_created(ts);
+            ts.snapshot = nullptr;
+            note(adapt::event::shared_publish_retry);
+            if (publish_retries != 0xffff)
+                ++publish_retries;
+            backoff();
+        }
     }
 
     // ---- snapshot management ----------------------------------------------
@@ -392,6 +463,13 @@ private:
         return shared_.compare_exchange(ts.observed, desired);
     }
 
+    /// ts.snapshot's source array is still the current one, unrecycled.
+    bool still_observed(const thread_state &ts) const {
+        return shared_.load() == ts.observed &&
+               ts.observed.ptr()->version.load(std::memory_order_acquire) ==
+                   ts.observed_version;
+    }
+
     /// Replace a fully empty published array with null.
     void push_null(thread_state &ts) {
         arr *obs = ts.observed.ptr();
@@ -459,10 +537,10 @@ private:
     // ---- snapshot structure maintenance (private arrays) -------------------
 
     /// Insert block `nb` into the (mutating) snapshot at its level
-    /// position, then restore strictly decreasing levels by merging.
+    /// position, then merge the small level violations.
     template <typename Lazy>
     void insert_block_slot(thread_state &ts, arr *snap, block<K, V> *nb,
-                           const Lazy &lazy) {
+                           std::size_t big, const Lazy &lazy) {
         const std::uint32_t filled = nb->filled();
         const std::uint32_t level = block<K, V>::level_for(filled);
         std::uint32_t pos = snap->count();
@@ -471,21 +549,22 @@ private:
                    level)
             --pos;
         snap->insert_slot(pos, nb, filled, level);
-        normalize(ts, snap, lazy);
+        normalize(ts, snap, big, lazy);
     }
 
     /// Trim logically deleted suffixes (against the array-local fill
-    /// views), drop empty slots, lower levels, and merge level-order
-    /// violations.  Returns true if any blocks were merged (Listing 2's
-    /// consolidate return value).
+    /// views), drop empty slots, lower levels, and merge the small
+    /// level-order violations.  Returns true if any blocks were merged
+    /// (Listing 2's consolidate return value).
     template <typename Lazy>
-    bool consolidate(thread_state &ts, arr *snap, const Lazy &lazy) {
+    bool consolidate(thread_state &ts, arr *snap, std::size_t big,
+                     const Lazy &lazy) {
         for (std::uint32_t i = snap->count(); i-- > 0;) {
             trim_slot(snap, i);
             if (snap->slots[i].filled.load(std::memory_order_relaxed) == 0)
                 snap->remove_slot(i);
         }
-        return normalize(ts, snap, lazy);
+        return normalize(ts, snap, big, lazy);
     }
 
     /// Lower a slot's fill view past logically deleted entries and adjust
@@ -506,28 +585,180 @@ private:
         s.level.store(block<K, V>::level_for(f), std::memory_order_relaxed);
     }
 
-    /// Merge adjacent slots violating strictly-decreasing levels.
+    /// Merge adjacent slots violating strictly decreasing levels, left
+    /// to right, except big pairs (more than `big` entries), which stay
+    /// for settle — unless the array is within tight_slots of
+    /// max_blocks, where every violation merges.
     template <typename Lazy>
-    bool normalize(thread_state &ts, arr *snap, const Lazy &lazy) {
+    bool normalize(thread_state &ts, arr *snap, std::size_t big,
+                   const Lazy &lazy) {
         bool merged_any = false;
-        bool changed = true;
-        while (changed) {
-            changed = false;
-            const std::uint32_t n = snap->count();
-            for (std::uint32_t j = 0; j + 1 < n; ++j) {
-                const std::uint32_t la =
-                    snap->slots[j].level.load(std::memory_order_relaxed);
-                const std::uint32_t lb =
-                    snap->slots[j + 1].level.load(std::memory_order_relaxed);
-                if (la > lb)
-                    continue;
-                merge_slots(ts, snap, j, lazy);
-                merged_any = true;
-                changed = true;
-                break;
+        std::uint32_t j = 0;
+        while (j + 1 < snap->count()) {
+            if (!violates(snap, j) ||
+                (is_big(snap, j, big) &&
+                 snap->count() + tight_slots < max_blocks)) {
+                ++j;
+                continue;
             }
+            merge_slots(ts, snap, j, lazy);
+            merged_any = true;
+            // The merged slot may now violate against its left neighbour.
+            if (j > 0)
+                --j;
         }
         return merged_any;
+    }
+
+    /// Slots j and j+1 violate strictly decreasing levels.
+    static bool violates(const arr *a, std::uint32_t j) {
+        return a->slots[j].level.load(std::memory_order_relaxed) <=
+               a->slots[j + 1].level.load(std::memory_order_relaxed);
+    }
+
+    /// Merging slots j and j+1 would read more than `big` entries.
+    static bool is_big(const arr *a, std::uint32_t j, std::size_t big) {
+        return std::size_t{a->slots[j].filled.load(
+                   std::memory_order_relaxed)} +
+                   a->slots[j + 1].filled.load(std::memory_order_relaxed) >
+               big;
+    }
+
+    /// The first big violating pair's left slot, or no_slot.
+    static std::uint32_t find_big(const arr *a, std::size_t big) {
+        for (std::uint32_t j = 0; j + 1 < a->count(); ++j)
+            if (violates(a, j) && is_big(a, j, big))
+                return j;
+        return no_slot;
+    }
+
+    static std::uint32_t slot_of(const arr *a, const block<K, V> *b) {
+        for (std::uint32_t i = 0; i < a->count(); ++i)
+            if (a->slots[i].blk.load(std::memory_order_relaxed) == b)
+                return i;
+        return no_slot;
+    }
+
+    // ---- settling big merges off the publish path ------------------------
+
+    /// Entries above which a merge is big: 16(k+1).
+    static std::size_t big_merge(std::size_t k) { return 16 * (k + 1); }
+
+    /// Called after a successful publish of `published`: if it holds a big
+    /// violation and nobody else is settling, settle big violations
+    /// until a publish leaves none.
+    template <typename Lazy>
+    void settle(thread_state &ts, const arr *published, std::size_t k,
+                const Lazy &lazy) {
+        if (find_big(published, big_merge(k)) == no_slot)
+            return;
+        bool idle = false;
+        if (!settling_.compare_exchange_strong(idle, true,
+                                               std::memory_order_acquire,
+                                               std::memory_order_relaxed))
+            return;
+        struct claim_guard {
+            explicit claim_guard(std::atomic<bool> &c) : claim(c) {}
+            claim_guard(const claim_guard &) = delete;
+            claim_guard &operator=(const claim_guard &) = delete;
+            ~claim_guard() { claim.store(false, std::memory_order_release); }
+            std::atomic<bool> &claim;
+        } guard{settling_};
+        do
+            published = settle_one(ts, k, lazy);
+        while (published != nullptr &&
+               find_big(published, big_merge(k)) != no_slot);
+    }
+
+    /// Merge the current array's first big violating pair outside any
+    /// snapshot, then substitute the result for both inputs in a fresh
+    /// snapshot and publish it, retrying only the substitution.  Returns
+    /// the array it published, or null when there was nothing to settle
+    /// or an input vanished first (a discard).
+    template <typename Lazy>
+    const arr *settle_one(thread_state &ts, std::size_t k,
+                          const Lazy &lazy) {
+        const std::size_t big = big_merge(k);
+        block<K, V> *a = nullptr, *c = nullptr;
+        std::uint32_t fa = 0, fc = 0, cap = 0;
+        std::uint64_t ga = 0, gc = 0;
+        for (;;) {
+            if (!refresh_if_needed(ts))
+                return nullptr;
+            const arr *snap = ts.snapshot;
+            const std::uint32_t j = find_big(snap, big);
+            if (j == no_slot)
+                return nullptr;
+            a = snap->slots[j].blk.load(std::memory_order_relaxed);
+            c = snap->slots[j + 1].blk.load(std::memory_order_relaxed);
+            fa = snap->slots[j].filled.load(std::memory_order_relaxed);
+            fc = snap->slots[j + 1].filled.load(std::memory_order_relaxed);
+            const std::uint32_t la =
+                snap->slots[j].level.load(std::memory_order_relaxed);
+            const std::uint32_t lc =
+                snap->slots[j + 1].level.load(std::memory_order_relaxed);
+            cap = (la > lc ? la : lc) + 1;
+            ga = a->generation();
+            gc = c->generation();
+            // The copied array was current before and after the
+            // generations were read, so they name the lives it holds.
+            if (still_observed(ts))
+                break;
+            ts.snapshot = nullptr;
+        }
+
+        block<K, V> *m = acquire_block_cap(ts, cap);
+        {
+            KLSM_TRACE_SPAN(settle_span, trace::kind::shared_settle);
+            settle_span.arg(static_cast<std::uint16_t>(cap));
+            m->merge_from(*a, fa, *c, fc, lazy);
+            m->seal();
+        }
+        const std::uint32_t mf = m->filled();
+
+        exp_backoff backoff;
+        for (;;) {
+            assert(ts.created.empty());
+            std::uint32_t ia = no_slot, ic = no_slot;
+            if (refresh_if_needed(ts)) {
+                ia = slot_of(ts.snapshot, a);
+                ic = slot_of(ts.snapshot, c);
+            }
+            // Seqlock read side of the merge: unchanged generations after
+            // its entry reads mean neither input was recycled under it.
+            std::atomic_thread_fence(std::memory_order_acquire);
+            if (ia == no_slot || ic == no_slot || a->generation() != ga ||
+                c->generation() != gc) {
+                ts.pool.release(m);
+                note(adapt::event::shared_settle_discard);
+                return nullptr;
+            }
+            arr *snap = ts.snapshot;
+            snap->begin_mutate();
+            const std::uint32_t lo = ia < ic ? ia : ic;
+            snap->remove_slot(ia < ic ? ic : ia);
+            if (mf == 0)
+                snap->remove_slot(lo);
+            else
+                snap->set_slot(lo, m, mf, block<K, V>::level_for(mf));
+            // m stays out of ts.created: a lost CAS must not free it.
+            normalize(ts, snap, big, lazy);
+            snap->calculate_pivots(k);
+            const std::uint64_t v = snap->seal();
+            if (push_snapshot(ts, snap, v)) {
+                commit_created(ts);
+                if (mf == 0)
+                    ts.pool.release(m);
+                else
+                    ts.pool.mark_published(m);
+                note(adapt::event::shared_settle);
+                ts.snapshot = nullptr;
+                return snap;
+            }
+            rollback_created(ts);
+            ts.snapshot = nullptr;
+            backoff();
+        }
     }
 
     template <typename Lazy>
@@ -695,6 +926,8 @@ private:
     /// Contention telemetry sink; null when no controller is attached.
     std::atomic<adapt::contention_monitor *> monitor_{nullptr};
     atomic_stamped_ptr<arr> shared_;
+    /// Claim word of the one thread settling a big merge; nobody waits.
+    alignas(cache_line_size) std::atomic<bool> settling_{false};
     std::unique_ptr<thread_state> threads_[max_registered_threads];
 };
 

@@ -71,8 +71,11 @@ enum class kind : std::uint16_t {
     /// logical process, b = commit lag in virtual time — how far the
     /// LP's clock was already past the event's timestamp, saturating).
     des_commit,
+    /// shared_lsm settled a big merge off the publish path (span over
+    /// the merge itself; a = capacity level of the merged block).
+    shared_settle,
 };
-inline constexpr std::uint16_t kind_count = 17;
+inline constexpr std::uint16_t kind_count = 18;
 
 /// Two words: 8-byte timestamp + 8-byte payload.
 struct trace_event {
@@ -111,6 +114,7 @@ inline constexpr kind_info kind_table[kind_count] = {
     {"bench.record", "bench", true, "record", nullptr},
     {"bnb.expand", "workload", false, "depth", "bound"},
     {"des.commit", "workload", false, "lp", "lag"},
+    {"shared.settle", "shared_lsm", true, "level", nullptr},
 };
 
 inline const kind_info &info(std::uint16_t k) {

@@ -99,6 +99,32 @@ TEST(ContentionMonitor, SharedFractionTracksHitMix) {
     EXPECT_DOUBLE_EQ(w.shared_fraction_ewma, 0.75);
 }
 
+TEST(ContentionMonitor, SettlesStayOutOfTheFailRate) {
+    // A settle follows a publish and is no publish attempt: neither it
+    // nor a discarded settle may move the fail rate the adaptive-k
+    // controller and the ledger's publish_retry_ratio read.
+    contention_monitor mon{1.0};
+    mon.count(event::shared_publish);
+    mon.count(event::shared_publish_retry);
+    for (int i = 0; i < 3; ++i)
+        mon.count(event::shared_settle);
+    mon.count(event::shared_settle_discard);
+    const contention_window w = mon.sample_window();
+    EXPECT_EQ(w.settles, 3u);
+    EXPECT_EQ(w.settle_discards, 1u);
+    EXPECT_EQ(w.publish_attempts(), 2u);
+    EXPECT_DOUBLE_EQ(w.fail_rate(), 0.5);
+    EXPECT_DOUBLE_EQ(w.fail_rate_ewma, 0.5);
+    // Settles alone leave a window idle, so the EWMA holds.
+    mon.count(event::shared_settle);
+    const contention_window w2 = mon.sample_window();
+    EXPECT_EQ(w2.settles, 1u);
+    EXPECT_TRUE(w2.idle());
+    EXPECT_DOUBLE_EQ(w2.fail_rate_ewma, 0.5);
+    EXPECT_EQ(mon.totals().settles, 4u);
+    EXPECT_EQ(mon.totals().settle_discards, 1u);
+}
+
 TEST(ContentionMonitor, EmptyRatesAreZeroNotNan) {
     const contention_window w;
     EXPECT_DOUBLE_EQ(w.fail_rate(), 0.0);

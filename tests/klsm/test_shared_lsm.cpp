@@ -1,11 +1,13 @@
 #include "klsm/shared_lsm.hpp"
 
+#include "adapt/contention_monitor.hpp"
 #include "mm/item_pool.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <set>
 #include <thread>
@@ -411,6 +413,223 @@ TEST(SharedLsm, ConcurrentInsertDeleteConservation) {
     // duplicated.
     EXPECT_EQ(deletes.load(), std::uint64_t{threads} * per_thread);
     EXPECT_TRUE(s.find_min(thread_index()).empty());
+}
+
+// ---- settling big merges off the publish path ----------------------------
+
+/// Refill `src` with `keys` (any order) and publish it into `s`.
+void spill(shared_t &s, block_t &src, pool_t &items,
+           std::vector<std::uint32_t> keys) {
+    std::sort(keys.rbegin(), keys.rend());
+    src.reuse_begin(src.capacity_pow());
+    for (auto k : keys)
+        src.append(items.allocate(k, k));
+    src.seal();
+    s.insert(&src, src.filled());
+}
+
+TEST(SharedLsm, LoneInserterSettlesEveryTie) {
+    // k = 3 makes every merge above 64 entries big.  A lone inserter
+    // wins every settle claim, so each insert returns only once no big
+    // violation is left: levels decrease strictly after every insert.
+    constexpr std::uint32_t blocks = 4096;
+    constexpr std::uint32_t max_spill = 32;
+    xoroshiro128 rng{31};
+    std::vector<std::uint32_t> sizes(blocks);
+    std::uint32_t n = 0;
+    for (auto &size : sizes)
+        n += size = 1 + static_cast<std::uint32_t>(rng.bounded(max_spill));
+    std::vector<std::uint32_t> keys(n);
+    for (std::uint32_t i = 0; i < n; ++i)
+        keys[i] = i;
+    for (std::uint32_t i = n; i > 1; --i)
+        std::swap(keys[i - 1], keys[rng.bounded(i)]);
+
+    pool_t items;
+    shared_t s{3};
+    adapt::contention_monitor mon;
+    s.set_monitor(&mon);
+    block_t src{block_t::level_for(max_spill)};
+    std::uint32_t inserted = 0;
+    for (std::uint32_t b = 0; b < blocks; ++b) {
+        spill(s, src, items,
+              {keys.begin() + inserted,
+               keys.begin() + inserted + sizes[b]});
+        inserted += sizes[b];
+        const std::vector<std::uint32_t> levels = s.slot_levels();
+        ASSERT_LE(levels.size(), shared_t::max_blocks) << "block " << b;
+        for (std::size_t i = 1; i < levels.size(); ++i)
+            ASSERT_GT(levels[i - 1], levels[i])
+                << "block " << b << ", slot " << i;
+        // Nothing is deleted yet, so every entry is one distinct item.
+        ASSERT_EQ(s.item_count_estimate(), inserted) << "block " << b;
+    }
+    EXPECT_GT(mon.totals().settles, 0u);
+    EXPECT_EQ(mon.totals().settle_discards, 0u) << "nobody else publishes";
+
+    std::vector<bool> seen(n, false);
+    for (;;) {
+        const ref_t ref = s.find_min(0);
+        if (ref.empty())
+            break;
+        if (!ref.take())
+            continue;
+        ASSERT_LT(ref.key, n);
+        ASSERT_FALSE(seen[ref.key]) << "key " << ref.key << " twice";
+        seen[ref.key] = true;
+    }
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), true),
+              static_cast<std::ptrdiff_t>(n));
+}
+
+/// Thread A's settle merge pauses (inside its lazy policy) while thread
+/// B empties and unpublishes the block B owns in A's big pair.  With
+/// `recycle`, B then recycles that very block for a larger spill, so it
+/// is back in the array at the same address, but in a new life.  Either
+/// way A must discard its merge: substituting it would drop the slot of
+/// B's last spill, or B's new keys past A's stale fill view.  k = 3:
+/// merges above 64 entries are big.
+void settle_loses_an_input(bool recycle) {
+    shared_t s{3};
+    adapt::contention_monitor mon;
+    s.set_monitor(&mon);
+    std::atomic<int> phase{0};
+    const auto wait_for = [&](int p) {
+        while (phase.load() != p)
+            std::this_thread::yield();
+    };
+    const auto keys = [](std::uint32_t first, std::uint32_t n) {
+        std::vector<std::uint32_t> k(n);
+        for (std::uint32_t i = 0; i < n; ++i)
+            k[i] = first + i;
+        return k;
+    };
+    std::unique_ptr<pool_t> items_b;
+    std::thread b([&] {
+        const std::uint32_t tid = thread_index();
+        items_b = std::make_unique<pool_t>(mm::mem_placement{}, tid);
+        block_t x{6};
+        spill(s, x, *items_b, keys(0, 33)); // level 6, the smallest keys
+        phase.store(1);
+        wait_for(2);
+        for (std::uint32_t i = 0; i < x.filled(); ++i)
+            ASSERT_TRUE(x.load_entry(i).take());
+        // The k+1 smallest are now dead: find_min trims X's block out of
+        // B's snapshot, and the next spill publishes that snapshot.
+        ASSERT_FALSE(s.find_min(tid).empty());
+        block_t z{6};
+        spill(s, z, *items_b, keys(200, 5));
+        if (recycle)
+            spill(s, z, *items_b, keys(100, 64)); // recycles X's block
+        phase.store(3);
+    });
+    wait_for(1);
+
+    pool_t items_a{{}, thread_index()};
+    block_t y{6};
+    std::uint32_t lazy_calls = 0;
+    // 33 calls copy Y; the 34th is the settle merge's first append.
+    const auto pause_settle = [&](const std::uint32_t &,
+                                  const item<std::uint32_t, std::uint64_t> *) {
+        if (++lazy_calls == 34) {
+            phase.store(2);
+            wait_for(3);
+        }
+        return false;
+    };
+    y.reuse_begin(6);
+    for (auto k : keys(33, 33))
+        y.append(items_a.allocate(k, k));
+    y.seal();
+    s.insert(&y, y.filled(), pause_settle);
+    b.join();
+    EXPECT_GE(lazy_calls, 34u) << "no settle merge ran";
+    EXPECT_EQ(mon.totals().settle_discards, 1u);
+
+    std::set<std::uint32_t> expect;
+    for (auto ks : {keys(33, 33), keys(200, 5)})
+        expect.insert(ks.begin(), ks.end());
+    if (recycle)
+        for (auto k : keys(100, 64))
+            expect.insert(k);
+    std::set<std::uint32_t> got;
+    for (;;) {
+        const ref_t ref = s.find_min(thread_index());
+        if (ref.empty())
+            break;
+        if (ref.take()) {
+            ASSERT_TRUE(got.insert(ref.key).second) << "key " << ref.key;
+        }
+    }
+    EXPECT_EQ(got, expect);
+}
+
+TEST(SharedLsm, SettleDiscardsAVanishedInput) { settle_loses_an_input(false); }
+
+TEST(SharedLsm, SettleDiscardsARecycledInput) { settle_loses_an_input(true); }
+
+TEST(SharedLsm, ConcurrentSpillsSettleWithoutLoss) {
+    // Four threads spill blocks of up to 64 keys (merges above 128
+    // entries are big at k = 7) and take about half as many keys back
+    // after each spill, so big pairs are settled while other threads
+    // publish, trim and empty the blocks under them.  Every key must
+    // come out exactly once.
+    constexpr std::uint32_t threads = 4;
+    constexpr std::uint32_t spills = 1500;
+    constexpr std::uint32_t max_spill = 64;
+    constexpr std::uint32_t stride = spills * max_spill;
+    shared_t s{7};
+    adapt::contention_monitor mon;
+    s.set_monitor(&mon);
+    std::vector<std::atomic<std::uint8_t>> taken(threads * stride);
+    std::atomic<std::uint32_t> inserted{0};
+    std::unique_ptr<pool_t> items_by_thread[threads];
+    const auto take = [&](std::uint32_t tid) {
+        for (;;) {
+            const ref_t ref = s.find_min(tid);
+            if (ref.empty())
+                return false;
+            if (ref.take()) {
+                taken[ref.key].fetch_add(1);
+                return true;
+            }
+        }
+    };
+    std::vector<std::thread> ts;
+    for (std::uint32_t t = 0; t < threads; ++t) {
+        ts.emplace_back([&, t] {
+            const std::uint32_t tid = thread_index();
+            items_by_thread[t] =
+                std::make_unique<pool_t>(mm::mem_placement{}, tid);
+            block_t src{block_t::level_for(max_spill)};
+            xoroshiro128 rng{100 + t};
+            std::uint32_t next = t * stride;
+            for (std::uint32_t i = 0; i < spills; ++i) {
+                const auto size =
+                    1 + static_cast<std::uint32_t>(rng.bounded(max_spill));
+                std::vector<std::uint32_t> keys(size);
+                for (auto &k : keys)
+                    k = next++;
+                spill(s, src, *items_by_thread[t], keys);
+                inserted.fetch_add(size);
+                for (std::uint64_t d = rng.bounded(size + 1); d > 0; --d)
+                    if (!take(tid))
+                        break;
+            }
+        });
+    }
+    for (auto &t : ts)
+        t.join();
+    while (take(thread_index())) {
+    }
+    std::uint32_t once = 0;
+    for (std::size_t k = 0; k < taken.size(); ++k) {
+        ASSERT_LE(taken[k].load(), 1u) << "key " << k << " taken twice";
+        once += taken[k].load();
+    }
+    EXPECT_EQ(once, inserted.load()) << "keys lost";
+    EXPECT_GT(mon.totals().settles, 0u);
+    EXPECT_TRUE(s.slot_levels().empty());
 }
 
 // ---- pivot walk (block_array::calculate_pivots / extend_pivots) ---------

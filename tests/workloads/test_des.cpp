@@ -75,8 +75,9 @@ TEST(DesSearch, ViolationFractionIsConsistent) {
     EXPECT_LE(frac, 1.0);
     EXPECT_DOUBLE_EQ(frac, static_cast<double>(res.violations) /
                                static_cast<double>(res.committed));
-    if (res.violations > 0)
+    if (res.violations > 0) {
         EXPECT_GT(res.max_lag, 0u);
+    }
 }
 
 } // namespace
