@@ -42,8 +42,8 @@ template <typename K, typename V>
 struct alignas(2048) block_array {
     /// Slot levels need not decrease strictly: the shared LSM leaves big
     /// level violations in place until it settles them, and keeps the
-    /// count below this bound by merging every violation when close to
-    /// it (shared_lsm.hpp).
+    /// count below this bound by merging big violations too when close
+    /// to it (shared_lsm.hpp).
     static constexpr std::uint32_t max_blocks = 32;
 
     struct slot {

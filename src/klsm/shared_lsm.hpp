@@ -51,7 +51,9 @@
 // After a successful publish, a thread that sees a big violation in the
 // array it just published tries one atomic claim word (`settling_`);
 // nobody waits on it.  The winner merges the pair's two immutable blocks
-// outside any snapshot, then substitutes the result for both inputs in a
+// outside any snapshot, into a block from the claim's own pool (so the
+// big blocks held do not multiply with the number of threads that ever
+// won the claim), then substitutes the result for both inputs in a
 // fresh snapshot: the result takes the lower-index slot, the other slot
 // goes, the small-only normalize and the pivot walk run, and the array
 // is published.  A lost CAS retries only this O(max_blocks)
@@ -76,7 +78,8 @@
 //   * Pivots are recomputed over the whole array on every publish, so
 //     the array's shape never enters the rho bound.
 //   * The slot bound stays hard: once an array is within four slots of
-//     max_blocks, normalize merges every violation, big ones too.
+//     max_blocks, normalize merges big violations too, smallest first,
+//     until it is clear of the bound.
 //
 // Progress: operations retry only when another thread successfully
 // replaced the shared array or recycled an array/block we were reading —
@@ -117,7 +120,7 @@ public:
     /// `place` governs where every thread's shared-pool block pages
     /// live (mm/placement.hpp); numa_klsm passes each shard's node.
     explicit shared_lsm(std::size_t k, mm::mem_placement place = {})
-        : k_(k) {
+        : k_(k), settle_pool_(place) {
         for (auto &s : threads_)
             s = std::make_unique<thread_state>(place);
     }
@@ -275,15 +278,17 @@ public:
     /// Fold every thread's shared-pool telemetry into `out`
     /// (quiescent-only when `query_residency` walks the regions).
     void collect_memory(mm::memory_stats &out, bool query_residency) const {
-        for (const auto &s : threads_) {
-            out.shared_blocks.merge(s->pool.stats().snapshot());
+        const auto add = [&](const block_pool<K, V> &pool) {
+            out.shared_blocks.merge(pool.stats().snapshot());
             if (query_residency)
-                s->pool.for_each_region(
-                    [&](const void *p, std::size_t bytes) {
-                        mm::query_resident_nodes(
-                            p, bytes, out.shared_blocks_resident);
-                    });
-        }
+                pool.for_each_region([&](const void *p, std::size_t bytes) {
+                    mm::query_resident_nodes(p, bytes,
+                                             out.shared_blocks_resident);
+                });
+        };
+        for (const auto &s : threads_)
+            add(s->pool);
+        add(settle_pool_);
     }
 
     /// Release every free block's entry pages across all thread slots
@@ -293,7 +298,7 @@ public:
         std::size_t released = 0;
         for (const auto &s : threads_)
             released += s->pool.quiescent_shrink();
-        return released;
+        return released + settle_pool_.quiescent_shrink();
     }
 
 private:
@@ -587,27 +592,43 @@ private:
 
     /// Merge adjacent slots violating strictly decreasing levels, left
     /// to right, except big pairs (more than `big` entries), which stay
-    /// for settle — unless the array is within tight_slots of
-    /// max_blocks, where every violation merges.
+    /// for settle.  While the array is within tight_slots of max_blocks,
+    /// big pairs merge too, the rightmost (smallest) first, one at a
+    /// time until the array is clear of the bound: a tight array is
+    /// usually a run of small ties, and merging its huge leftmost tie
+    /// instead would put a settle-sized merge back on the publish path.
     template <typename Lazy>
     bool normalize(thread_state &ts, arr *snap, std::size_t big,
                    const Lazy &lazy) {
         bool merged_any = false;
-        std::uint32_t j = 0;
-        while (j + 1 < snap->count()) {
-            if (!violates(snap, j) ||
-                (is_big(snap, j, big) &&
-                 snap->count() + tight_slots < max_blocks)) {
-                ++j;
-                continue;
+        for (;;) {
+            std::uint32_t j = 0;
+            while (j + 1 < snap->count()) {
+                if (!violates(snap, j) || is_big(snap, j, big)) {
+                    ++j;
+                    continue;
+                }
+                merge_slots(ts, snap, j, lazy);
+                merged_any = true;
+                // The merged slot may now violate against its left
+                // neighbour.
+                if (j > 0)
+                    --j;
             }
+            if (snap->count() + tight_slots < max_blocks)
+                return merged_any;
+            j = no_slot;
+            for (std::uint32_t i = snap->count() - 1; i-- > 0;) {
+                if (violates(snap, i)) {
+                    j = i;
+                    break;
+                }
+            }
+            if (j == no_slot)
+                return merged_any;
             merge_slots(ts, snap, j, lazy);
             merged_any = true;
-            // The merged slot may now violate against its left neighbour.
-            if (j > 0)
-                --j;
         }
-        return merged_any;
     }
 
     /// Slots j and j+1 violate strictly decreasing levels.
@@ -707,7 +728,10 @@ private:
             ts.snapshot = nullptr;
         }
 
-        block<K, V> *m = acquire_block_cap(ts, cap);
+        block<K, V> *m = settle_pool_.acquire(
+            cap, cap, [this](block<K, V> *x) {
+                return unreferenced_by_current(x);
+            });
         {
             KLSM_TRACE_SPAN(settle_span, trace::kind::shared_settle);
             settle_span.arg(static_cast<std::uint16_t>(cap));
@@ -729,7 +753,7 @@ private:
             std::atomic_thread_fence(std::memory_order_acquire);
             if (ia == no_slot || ic == no_slot || a->generation() != ga ||
                 c->generation() != gc) {
-                ts.pool.release(m);
+                settle_pool_.release(m);
                 note(adapt::event::shared_settle_discard);
                 return nullptr;
             }
@@ -748,9 +772,9 @@ private:
             if (push_snapshot(ts, snap, v)) {
                 commit_created(ts);
                 if (mf == 0)
-                    ts.pool.release(m);
+                    settle_pool_.release(m);
                 else
-                    ts.pool.mark_published(m);
+                    settle_pool_.mark_published(m);
                 note(adapt::event::shared_settle);
                 ts.snapshot = nullptr;
                 return snap;
@@ -928,6 +952,11 @@ private:
     atomic_stamped_ptr<arr> shared_;
     /// Claim word of the one thread settling a big merge; nobody waits.
     alignas(cache_line_size) std::atomic<bool> settling_{false};
+    /// Blocks of settled merges, used only by the claim holder (the claim
+    /// CAS and release order successive holders).  One pool for every
+    /// settler, so the number of big blocks held does not depend on
+    /// which threads happened to win the claim.
+    block_pool<K, V> settle_pool_;
     std::unique_ptr<thread_state> threads_[max_registered_threads];
 };
 

@@ -568,6 +568,129 @@ TEST(SharedLsm, SettleDiscardsAVanishedInput) { settle_loses_an_input(false); }
 
 TEST(SharedLsm, SettleDiscardsARecycledInput) { settle_loses_an_input(true); }
 
+TEST(SharedLsm, SettledBlocksRecycleAcrossSettlers) {
+    // Two threads in turn fill the shared LSM with the same spills and
+    // drain it.  The second thread's settles find the first one's
+    // settled blocks unreferenced and reuse them, so it allocates only
+    // its own small publish-path blocks: fewer than the first thread.
+    shared_t s{3};
+    adapt::contention_monitor mon;
+    s.set_monitor(&mon);
+    const auto fill_and_drain = [&s] {
+        pool_t items{{}, thread_index()};
+        block_t src{block_t::level_for(32)};
+        xoroshiro128 rng{47};
+        std::uint32_t next = 0;
+        for (int b = 0; b < 512; ++b) {
+            std::vector<std::uint32_t> keys(
+                1 + static_cast<std::uint32_t>(rng.bounded(32)));
+            for (auto &k : keys)
+                k = next++;
+            spill(s, src, items, keys);
+        }
+        std::uint32_t taken = 0;
+        for (;;) {
+            const ref_t ref = s.find_min(thread_index());
+            if (ref.empty())
+                break;
+            taken += ref.take() ? 1 : 0;
+        }
+        EXPECT_EQ(taken, next);
+    };
+    const auto chunks = [&s] {
+        mm::memory_stats m;
+        s.collect_memory(m, false);
+        return m.shared_blocks.chunks;
+    };
+    thread_index(); // the worker below gets another thread slot
+    std::thread first(fill_and_drain);
+    first.join();
+    const std::uint64_t after_first = chunks();
+    fill_and_drain();
+    EXPECT_GT(mon.totals().settles, 0u);
+    EXPECT_LT(chunks() - after_first, after_first);
+}
+
+TEST(SharedLsm, TightArrayMergesSmallestTieFirst) {
+    // Thread A's settle of a big level-8 pair pauses while thread B
+    // spills level-6 blocks of 40 keys, each a big tie at k = 3 (merges
+    // above 64 entries are big), until the array nears max_blocks.  The
+    // slot bound must hold through B's own small merges: the huge pair
+    // A is settling stays in place, and A's substitution then succeeds.
+    shared_t s{3};
+    adapt::contention_monitor mon;
+    s.set_monitor(&mon);
+    std::atomic<int> phase{0};
+    const auto wait_for = [&](int p) {
+        while (phase.load() != p)
+            std::this_thread::yield();
+    };
+    const auto keys = [](std::uint32_t first, std::uint32_t n) {
+        std::vector<std::uint32_t> k(n);
+        for (std::uint32_t i = 0; i < n; ++i)
+            k[i] = first + i;
+        return k;
+    };
+    constexpr std::uint32_t big_keys = 200, spills = 40, spill_keys = 40;
+    std::unique_ptr<pool_t> items_b;
+    std::thread b([&] {
+        items_b = std::make_unique<pool_t>(mm::mem_placement{},
+                                           thread_index());
+        block_t x{8};
+        spill(s, x, *items_b, keys(0, big_keys));
+        phase.store(1);
+        wait_for(2);
+        block_t src{6};
+        for (std::uint32_t i = 0; i < spills; ++i) {
+            spill(s, src, *items_b,
+                  keys(2 * big_keys + i * spill_keys, spill_keys));
+            const std::vector<std::uint32_t> levels = s.slot_levels();
+            ASSERT_LE(levels.size() + 4, shared_t::max_blocks)
+                << "spill " << i;
+            ASSERT_GE(levels.size(), 2u);
+            EXPECT_EQ(levels[0], 8u) << "spill " << i;
+            EXPECT_EQ(levels[1], 8u) << "spill " << i;
+        }
+        phase.store(3);
+    });
+    wait_for(1);
+
+    pool_t items_a{{}, thread_index()};
+    block_t y{8};
+    std::uint32_t lazy_calls = 0;
+    // big_keys calls copy Y; the next is the settle merge's first append.
+    const auto pause_settle = [&](const std::uint32_t &,
+                                  const item<std::uint32_t, std::uint64_t> *) {
+        if (++lazy_calls == big_keys + 1) {
+            phase.store(2);
+            wait_for(3);
+        }
+        return false;
+    };
+    y.reuse_begin(8);
+    for (auto k : keys(big_keys, big_keys))
+        y.append(items_a.allocate(k, k));
+    y.seal();
+    s.insert(&y, y.filled(), pause_settle);
+    b.join();
+    EXPECT_GT(lazy_calls, big_keys) << "no settle merge ran";
+    EXPECT_EQ(mon.totals().settle_discards, 0u);
+    EXPECT_GE(mon.totals().settles, 1u);
+
+    const std::uint32_t n = 2 * big_keys + spills * spill_keys;
+    std::set<std::uint32_t> got;
+    for (;;) {
+        const ref_t ref = s.find_min(thread_index());
+        if (ref.empty())
+            break;
+        if (ref.take()) {
+            ASSERT_TRUE(got.insert(ref.key).second) << "key " << ref.key;
+        }
+    }
+    EXPECT_EQ(got.size(), n);
+    EXPECT_EQ(*got.rbegin(), n - 1);
+}
+
 TEST(SharedLsm, ConcurrentSpillsSettleWithoutLoss) {
     // Four threads spill blocks of up to 64 keys (merges above 128
     // entries are big at k = 7) and take about half as many keys back
