@@ -85,18 +85,6 @@ void register_core_flags(cli_parser &cli,
     cli.add_flag("latency-sample", "0",
                  "per-op latency sampling stride: 0 = off, 1 = every "
                  "op, N = every Nth op (--smoke raises 0 to 4)");
-    cli.add_bool_flag("adaptive", false,
-                      "adapt k online from observed contention "
-                      "(klsm/numa_klsm; others run fixed)");
-    cli.add_flag("k-min", "16",
-                 "adaptive: lower bound on k (the walk starts at --k "
-                 "clamped into [k-min, k-max])");
-    cli.add_flag("k-max", "4096", "adaptive: upper bound on k");
-    cli.add_flag("rank-budget", "0",
-                 "adaptive: keep rho = T*k + k within this budget "
-                 "(0 = unconstrained)");
-    cli.add_flag("adapt-interval-ms", "5",
-                 "adaptive: controller tick period in milliseconds");
     cli.add_flag("numa-alloc", "none",
                  "pool page placement for the k-LSM family: none | "
                  "bind (mbind each shard's pools to its node) | "
@@ -156,11 +144,6 @@ bool parse_core_config(const cli_parser &cli,
     cfg.prefill = static_cast<std::size_t>(cli.get_int("prefill"));
     cfg.seed = cli.get_uint64("seed");
     cfg.latency_sample = cli.get_uint64("latency-sample");
-    cfg.adaptive = cli.get_bool("adaptive");
-    cfg.k_min = static_cast<std::size_t>(cli.get_uint64("k-min"));
-    cfg.k_max = static_cast<std::size_t>(cli.get_uint64("k-max"));
-    cfg.rank_budget = cli.get_uint64("rank-budget");
-    cfg.adapt_interval_ms = cli.get_double("adapt-interval-ms");
     const auto numa_alloc =
         klsm::mm::parse_numa_alloc_policy(cli.get("numa-alloc"));
     if (!numa_alloc) {
@@ -229,17 +212,6 @@ bool parse_core_config(const cli_parser &cli,
     }
     cfg.metrics_interval_ms = *metrics_ms;
 
-    if (cfg.adaptive) {
-        if (cfg.k_min < 1 || cfg.k_min > cfg.k_max) {
-            std::cerr << "--k-min " << cfg.k_min << " must be in [1, "
-                         "--k-max] (" << cfg.k_max << ")\n";
-            return false;
-        }
-        if (cfg.adapt_interval_ms <= 0) {
-            std::cerr << "--adapt-interval-ms must be positive\n";
-            return false;
-        }
-    }
     for (const auto &pin : cfg.pins) {
         if (!klsm::topo::parse_pin_policy(pin)) {
             std::cerr << "unknown pin policy: " << pin
@@ -293,7 +265,6 @@ void annotate_core_meta(const core_config &cfg, json_reporter &json) {
     json.meta().set("seed", cfg.seed);
     json.meta().set("smoke", cfg.smoke);
     json.meta().set("latency_sample", cfg.latency_sample);
-    json.meta().set("adaptive", cfg.adaptive);
     json.meta().set("numa_alloc",
                     klsm::mm::numa_alloc_policy_name(cfg.numa_alloc));
     json.meta().set("alloc_stats", cfg.alloc_stats);
@@ -302,13 +273,6 @@ void annotate_core_meta(const core_config &cfg, json_reporter &json) {
                         cfg.reclaim.policy));
     json.meta().set("reclaim_period", cfg.reclaim.maintenance_period);
     json.meta().set("reclaim_grace", cfg.reclaim.grace_inspections);
-    if (cfg.adaptive) {
-        json.meta().set("k_min", cfg.k_min);
-        json.meta().set("k_max", cfg.k_max);
-        json.meta().set("adapt_interval_ms", cfg.adapt_interval_ms);
-        if (cfg.rank_budget)
-            json.meta().set("rank_budget", cfg.rank_budget);
-    }
     // The discovered machine layout: without it, cross-machine JSON
     // reports are not comparable (arXiv:1603.05047's central lesson).
     const auto &sys = klsm::topo::topology::system();

@@ -1,8 +1,8 @@
 #pragma once
 
 // Shared machinery for the klsm_bench workload registrants
-// (bench/workload_*.cpp): structure construction, pinning, adaptive-k
-// attachment, per-record metrics sampling, and the core CLI layer.
+// (bench/workload_*.cpp): structure construction, pinning, per-record
+// metrics sampling, and the core CLI layer.
 //
 // The driver (klsm_bench.cpp) owns none of this — it builds the
 // registry, parses flags, and dispatches; every workload-specific
@@ -16,12 +16,10 @@
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
-#include <type_traits>
 #include <vector>
 
-#include "adapt/adaptive.hpp"
+#include "adapt/contention_monitor.hpp"
 #include "baselines/centralized_k.hpp"
 #include "baselines/hybrid_k.hpp"
 #include "baselines/linden.hpp"
@@ -137,55 +135,6 @@ bool with_structure(const std::string &name, unsigned threads,
 /// empty order means "do not pin".
 std::vector<std::uint32_t> pin_order(const std::string &policy);
 
-/// The k the structure is constructed with: adaptive runs start
-/// dynamic-k structures at --k clamped into [k_min, k_max] and walk
-/// from there — up under publish contention, down when the contention
-/// signal stays quiet (so the trajectory moves in both regimes); every
-/// other combination keeps the fixed --k.
-inline std::size_t build_k(const core_config &cfg,
-                           const std::string &name) {
-    const bool dynamic = name == "klsm" || name == "numa_klsm";
-    if (!cfg.adaptive || !dynamic)
-        return cfg.k;
-    return std::clamp(cfg.k, cfg.k_min, cfg.k_max);
-}
-
-/// Run `body(adaptor)` with an adaptive-k control loop attached when
-/// --adaptive is on and the structure supports dynamic k; `body`
-/// receives a queue_adaptor pointer, or nullptr (as std::nullptr_t)
-/// when running fixed-k.  The adaptor outlives the body, so hooks that
-/// capture it (harness tickers) stay valid for the whole run.
-template <typename PQ, typename Body>
-void with_adaptation(PQ &q, const core_config &cfg,
-                     const std::string &name, unsigned threads,
-                     Body &&body) {
-    if constexpr (klsm::adapt::adaptive_capable<PQ>) {
-        if (cfg.adaptive) {
-            klsm::adapt::k_controller_config acfg;
-            acfg.k_min = cfg.k_min;
-            acfg.k_max = cfg.k_max;
-            acfg.rank_budget = cfg.rank_budget;
-            klsm::adapt::queue_adaptor<PQ> adaptor{q, acfg, threads};
-            body(&adaptor);
-            return;
-        }
-    } else {
-        // Once per structure, not once per (pin, threads) sweep point:
-        // the note would otherwise drown real warnings in a big sweep.
-        static std::set<std::string> noted;
-        if (cfg.adaptive && noted.insert(name).second)
-            std::cerr << "note: " << name
-                      << " has no dynamic k; --adaptive runs it fixed\n";
-    }
-    body(nullptr);
-}
-
-/// True iff `adaptor` (from with_adaptation) is a live adaptor rather
-/// than the fixed-k nullptr.
-template <typename A>
-constexpr bool is_adaptor_v =
-    !std::is_same_v<std::decay_t<A>, std::nullptr_t>;
-
 /// Attach the `memory` telemetry object to a record when --alloc-stats
 /// is on and the structure exposes pool telemetry (the k-LSM family).
 /// Residency is queried here, after the harness joined its workers, so
@@ -203,9 +152,8 @@ void attach_memory(klsm::json_record &rec, PQ &q,
 
 /// One record's metrics-sampling machinery (src/trace/): the progress
 /// slots the harness workers publish into, the ticker-driven sampler,
-/// and — for k-LSM-family runs without an adaptive controller — a
-/// standalone contention monitor attached for the record's duration.
-/// Construct, wire(q, adaptor), point the harness params at
+/// and — for k-LSM-family runs — a contention monitor attached for the
+/// record's duration.  Construct, wire(q), point the harness params at
 /// progress(), run between start() and finish(rec, label).
 ///
 /// Every probe reads only concurrent-safe state (relaxed atomics,
@@ -236,11 +184,10 @@ public:
 
     /// Wire the probe set that makes sense for this structure:
     /// queue-agnostic op counters from the progress slots; the k-LSM
-    /// family's contention hit mix (the adaptor's monitors when one is
-    /// live, a standalone monitor otherwise); current-k and pool-size
+    /// family's contention hit mix from a monitor attached here; pool-size
     /// gauges where the structure exposes them.
-    template <typename PQ, typename Adaptor>
-    void wire(PQ &q, Adaptor adaptor) {
+    template <typename PQ>
+    void wire(PQ &q) {
         if (!enabled_)
             return;
         sampler_.add_counter("ops", [this] {
@@ -249,36 +196,13 @@ public:
         sampler_.add_counter("failed_deletes", [this] {
             return static_cast<double>(progress_.total_failed());
         });
-        if constexpr (is_adaptor_v<Adaptor>) {
-            auto *a = adaptor;
-            const auto win = [a] {
-                klsm::adapt::contention_window sum;
-                for (std::uint32_t s = 0; s < a->shards(); ++s) {
-                    const auto t = a->shard_window(s);
-                    sum.publishes += t.publishes;
-                    sum.publish_retries += t.publish_retries;
-                    sum.shared_hits += t.shared_hits;
-                    sum.local_hits += t.local_hits;
-                    sum.spies += t.spies;
-                    sum.fail_rate_ewma =
-                        std::max(sum.fail_rate_ewma, t.fail_rate_ewma);
-                    sum.shared_fraction_ewma =
-                        std::max(sum.shared_fraction_ewma,
-                                 t.shared_fraction_ewma);
-                }
-                return sum;
-            };
-            add_contention_probes(win);
-            sampler_.add_gauge("current_k", [a] {
-                return static_cast<double>(a->current_k());
-            });
-        } else if constexpr (klsm::adapt::adaptable<PQ>) {
+        if constexpr (klsm::monitorable<PQ>) {
             monitor_ =
                 std::make_unique<klsm::adapt::contention_monitor>();
             q.set_monitor(monitor_.get());
             detach_ = [&q] { q.set_monitor(nullptr); };
-            wire_standalone_monitor();
-        } else if constexpr (klsm::adapt::sharded_adaptable<PQ>) {
+            wire_monitor();
+        } else if constexpr (klsm::sharded_monitorable<PQ>) {
             // One aggregate monitor across shards: count() only ever
             // touches the calling thread's private slot, so sharing
             // the monitor merely merges the shard mixes — which is
@@ -291,7 +215,7 @@ public:
                 for (std::uint32_t s = 0; s < q.num_shards(); ++s)
                     q.shard(s).set_monitor(nullptr);
             };
-            wire_standalone_monitor();
+            wire_monitor();
         }
         if constexpr (klsm::pool_backed<PQ>) {
             const auto pools = [&q] {
@@ -315,7 +239,7 @@ public:
             sampler_.start();
     }
 
-    /// Stop sampling, detach any standalone monitor, embed the
+    /// Stop sampling, detach any contention monitor, embed the
     /// `timeseries` block, and (under --trace) hand the counter
     /// tracks to the end-of-run Chrome-trace export.
     void finish(klsm::json_record &rec, const std::string &label) {
@@ -337,37 +261,31 @@ public:
     }
 
 private:
-    template <typename WindowFn>
-    void add_contention_probes(WindowFn win) {
-        sampler_.add_counter("publishes", [win] {
-            return static_cast<double>(win().publishes);
-        });
-        sampler_.add_counter("publish_retries", [win] {
-            return static_cast<double>(win().publish_retries);
-        });
-        sampler_.add_counter("shared_hits", [win] {
-            return static_cast<double>(win().shared_hits);
-        });
-        sampler_.add_counter("local_hits", [win] {
-            return static_cast<double>(win().local_hits);
-        });
-        sampler_.add_counter("spies", [win] {
-            return static_cast<double>(win().spies);
-        });
-        sampler_.add_gauge("fail_rate_ewma", [win] {
-            return win().fail_rate_ewma;
-        });
-        sampler_.add_gauge("shared_fraction_ewma", [win] {
-            return win().shared_fraction_ewma;
-        });
-    }
-
-    void wire_standalone_monitor() {
+    void wire_monitor() {
         auto *m = monitor_.get();
-        // No controller owns this monitor's ticker, so fold the EWMA
-        // window once per sample row instead.
+        // Fold the EWMA window once per sample row.
         sampler_.add_tick_hook([m] { m->sample_window(); });
-        add_contention_probes([m] { return m->totals(); });
+        sampler_.add_counter("publishes", [m] {
+            return static_cast<double>(m->totals().publishes);
+        });
+        sampler_.add_counter("publish_retries", [m] {
+            return static_cast<double>(m->totals().publish_retries);
+        });
+        sampler_.add_counter("shared_hits", [m] {
+            return static_cast<double>(m->totals().shared_hits);
+        });
+        sampler_.add_counter("local_hits", [m] {
+            return static_cast<double>(m->totals().local_hits);
+        });
+        sampler_.add_counter("spies", [m] {
+            return static_cast<double>(m->totals().spies);
+        });
+        sampler_.add_gauge("fail_rate_ewma", [m] {
+            return m->totals().fail_rate_ewma;
+        });
+        sampler_.add_gauge("shared_fraction_ewma", [m] {
+            return m->totals().shared_fraction_ewma;
+        });
     }
 
     bool enabled_;

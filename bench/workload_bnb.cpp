@@ -56,10 +56,8 @@ int run(const bnb_config &w, const core_config &cfg,
             for (const auto &name : cfg.structures) {
                 const bool ok = with_structure<std::uint64_t,
                                                std::uint64_t>(
-                    name, threads, build_k(cfg, name), cfg,
+                    name, threads, cfg.k, cfg,
                     [&](auto &q) {
-                        with_adaptation(q, cfg, name, threads, [&](
-                                            auto adaptor) {
                         klsm::workloads::bnb_params params;
                         params.threads = threads;
                         params.seed_frontier_depth = w.seed_depth;
@@ -67,16 +65,9 @@ int run(const bnb_config &w, const core_config &cfg,
                         klsm::stats::latency_recorder_set recs{
                             threads, cfg.latency_sample};
                         params.latency = &recs;
-                        if constexpr (is_adaptor_v<decltype(adaptor)>) {
-                            params.on_adapt_tick = [adaptor] {
-                                adaptor->tick();
-                            };
-                            params.adapt_tick_s =
-                                cfg.adapt_interval_ms / 1000.0;
-                        }
                         record_sampling sampling{cfg, threads,
                                                  /*duration_hint_s=*/0};
-                        sampling.wire(q, adaptor);
+                        sampling.wire(q);
                         params.progress = sampling.progress();
                         KLSM_TRACE_SPAN(rec_span,
                                         klsm::trace::kind::bench_record);
@@ -108,8 +99,6 @@ int run(const bnb_config &w, const core_config &cfg,
                                         klsm::stats::latency_json(recs));
                         sampling.finish(rec,
                                         record_label(name, pin, threads));
-                        if constexpr (is_adaptor_v<decltype(adaptor)>)
-                            rec.set_raw("adaptation", adaptor->json());
                         attach_memory(rec, q, cfg);
                         if (!match) {
                             std::cerr << "BNB MISMATCH: " << name
@@ -119,7 +108,6 @@ int run(const bnb_config &w, const core_config &cfg,
                                       << "\n";
                             status = 1;
                         }
-                        });
                     });
                 if (!ok)
                     return 2;

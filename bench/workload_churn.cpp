@@ -33,7 +33,7 @@ int run(const churn_config &w, const core_config &cfg,
             const auto threads = static_cast<unsigned>(threads_i);
             for (const auto &name : cfg.structures) {
                 const bool ok = with_structure<bench_key, bench_val>(
-                    name, threads, build_k(cfg, name), cfg,
+                    name, threads, cfg.k, cfg,
                     [&](auto &q) {
                         klsm::churn_params params;
                         params.threads = threads;
@@ -45,7 +45,7 @@ int run(const churn_config &w, const core_config &cfg,
                         params.pin_cpus = cpus;
                         record_sampling sampling{cfg, threads,
                                                  /*duration_hint_s=*/0};
-                        sampling.wire(q, nullptr);
+                        sampling.wire(q);
                         params.progress = sampling.progress();
                         KLSM_TRACE_SPAN(rec_span,
                                         klsm::trace::kind::bench_record);

@@ -19,7 +19,7 @@ namespace {
 
 struct des_config {
     std::uint32_t lps = 256;
-    // Above the adaptive k ceiling (4096): a population the local
+    // Above the largest k the sweeps use (4096): a population the local
     // components can absorb whole never exercises the shared ordering,
     // which flattens the k-vs-violations curve the workload exists to
     // measure.
@@ -67,10 +67,8 @@ int run(const des_config &w, const core_config &cfg,
             for (const auto &name : cfg.structures) {
                 const bool ok = with_structure<std::uint64_t,
                                                std::uint64_t>(
-                    name, threads, build_k(cfg, name), cfg,
+                    name, threads, cfg.k, cfg,
                     [&](auto &q) {
-                        with_adaptation(q, cfg, name, threads, [&](
-                                            auto adaptor) {
                         klsm::workloads::des_params params;
                         params.lps = w.lps;
                         params.population = w.population;
@@ -83,16 +81,9 @@ int run(const des_config &w, const core_config &cfg,
                         klsm::stats::latency_recorder_set recs{
                             threads, cfg.latency_sample};
                         params.latency = &recs;
-                        if constexpr (is_adaptor_v<decltype(adaptor)>) {
-                            params.on_adapt_tick = [adaptor] {
-                                adaptor->tick();
-                            };
-                            params.adapt_tick_s =
-                                cfg.adapt_interval_ms / 1000.0;
-                        }
                         record_sampling sampling{cfg, threads,
                                                  /*duration_hint_s=*/0};
-                        sampling.wire(q, adaptor);
+                        sampling.wire(q);
                         params.progress = sampling.progress();
                         KLSM_TRACE_SPAN(rec_span,
                                         klsm::trace::kind::bench_record);
@@ -129,10 +120,7 @@ int run(const des_config &w, const core_config &cfg,
                                         klsm::stats::latency_json(recs));
                         sampling.finish(rec,
                                         record_label(name, pin, threads));
-                        if constexpr (is_adaptor_v<decltype(adaptor)>)
-                            rec.set_raw("adaptation", adaptor->json());
                         attach_memory(rec, q, cfg);
-                        });
                     });
                 if (!ok)
                     return 2;

@@ -27,10 +27,8 @@ int run(const quality_config &w, const core_config &cfg,
             const auto threads = static_cast<unsigned>(threads_i);
             for (const auto &name : cfg.structures) {
                 const bool ok = with_structure<bench_key, bench_val>(
-                    name, threads, build_k(cfg, name), cfg,
+                    name, threads, cfg.k, cfg,
                     [&](auto &q) {
-                        with_adaptation(q, cfg, name, threads, [&](
-                                            auto adaptor) {
                         klsm::quality_params params;
                         params.threads = threads;
                         params.prefill = cfg.prefill;
@@ -40,20 +38,13 @@ int run(const quality_config &w, const core_config &cfg,
                         klsm::stats::latency_recorder_set recs{
                             threads, cfg.latency_sample};
                         params.latency = &recs;
-                        if constexpr (is_adaptor_v<decltype(adaptor)>) {
-                            params.on_adapt_tick = [adaptor] {
-                                adaptor->tick();
-                            };
-                            params.adapt_tick_s =
-                                cfg.adapt_interval_ms / 1000.0;
-                        }
                         record_sampling sampling{cfg, threads,
                                                  /*duration_hint_s=*/0};
-                        sampling.wire(q, adaptor);
+                        sampling.wire(q);
                         params.progress = sampling.progress();
                         // Quality-only probes: the sampled online rank
                         // accumulator makes rank error observable *while*
-                        // the run (and any k controller) moves.
+                        // the run moves.
                         klsm::online_rank_stats online_rank;
                         if (sampling.enabled()) {
                             params.online_rank = &online_rank;
@@ -88,26 +79,13 @@ int run(const quality_config &w, const core_config &cfg,
                         // it for locality, so there it is reported and
                         // checked advisorily, without failing the run.
                         // The relaxed comparators offer no bound at all.
-                        // Adaptive runs check against the *maximum* k
-                        // the controller ever set — correct for every
-                        // delete that completed under that k, advisory
-                        // for the run as a whole (ops in flight across
-                        // a k change straddle two bounds), mirroring
-                        // the rho_hard split.
                         const std::uint32_t numa_nodes =
                             klsm::topo::topology::system().num_nodes();
                         const bool has_rho =
                             name == "klsm" || name == "numa_klsm";
-                        std::uint64_t k_bound = cfg.k;
-                        bool adaptive_run = false;
-                        if constexpr (is_adaptor_v<decltype(adaptor)>) {
-                            k_bound = adaptor->max_k_seen();
-                            adaptive_run = true;
-                        }
                         const bool hard =
-                            !adaptive_run &&
-                            (name == "klsm" ||
-                             (name == "numa_klsm" && numa_nodes == 1));
+                            name == "klsm" ||
+                            (name == "numa_klsm" && numa_nodes == 1);
                         // Buffered handles hide up to buffer_total items
                         // per worker; the extended rho (quality.hpp)
                         // charges T * max_buffer_depth_seen() on top of
@@ -120,8 +98,8 @@ int run(const quality_config &w, const core_config &cfg,
                         const std::uint64_t rho =
                             name == "numa_klsm"
                                 ? klsm::numa_rank_error_bound(
-                                      numa_nodes, threads, k_bound)
-                                : klsm::rank_error_bound(threads, k_bound,
+                                      numa_nodes, threads, cfg.k)
+                                : klsm::rank_error_bound(threads, cfg.k,
                                                          buffer_total);
                         std::string bound_cell = "none";
                         if (has_rho)
@@ -144,8 +122,6 @@ int run(const quality_config &w, const core_config &cfg,
                                         klsm::stats::latency_json(recs));
                         sampling.finish(rec,
                                         record_label(name, pin, threads));
-                        if constexpr (is_adaptor_v<decltype(adaptor)>)
-                            rec.set_raw("adaptation", adaptor->json());
                         attach_memory(rec, q, cfg);
                         if (has_rho) {
                             rec.set("rho", rho);
@@ -156,14 +132,13 @@ int run(const quality_config &w, const core_config &cfg,
                                     << (hard ? "BOUND VIOLATION: "
                                              : "advisory bound "
                                                "exceeded: ")
-                                    << name << " k=" << k_bound
+                                    << name << " k=" << cfg.k
                                     << " max rank " << res.rank_max
                                     << " > " << rho << "\n";
                                 if (hard)
                                     status = 1;
                             }
                         }
-                        });
                     });
                 if (!ok)
                     return 2;

@@ -48,11 +48,9 @@ int run(const service_config &w, const core_config &cfg,
             const auto threads = static_cast<unsigned>(threads_i);
             for (const auto &name : cfg.structures) {
                 const bool ok = with_structure<bench_key, bench_val>(
-                    name, threads, build_k(cfg, name), cfg,
+                    name, threads, cfg.k, cfg,
                     [&](auto &q) {
                         klsm::prefill_queue(q, cfg.prefill, cfg.seed);
-                        with_adaptation(q, cfg, name, threads, [&](
-                                            auto adaptor) {
                         klsm::service::arrival_config acfg;
                         acfg.kind = w.arrival;
                         acfg.rate = w.rate;
@@ -73,16 +71,9 @@ int run(const service_config &w, const core_config &cfg,
                         klsm::stats::latency_recorder_set recs{
                             threads, cfg.latency_sample};
                         params.latency = &recs;
-                        if constexpr (is_adaptor_v<decltype(adaptor)>) {
-                            params.on_adapt_tick = [adaptor] {
-                                adaptor->tick();
-                            };
-                            params.adapt_tick_s =
-                                cfg.adapt_interval_ms / 1000.0;
-                        }
                         record_sampling sampling{cfg, threads,
                                                  w.duration_s};
-                        sampling.wire(q, adaptor);
+                        sampling.wire(q);
                         params.progress = sampling.progress();
                         KLSM_TRACE_SPAN(rec_span,
                                         klsm::trace::kind::bench_record);
@@ -175,8 +166,6 @@ int run(const service_config &w, const core_config &cfg,
                             klsm::service::slo_json(
                                 verdict, slo,
                                 sustainable ? &*sustainable : nullptr));
-                        if constexpr (is_adaptor_v<decltype(adaptor)>)
-                            rec.set_raw("adaptation", adaptor->json());
                         attach_memory(rec, q, cfg);
                         if (!verdict.pass) {
                             KLSM_TRACE_EVENT(
@@ -200,7 +189,6 @@ int run(const service_config &w, const core_config &cfg,
                             if (w.slo_enforce)
                                 status = 1;
                         }
-                        });
                     });
                 if (!ok)
                     return 2;

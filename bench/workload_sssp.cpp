@@ -41,16 +41,12 @@ int run(const sssp_config &w, const core_config &cfg,
     auto run_one = [&](const std::string &name, const std::string &pin,
                        const std::vector<std::uint32_t> &cpus,
                        unsigned threads, klsm::sssp_state &state,
-                       auto &q, auto adaptor) {
+                       auto &q) {
         klsm::stats::latency_recorder_set recs{threads,
                                                cfg.latency_sample};
-        std::function<void()> adapt_tick;
-        if constexpr (is_adaptor_v<decltype(adaptor)>)
-            adapt_tick = [adaptor] { adaptor->tick(); };
         klsm::wall_timer timer;
-        const auto stats = klsm::parallel_sssp(
-            q, g, 0, threads, state, cpus, &recs, adapt_tick,
-            cfg.adapt_interval_ms / 1000.0);
+        const auto stats =
+            klsm::parallel_sssp(q, g, 0, threads, state, cpus, &recs);
         const double seconds = timer.elapsed_s();
         std::uint64_t mismatches = 0;
         for (std::uint32_t u = 0; u < g.num_nodes(); ++u)
@@ -71,8 +67,6 @@ int run(const sssp_config &w, const core_config &cfg,
         rec.set("mismatches", mismatches);
         if (recs.enabled())
             rec.set_raw("latency", klsm::stats::latency_json(recs));
-        if constexpr (is_adaptor_v<decltype(adaptor)>)
-            rec.set_raw("adaptation", adaptor->json());
         attach_memory(rec, q, cfg);
         if (mismatches) {
             std::cerr << "SSSP MISMATCH: " << name << " with " << threads
@@ -92,25 +86,16 @@ int run(const sssp_config &w, const core_config &cfg,
                     klsm::sssp_state state{g.num_nodes()};
                     klsm::k_lsm<std::uint64_t, std::uint32_t,
                                 klsm::sssp_lazy>
-                        q{build_k(cfg, name), klsm::sssp_lazy{&state},
+                        q{cfg.k, klsm::sssp_lazy{&state},
                           family_placement(cfg)};
-                    with_adaptation(q, cfg, name, threads,
-                                    [&](auto adaptor) {
-                                        run_one(name, pin, cpus, threads,
-                                                state, q, adaptor);
-                                    });
+                    run_one(name, pin, cpus, threads, state, q);
                     continue;
                 }
                 klsm::sssp_state state{g.num_nodes()};
                 const bool ok =
                     with_structure<std::uint64_t, std::uint32_t>(
-                        name, threads, build_k(cfg, name),
-                        cfg, [&](auto &q) {
-                            with_adaptation(
-                                q, cfg, name, threads, [&](auto adaptor) {
-                                    run_one(name, pin, cpus, threads,
-                                            state, q, adaptor);
-                                });
+                        name, threads, cfg.k, cfg, [&](auto &q) {
+                            run_one(name, pin, cpus, threads, state, q);
                         });
                 if (!ok)
                     return 2;

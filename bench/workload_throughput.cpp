@@ -27,11 +27,9 @@ int run(const throughput_config &w, const core_config &cfg,
             const auto threads = static_cast<unsigned>(threads_i);
             for (const auto &name : cfg.structures) {
                 const bool ok = with_structure<bench_key, bench_val>(
-                    name, threads, build_k(cfg, name), cfg,
+                    name, threads, cfg.k, cfg,
                     [&](auto &q) {
                         klsm::prefill_queue(q, cfg.prefill, cfg.seed);
-                        with_adaptation(q, cfg, name, threads, [&](
-                                            auto adaptor) {
                         klsm::throughput_params params;
                         params.prefill = cfg.prefill;
                         params.threads = threads;
@@ -42,16 +40,9 @@ int run(const throughput_config &w, const core_config &cfg,
                         klsm::stats::latency_recorder_set recs{
                             threads, cfg.latency_sample};
                         params.latency = &recs;
-                        if constexpr (is_adaptor_v<decltype(adaptor)>) {
-                            params.on_adapt_tick = [adaptor] {
-                                adaptor->tick();
-                            };
-                            params.adapt_tick_s =
-                                cfg.adapt_interval_ms / 1000.0;
-                        }
                         record_sampling sampling{cfg, threads,
                                                  w.duration_s};
-                        sampling.wire(q, adaptor);
+                        sampling.wire(q);
                         params.progress = sampling.progress();
                         KLSM_TRACE_SPAN(rec_span,
                                         klsm::trace::kind::bench_record);
@@ -81,10 +72,7 @@ int run(const throughput_config &w, const core_config &cfg,
                                         klsm::stats::latency_json(recs));
                         sampling.finish(rec,
                                         record_label(name, pin, threads));
-                        if constexpr (is_adaptor_v<decltype(adaptor)>)
-                            rec.set_raw("adaptation", adaptor->json());
                         attach_memory(rec, q, cfg);
-                        });
                     });
                 if (!ok)
                     return 2;

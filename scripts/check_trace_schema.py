@@ -40,7 +40,7 @@ Usage:
 
 The --bench mode runs the ISSUE's acceptance command end to end
 (--workload throughput --trace --metrics-interval ... --json-out -)
-plus an adaptive quality run, validates both artifacts, and asserts
+plus a traced quality run, validates both artifacts, and asserts
 the stdout-purity satellite: with tracing on, `--json-out -` stdout
 parses as exactly one JSON document.  CTest invokes this mode so the
 wiring is covered by `ctest -L tier1`.
@@ -221,18 +221,18 @@ def bench_mode(bench):
               f"({n} record(s), {spans} events, {counters} counter "
               f"points)")
 
-        # Adaptive quality: exercises the controller-decision and
-        # online-rank probes through the same validators.
+        # Traced quality: exercises the online-rank probes through the
+        # same validators.
         trace2 = os.path.join(tmp, "quality.trace.json")
         report = run_bench(bench, [
             "--workload", "quality", "--structure", "klsm",
-            "--threads", "2", "--smoke", "--adaptive",
+            "--threads", "2", "--smoke",
             "--metrics-interval", "2ms"], trace2)
         n = check_report(report, "<quality stdout>", min_samples=2)
         with open(trace2) as f:
             spans, _ = check_trace(json.load(f), trace2)
         assert spans > 0, "traced quality run recorded no events"
-        print(f"trace schema OK: adaptive quality run "
+        print(f"trace schema OK: quality run "
               f"({n} record(s), {spans} events)")
     return 0
 

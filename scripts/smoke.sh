@@ -50,42 +50,6 @@ for record in report["records"]:
 EOF
 }
 
-# Adaptive runs must carry the full `adaptation` schema on every
-# dynamic-k record (README "Adaptive relaxation"): a well-formed
-# k_trajectory inside [k_min, k_max] with monotone ticks, the
-# contention telemetry block, and per-shard decision logs.
-check_adaptation() {
-    command -v python3 > /dev/null || return 0
-    python3 - "$1" <<'EOF'
-import json, sys
-report = json.load(open(sys.argv[1]))
-assert report["adaptive"] is True, "adaptive meta flag missing"
-checked = 0
-for record in report["records"]:
-    if record["structure"] not in ("klsm", "numa_klsm"):
-        continue
-    a = record["adaptation"]
-    for field in ("k_min", "k_max", "ticks", "shards", "k_initial",
-                  "k_final", "k_max_seen", "k_trajectory", "contention",
-                  "shard_decisions"):
-        assert field in a, f"adaptation.{field} missing"
-    traj = a["k_trajectory"]
-    assert traj and traj[0][0] == 0, "trajectory must start at tick 0"
-    last_tick = -1
-    for tick, k in traj:
-        assert tick > last_tick, "trajectory ticks must be monotone"
-        assert a["k_min"] <= k <= a["k_max"], f"k {k} outside bounds"
-        last_tick = tick
-    assert a["k_max_seen"] == max(k for _, k in traj)
-    for field in ("publishes", "publish_retries", "fail_rate_ewma",
-                  "shared_hits", "local_hits", "spies"):
-        assert field in a["contention"], f"contention.{field} missing"
-    assert len(a["shard_decisions"]) == a["shards"]
-    checked += 1
-assert checked, "no adaptation objects found in an adaptive report"
-EOF
-}
-
 # Allocation-telemetry schema (README "Memory placement"): every
 # k-LSM-family record of an --alloc-stats report must carry the full
 # `memory` object.  The field-level checks live in
@@ -275,18 +239,6 @@ workloads_section() {
     check_json "$json"
     check_workloads "$json"
     echo "smoke OK: workload bnb,des combined"
-    # Adaptive k through both searches: the controller must move k and
-    # emit the full adaptation schema while the workloads run.
-    for w in bnb des; do
-        json="$REPORT_DIR/workload-adaptive-$w.json"
-        "$BUILD_DIR/bench/klsm_bench" --smoke --workload "$w" \
-            --structure klsm --threads 2 --adaptive \
-            --k-min 16 --k-max 4096 --json-out "$json" > /dev/null
-        check_json "$json"
-        check_adaptation "$json"
-        check_workloads "$json"
-        echo "smoke OK: adaptive $w"
-    done
     if command -v python3 > /dev/null; then
         # Identity diff through compare_bench's bnb/des paths: the
         # match/budget verdict machinery must hold on a self-compare.
@@ -364,34 +316,6 @@ check_json "$json"
 check_latency "$json"
 echo "smoke OK: pin sweep"
 
-echo "== adaptive relaxation: one sweep per workload =="
-# Adaptive k (src/adapt/): the controller must run green on every
-# workload and emit schema-complete k_trajectory + contention objects.
-for w in throughput quality sssp; do
-    json="$REPORT_DIR/adaptive-$w.json"
-    "$BUILD_DIR/bench/klsm_bench" --smoke --workload "$w" \
-        --structure klsm,numa_klsm --threads 2 --adaptive \
-        --k-min 16 --k-max 4096 --json-out "$json" > /dev/null
-    check_json "$json"
-    check_adaptation "$json"
-    echo "smoke OK: adaptive $w"
-done
-# The acceptance shape (--benchmark alias included): adaptive vs the
-# same structure fixed, diffed advisorily as a whole sweep.
-json="$REPORT_DIR/adaptive-accept.json"
-"$BUILD_DIR/bench/klsm_bench" --benchmark throughput \
-    --structure klsm,numa_klsm --adaptive --k-min 16 --k-max 4096 \
-    --threads 1,2 --smoke --json-out "$json" > /dev/null
-check_json "$json"
-check_adaptation "$json"
-check_latency "$json"
-if command -v python3 > /dev/null; then
-    python3 "$(dirname "$0")/compare_bench.py" \
-        "$REPORT_DIR/klsm-throughput.json" "$json" \
-        --warn-only --sweep > /dev/null
-fi
-echo "smoke OK: adaptive acceptance sweep"
-
 echo "== buffered handles: engineered multiqueue vs buffered k-LSM =="
 # The PR-8 acceptance shape: both rivals in one report, insert buffers
 # and the MultiQueue handle buffers on.  The quality workload enforces
@@ -420,33 +344,6 @@ if command -v python3 > /dev/null; then
         "$REPORT_DIR/buffered-throughput.json" > /dev/null
     echo "smoke OK: klsm-vs-multiqueue head-to-head"
 fi
-# Adaptive with the buffer knob engaged: the adaptation object must
-# carry the buffer {initial, final, max_seen} block.
-json="$REPORT_DIR/buffered-adaptive.json"
-"$BUILD_DIR/bench/klsm_bench" --smoke --workload throughput \
-    --structure klsm --threads 2 --adaptive --k-min 16 --k-max 4096 \
-    --insert-buffer 16 --json-out "$json" > /dev/null
-check_json "$json"
-check_adaptation "$json"
-if command -v python3 > /dev/null; then
-    python3 - "$json" <<'EOF'
-import json, sys
-report = json.load(open(sys.argv[1]))
-checked = 0
-for record in report["records"]:
-    if record["structure"] != "klsm":
-        continue
-    buf = record["adaptation"]["buffer"]
-    for field in ("initial", "final", "max_seen"):
-        assert field in buf, f"adaptation.buffer.{field} missing"
-    assert buf["initial"] == 16, "buffer initial != configured depth"
-    assert buf["max_seen"] >= buf["initial"]
-    checked += 1
-assert checked, "no buffered adaptation objects found"
-EOF
-fi
-echo "smoke OK: adaptive buffer knob"
-
 echo "== pinned sweeps: compact + scatter across every workload =="
 # ROADMAP's pinned-CI item: keep the placement paths exercised on every
 # push, for all three workloads, not just throughput.
@@ -459,4 +356,25 @@ for w in throughput quality sssp; do
     check_latency "$json"
     echo "smoke OK: pinned sweep $w"
 done
+
+echo "== fixed k: klsm quality bounds are hard =="
+# k is a constant of each queue, so every klsm quality record checks
+# Lemma 2's bound as a hard invariant (rho_hard), never advisorily.
+if command -v python3 > /dev/null; then
+    python3 - "$REPORT_DIR/klsm-quality.json" \
+        "$REPORT_DIR/buffered-quality.json" \
+        "$REPORT_DIR/pin-sweep-quality.json" <<'EOF'
+import json, sys
+checked = 0
+for path in sys.argv[1:]:
+    for record in json.load(open(path)).get("records", []):
+        if (record.get("workload") == "quality"
+                and record.get("structure") == "klsm"):
+            assert record.get("rho_hard") is True, \
+                f"{path}: klsm quality record without rho_hard"
+            checked += 1
+assert checked, "no klsm quality records found"
+EOF
+    echo "smoke OK: klsm rho_hard on every quality record"
+fi
 echo "smoke stage passed (reports in $REPORT_DIR)"

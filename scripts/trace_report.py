@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
 """Summarize a klsm_bench Chrome-trace JSON (--trace output) on the
-terminal: what ran, where the time went, and what the controllers did.
+terminal: what ran and where the time went.
 
 Sections:
 
   * per-subsystem event counts — the `cat` buckets the kind table in
-    src/trace/trace_event.hpp assigns (dist_lsm, shared_lsm, adapt,
-    mm, service, bench), broken down by event name;
+    src/trace/trace_event.hpp assigns (dist_lsm, shared_lsm, mm,
+    service, bench, workload), broken down by event name;
   * span latency percentiles — p50/p90/p99/max of the `dur` of every
     ph:"X" event, per name (merge/publish latency distributions);
-  * k-controller timeline — every k.grow/k.shrink/k.budget decision
-    with its timestamp and k transition;
   * counter summary — min/mean/max of every ph:"C" track the metrics
     sampler exported.
 
@@ -24,8 +22,6 @@ smoke-level loadability check on top of check_trace_schema.py.
 
 import json
 import sys
-
-K_EVENTS = ("k.grow", "k.shrink", "k.budget")
 
 
 def percentile(sorted_vals, p):
@@ -44,7 +40,6 @@ def analyze(doc, path):
 
     by_cat = {}
     spans = {}
-    decisions = []
     counters = {}
     for ev in events:
         if not isinstance(ev, dict):
@@ -67,15 +62,11 @@ def analyze(doc, path):
             if not isinstance(dur, (int, float)) or dur < 0:
                 raise ValueError(f"{path}: span {name} with bad dur")
             spans.setdefault(name, []).append(dur)
-        if name in K_EVENTS:
-            args = ev.get("args", {})
-            decisions.append((ev.get("ts", 0), name,
-                              args.get("from"), args.get("to")))
-    return by_cat, spans, decisions, counters
+    return by_cat, spans, counters
 
 
 def report(doc, path):
-    by_cat, spans, decisions, counters = analyze(doc, path)
+    by_cat, spans, counters = analyze(doc, path)
     other = doc.get("otherData", {})
     print(f"== {path} ==")
     print(f"  events: {other.get('recorded_events', '?')} recorded, "
@@ -101,12 +92,6 @@ def report(doc, path):
                   f"{percentile(vals, 99):>9.2f} "
                   f"{vals[-1]:>9.2f}")
 
-    if decisions:
-        print("  k-controller timeline:")
-        for ts, name, k_from, k_to in sorted(decisions):
-            print(f"    {ts / 1e3:>10.2f} ms  {name:<10} "
-                  f"k: {k_from} -> {k_to}")
-
     if counters:
         print("  counters:")
         for name in sorted(counters):
@@ -130,24 +115,20 @@ def self_test():
             {"name": "dist.spill", "cat": "dist_lsm", "ph": "i",
              "s": "t", "pid": 1, "tid": 0, "ts": 3.0,
              "args": {"level": 2, "items": 128}},
-            {"name": "k.grow", "cat": "adapt", "ph": "i", "s": "t",
-             "pid": 1, "tid": 0, "ts": 4.0,
-             "args": {"from": 256, "to": 512}},
             {"name": "klsm/none/t2 ops_per_sec", "cat": "metrics",
              "ph": "C", "pid": 1, "tid": 0, "ts": 5.0,
              "args": {"value": 1e6}},
         ],
-        "otherData": {"recorded_events": 4, "dropped_events": 0,
+        "otherData": {"recorded_events": 3, "dropped_events": 0,
                       "threads": 2},
     }
-    by_cat, spans, decisions, counters = analyze(doc, "<self-test>")
+    by_cat, spans, counters = analyze(doc, "<self-test>")
     assert by_cat["dist_lsm"]["dist.publish"][0] == 2
     assert by_cat["dist_lsm"]["dist.spill"][0] == 1
     assert sorted(spans["dist.publish"]) == [2.5, 7.5]
     assert percentile([2.5, 7.5], 50) == 7.5
     assert percentile([2.5, 7.5], 99) == 7.5
     assert percentile([], 99) == 0.0
-    assert decisions == [(4.0, "k.grow", 256, 512)]
     assert counters["klsm/none/t2 ops_per_sec"] == [1e6]
     # Malformed documents must raise, not half-report.
     for bad in ({}, {"traceEvents": 3},

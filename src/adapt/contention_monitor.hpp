@@ -1,26 +1,29 @@
 #pragma once
 
-// Contention telemetry for the adaptive-k control plane (src/adapt/).
+// Contention telemetry for the k-LSM: how the shared component is used.
 //
-// The k-LSM's relaxation parameter k trades delete-min quality for
-// shared-component pressure: every DistLSM spill publishes a new block
-// array through one CAS, so a too-small k shows up directly as failed
-// publish CASes, while a too-large k shows up as deletes that never
-// need the shared component at all.  This monitor captures exactly
-// those signals, cheaply enough to stay on the hot paths:
+// Every DistLSM spill publishes a new block array through one CAS, so
+// contention on the shared component shows up as failed publish CASes,
+// and the shared/local delete-hit mix shows how often deletes need the
+// shared component at all.  This monitor counts exactly those events,
+// cheaply enough to stay on the hot paths, for the metrics sampler's
+// timeseries (bench/bench_common.hpp) and the ledger's per-layer
+// metrics:
 //
 //   * each thread owns one cache-line-aligned counter slot (the
 //     src/stats/ recorder-slot pattern): increments touch only the
 //     owner's line, through relaxed atomics so a concurrent reader is
 //     race-free but pays nothing for coherence on the write path;
-//   * a single ticker thread (the controller's driver) periodically
-//     calls sample_window(), which merges all slots, diffs against the
-//     previous merge, and folds the window's failed-CAS rate and
+//   * totals() merges all slots at any time; a single sampling thread
+//     may also call sample_window(), which diffs the merge against the
+//     previous one and folds the window's failed-CAS rate and
 //     shared/local delete-hit mix into EWMAs.
 //
 // The monitor is passive: it never touches the queue.  Attachment is a
 // relaxed atomic pointer inside the queue (k_lsm::set_monitor), so the
-// un-instrumented hot path pays one predictable branch.
+// un-instrumented hot path pays one predictable branch.  One monitor
+// may be attached to several queues (every numa_klsm shard): count()
+// only touches the calling thread's slot, so it sums their events.
 
 #include <atomic>
 #include <cstdint>
@@ -56,8 +59,8 @@ inline constexpr unsigned event_kinds = 7;
 
 /// One sampling window's view of the queue: raw per-event deltas since
 /// the previous sample_window() call plus the monitor's EWMAs after
-/// folding this window in.  Plain data so controller tests can script
-/// synthetic traces without a live queue.
+/// folding this window in.  Plain data so tests can script synthetic
+/// windows without a live queue.
 struct contention_window {
     std::uint64_t publishes = 0;
     std::uint64_t publish_retries = 0;
@@ -118,10 +121,9 @@ public:
                 std::memory_order_relaxed);
     }
 
-    /// Ticker-only: merge all slots, return the deltas since the last
+    /// Sampler-only: merge all slots, return the deltas since the last
     /// call, and fold the window into the EWMAs.  Not thread-safe
-    /// against itself — one ticker per monitor, as one controller per
-    /// shard implies.
+    /// against itself — one sampling thread per monitor.
     contention_window sample_window() {
         std::uint64_t totals[event_kinds];
         merge(totals);
@@ -147,7 +149,7 @@ public:
         // phantom "all quiet".  An *active* window without publish
         // attempts counts as fail-rate evidence of 0 — on a
         // delete-heavy phase publishes stop entirely, and freezing the
-        // EWMA there would pin k at its contended-phase value forever.
+        // EWMA there would show the contended phase's rate forever.
         if (!w.idle())
             fail_rate_ewma_ =
                 alpha_ * w.fail_rate() + (1.0 - alpha_) * fail_rate_ewma_;
@@ -161,7 +163,7 @@ public:
 
     /// Cumulative totals since construction (diagnostics / JSON).
     /// Safe to call concurrently with count(); the EWMA fields carry
-    /// the ticker's latest fold.
+    /// the sampler's latest fold.
     contention_window totals() const {
         std::uint64_t t[event_kinds];
         merge(t);
@@ -199,7 +201,7 @@ private:
 
     slot slots_[max_registered_threads];
     const double alpha_;
-    // Ticker-only state: snapshot of the previous merge and the EWMAs.
+    // Sampler-only state: snapshot of the previous merge and the EWMAs.
     std::uint64_t last_[event_kinds] = {};
     double fail_rate_ewma_ = 0.0;
     double shared_fraction_ewma_ = 0.0;

@@ -20,7 +20,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -32,7 +31,6 @@
 #include "topo/pinning.hpp"
 #include "util/backoff.hpp"
 #include "util/thread_id.hpp"
-#include "util/ticker.hpp"
 
 namespace klsm {
 
@@ -123,17 +121,12 @@ struct sssp_lazy {
 /// `pin_cpus` (a topo::cpu_order placement) pins worker t to
 /// pin_cpus[t % size()] before it starts popping.  A non-null `latency`
 /// recorder set (sized for `threads`) captures per-op insert and
-/// successful-pop latencies at its sampling stride.  A non-empty
-/// `adapt_tick` (src/adapt/, typically queue_adaptor::tick) is invoked
-/// every `adapt_tick_s` seconds from a dedicated ticker thread while
-/// the workers run.
+/// successful-pop latencies at its sampling stride.
 template <typename PQ>
 sssp_stats parallel_sssp(PQ &pq, const graph &g, graph::node_id source,
                          unsigned threads, sssp_state &state,
                          const std::vector<std::uint32_t> &pin_cpus = {},
-                         stats::latency_recorder_set *latency = nullptr,
-                         const std::function<void()> &adapt_tick = {},
-                         double adapt_tick_s = 0.005) {
+                         stats::latency_recorder_set *latency = nullptr) {
     check_thread_capacity(threads);
     std::atomic<std::int64_t> &pending = state.pending();
     std::atomic<std::uint64_t> expansions{0};
@@ -191,14 +184,10 @@ sssp_stats parallel_sssp(PQ &pq, const graph &g, graph::node_id source,
         }
     };
 
-    periodic_ticker ticker{adapt_tick, adapt_tick_s};
-
     // Inline execution only when unpinned: pinning must happen on a
     // spawned worker so the caller's affinity mask (inherited by every
     // thread it spawns later) is never narrowed as a side effect.
-    // Adaptive runs also take the spawned path so the worker/ticker
-    // interleaving matches the multi-threaded shape.
-    if (threads <= 1 && pin_cpus.empty() && !adapt_tick) {
+    if (threads <= 1 && pin_cpus.empty()) {
         worker(0, true);
     } else if (threads <= 1) {
         std::thread t(worker, 0u, true);

@@ -43,13 +43,6 @@ struct core_config {
     std::uint64_t seed = 1;
     std::uint64_t latency_sample = 0;
 
-    // Adaptive-k controller.
-    bool adaptive = false;
-    std::size_t k_min = 16;
-    std::size_t k_max = 4096;
-    std::uint64_t rank_budget = 0;
-    double adapt_interval_ms = 5.0;
-
     // Memory placement and reclamation.
     mm::numa_alloc_policy numa_alloc = mm::numa_alloc_policy::none;
     bool alloc_stats = false;

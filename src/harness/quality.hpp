@@ -14,7 +14,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -26,7 +25,6 @@
 #include "trace/progress.hpp"
 #include "util/rng.hpp"
 #include "util/thread_id.hpp"
-#include "util/ticker.hpp"
 
 namespace klsm {
 
@@ -79,8 +77,8 @@ inline std::uint64_t rank_error_bound(unsigned worker_threads,
 
 /// Concurrent-safe running rank-error accumulator the metrics sampler
 /// reads mid-run, fed by a sampled subset of ranked deletes — quality
-/// becomes observable *during* a run (e.g. while the adaptive
-/// controller moves k) instead of only in the post-hoc aggregate.
+/// becomes observable *during* a run instead of only in the post-hoc
+/// aggregate.
 struct online_rank_stats {
     std::atomic<std::uint64_t> samples{0};
     std::atomic<std::uint64_t> rank_sum{0};
@@ -120,13 +118,6 @@ struct quality_params {
     /// serializing lock still changes contention, which is this
     /// harness's documented trade-off.  Must be sized for `threads`.
     stats::latency_recorder_set *latency = nullptr;
-    /// Optional adaptive-relaxation hook (src/adapt/): a ticker thread
-    /// calls it every `adapt_tick_s` seconds while the workers run.
-    /// The tick runs concurrently with the serialized queue operations
-    /// — deliberately, so adaptive runs exercise set_relaxation racing
-    /// real inserts and deletes.
-    std::function<void()> on_adapt_tick;
-    double adapt_tick_s = 0.005;
     /// Optional mid-run progress slots for the metrics sampler
     /// (src/trace/).
     trace::progress_counters *progress = nullptr;
@@ -158,7 +149,6 @@ quality_result measure_rank_error(PQ &q, const quality_params &params) {
     }
 
     std::atomic<std::uint64_t> pin_failures{0};
-    periodic_ticker ticker{params.on_adapt_tick, params.adapt_tick_s};
     std::vector<std::thread> ts;
     for (unsigned t = 0; t < params.threads; ++t) {
         ts.emplace_back([&, t] {

@@ -23,7 +23,6 @@
 #include "topo/pinning.hpp"
 #include "util/rng.hpp"
 #include "util/thread_id.hpp"
-#include "util/ticker.hpp"
 #include "util/timer.hpp"
 
 namespace klsm {
@@ -110,11 +109,6 @@ throughput_result run_throughput(PQ &q, const throughput_params &params) {
             failed.fetch_add(my_failed);
         });
     }
-
-    // The adaptive-k control loop, when configured: ticks from its own
-    // thread for the whole measurement window (scoped so it stops
-    // before the function returns).
-    periodic_ticker ticker{params.on_adapt_tick, params.adapt_tick_s};
 
     sync.arrive_and_wait(); // release the workers
     wall_timer timer;

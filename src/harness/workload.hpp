@@ -5,7 +5,6 @@
 // prefilled with a given number of keys before timing starts.
 
 #include <cstdint>
-#include <functional>
 #include <thread>
 #include <vector>
 
@@ -47,11 +46,6 @@ struct throughput_params {
     /// into latency->slot(t).  Null or stride-0: no capture, and the
     /// hot loop pays only a branch.  Must be sized for `threads`.
     stats::latency_recorder_set *latency = nullptr;
-    /// Optional adaptive-relaxation hook (src/adapt/): when set, a
-    /// dedicated ticker thread calls it every `adapt_tick_s` seconds
-    /// for the duration of the run (typically queue_adaptor::tick).
-    std::function<void()> on_adapt_tick;
-    double adapt_tick_s = 0.005;
     /// Optional mid-run progress slots for the metrics sampler
     /// (src/trace/): worker t relaxed-stores its cumulative op and
     /// failed-delete tallies into slot t every iteration.  Null: the

@@ -171,8 +171,9 @@ struct alignas(2048) block_array {
     /// a consolidation that trimmed dead suffixes and merged nothing: the
     /// surviving candidates are then still the smallest entries, so
     /// walking on for the trimmed ones yields the same candidate keys as
-    /// calculate_pivots.  If more than k+1 candidates survive (k was
-    /// lowered since the pivots were set), recompute from scratch.
+    /// calculate_pivots.  At most k+1 candidates survive, since the
+    /// pivots were set by a walk of the same k and a trim only removes
+    /// candidates.
     void extend_pivots(std::size_t k) {
         std::uint32_t cur[max_blocks];
         std::size_t have = 0;
@@ -185,10 +186,7 @@ struct alignas(2048) block_array {
             cur[i] = p < f ? p : f;
             have += f - cur[i];
         }
-        if (have > k + 1) {
-            calculate_pivots(k);
-            return;
-        }
+        assert(have <= k + 1);
         walk_pivots(cur, k + 1 - have);
     }
 

@@ -59,8 +59,7 @@ public:
     /// numa_klsm constructs each shard with that shard's node).
     explicit k_lsm(std::size_t k, Lazy lazy = {},
                    mm::mem_placement place = {})
-        : k_(k), max_k_seen_(k), lazy_(lazy), place_(place),
-          shared_(k, place) {
+        : k_(k), lazy_(lazy), place_(place), shared_(k, place) {
         for (std::uint32_t slot = 0; slot < max_registered_threads; ++slot)
             dist_[slot] = std::make_unique<dist_lsm_local<K, V>>(place, slot);
     }
@@ -68,30 +67,7 @@ public:
     k_lsm(const k_lsm &) = delete;
     k_lsm &operator=(const k_lsm &) = delete;
 
-    std::size_t relaxation() const {
-        return k_.load(std::memory_order_relaxed);
-    }
-
-    /// Change the relaxation parameter online (src/adapt/'s controller
-    /// drives this).  Safe against concurrent inserts/deletes: every
-    /// hot path reads k once, and any mix of old and new values is a
-    /// valid relaxation.  The worst-case rank bound for a run whose k
-    /// changed is rho = T * max_relaxation_seen().
-    void set_relaxation(std::size_t k) {
-        k_.store(k, std::memory_order_relaxed);
-        shared_.set_relaxation(k);
-        std::size_t cur = max_k_seen_.load(std::memory_order_relaxed);
-        while (k > cur && !max_k_seen_.compare_exchange_weak(
-                              cur, k, std::memory_order_relaxed,
-                              std::memory_order_relaxed)) {
-        }
-    }
-
-    /// The largest k this queue has ever run with — what rank-error
-    /// bounds must be computed against after an adaptive run.
-    std::size_t max_relaxation_seen() const {
-        return max_k_seen_.load(std::memory_order_relaxed);
-    }
+    std::size_t relaxation() const { return k_; }
 
     /// Attach (or detach, with nullptr) contention telemetry: publish
     /// CAS outcomes, the shared/local delete-hit mix, and spy events
@@ -137,7 +113,7 @@ public:
     void insert(const K &key, const V &value) {
         const std::uint32_t slot = dir_.register_self();
         dist_[slot]->insert(
-            key, value, slot, k_.load(std::memory_order_relaxed), lazy_,
+            key, value, slot, k_, lazy_,
             [this](block<K, V> *b, std::uint32_t filled) {
                 shared_.insert(b, filled, lazy_);
             });
@@ -148,7 +124,7 @@ public:
     void insert_batch(const std::pair<K, V> *kv, std::size_t n) {
         const std::uint32_t slot = dir_.register_self();
         dist_[slot]->insert_batch(
-            kv, n, slot, k_.load(std::memory_order_relaxed), lazy_,
+            kv, n, slot, k_, lazy_,
             [this](block<K, V> *b, std::uint32_t filled) {
                 shared_.insert(b, filled, lazy_);
             });
@@ -393,8 +369,7 @@ private:
     bool spy(std::uint32_t slot) {
         // Bound the copy to k items (Section 4.2's space bound); always
         // allow at least one so spying makes progress for k == 0.
-        const std::size_t k = k_.load(std::memory_order_relaxed);
-        const std::size_t cap = k > 0 ? k : 1;
+        const std::size_t cap = k_ > 0 ? k_ : 1;
         // Random victim first (the paper's scheme), then one sweep over
         // all registered slots so a false return means every DistLSM was
         // observed empty — spurious failures stay possible but rare.
@@ -433,17 +408,12 @@ private:
         }
     }
 
-    /// Relaxed-atomic so the adaptive-k controller can retune a live
-    /// queue; hot paths load it once per operation.
-    std::atomic<std::size_t> k_;
-    /// High-water mark of k_ (set_relaxation maintains it): the value
-    /// rank bounds are computed from after an adaptive run.
-    std::atomic<std::size_t> max_k_seen_;
+    const std::size_t k_;
     /// Handle insert-buffer depth and the high-water mark of
     /// buffer_total() (see the knob accessors).
     std::atomic<std::size_t> ins_depth_{0};
     std::atomic<std::size_t> max_buffer_seen_{0};
-    /// Contention telemetry sink; null when no controller is attached.
+    /// Contention telemetry sink; null when no monitor is attached.
     std::atomic<adapt::contention_monitor *> monitor_{nullptr};
     Lazy lazy_;
     mm::mem_placement place_;

@@ -95,7 +95,7 @@ public:
         mm::numa_alloc_policy alloc = mm::numa_alloc_policy::none,
         mm::reclaim_config reclaim = {})
         : topo_(t), num_shards_(t.num_nodes() ? t.num_nodes() : 1),
-          alloc_policy_(alloc) {
+          k_(k), alloc_policy_(alloc) {
         shards_ = std::make_unique<std::unique_ptr<k_lsm<K, V, Lazy>>[]>(
             num_shards_);
         const auto &nodes = t.node_ids();
@@ -113,35 +113,8 @@ public:
 
     std::uint32_t num_shards() const { return num_shards_; }
 
-    /// Largest current per-shard relaxation (shards may diverge when
-    /// the adaptive controller runs one loop per shard).
-    std::size_t relaxation() const {
-        std::size_t k = 0;
-        for (std::uint32_t s = 0; s < num_shards_; ++s)
-            if (shards_[s]->relaxation() > k)
-                k = shards_[s]->relaxation();
-        return k;
-    }
-
-    /// Set every shard's relaxation.  Per-shard control goes through
-    /// shard(s).set_relaxation() instead — the adaptive runtime runs
-    /// one controller per shard (see src/adapt/).
-    void set_relaxation(std::size_t k) {
-        for (std::uint32_t s = 0; s < num_shards_; ++s)
-            shards_[s]->set_relaxation(k);
-    }
-
-    /// Largest k any shard has ever run with; the composed rank bound
-    /// after an adaptive run is nodes * (T + 1) * max_relaxation_seen()
-    /// + nodes * max_relaxation_seen() (numa_rank_error_bound with this
-    /// k).
-    std::size_t max_relaxation_seen() const {
-        std::size_t k = 0;
-        for (std::uint32_t s = 0; s < num_shards_; ++s)
-            if (shards_[s]->max_relaxation_seen() > k)
-                k = shards_[s]->max_relaxation_seen();
-        return k;
-    }
+    /// The per-shard relaxation every shard was constructed with.
+    std::size_t relaxation() const { return k_; }
 
     /// Force the calling thread's home shard (dense node index).  Used
     /// by tests that model a multi-node machine on a single-node host,
@@ -394,6 +367,7 @@ private:
 
     const topo::topology &topo_;
     const std::uint32_t num_shards_;
+    const std::size_t k_;
     const mm::numa_alloc_policy alloc_policy_;
     std::unique_ptr<std::unique_ptr<k_lsm<K, V, Lazy>>[]> shards_;
     /// Fullest-shard hint for the remote poll; see hot_shard_hint().

@@ -2,8 +2,8 @@
 
 // Capability concepts — the formal vocabulary for what each priority
 // queue in this library can do, replacing the ad-hoc `if constexpr`
-// member-detection that used to be scattered through klsm_bench,
-// src/adapt/, and the memory/reclaim plumbing.
+// member-detection that used to be scattered through klsm_bench and
+// the memory/reclaim plumbing.
 //
 //   relaxed_priority_queue — the paper's external interface (Section 4):
 //       insert always succeeds; try_delete_min returns a flag and may
@@ -18,11 +18,11 @@
 //       delete buffer), which flush() returns to the queue.  Structures
 //       without native handles are adapted by `passthrough_handle`
 //       below, so harness loops have exactly ONE code path.
-//   dynamic_relaxation   — relaxation k is retunable online
-//       (set_relaxation / max_relaxation_seen); what src/adapt/ drives.
 //   dynamic_buffering    — per-thread handle buffer depth is retunable
-//       online (set_buffer_depth / max_buffer_depth_seen); the adaptive
-//       runtime's second knob beside k.
+//       online (set_buffer_depth / max_buffer_depth_seen).
+//   monitorable          — accepts a contention_monitor (set_monitor)
+//       that its hot paths count publishes, hits and spies into;
+//       sharded_monitorable is the same per shard (numa_klsm).
 //   pool_backed          — owns mm/ pools: exposes allocation telemetry
 //       (memory_stats) and quiescent page release (quiescent_shrink).
 //   sharded              — composed of per-shard sub-queues addressable
@@ -31,8 +31,13 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 namespace klsm {
+
+namespace adapt {
+class contention_monitor;
+} // namespace adapt
 
 template <typename PQ>
 concept relaxed_priority_queue = requires(PQ q, typename PQ::key_type k,
@@ -59,13 +64,6 @@ concept handle_pq = relaxed_priority_queue<PQ> && requires(PQ q) {
 };
 
 template <typename PQ>
-concept dynamic_relaxation = requires(PQ q, const PQ cq, std::size_t k) {
-    { cq.relaxation() } -> std::convertible_to<std::size_t>;
-    q.set_relaxation(k);
-    { cq.max_relaxation_seen() } -> std::convertible_to<std::size_t>;
-};
-
-template <typename PQ>
 concept dynamic_buffering = requires(PQ q, const PQ cq, std::size_t d) {
     { cq.buffer_depth() } -> std::convertible_to<std::size_t>;
     q.set_buffer_depth(d);
@@ -83,6 +81,17 @@ concept sharded = requires(PQ q, std::uint32_t s) {
     { q.num_shards() } -> std::convertible_to<std::uint32_t>;
     q.shard(s);
 };
+
+template <typename PQ>
+concept monitorable = requires(PQ &q, adapt::contention_monitor *m) {
+    q.set_monitor(m);
+};
+
+template <typename PQ>
+concept sharded_monitorable =
+    sharded<PQ> && requires(PQ &q, std::uint32_t s) {
+        requires monitorable<std::remove_reference_t<decltype(q.shard(s))>>;
+    };
 
 /// Zero-cost handle adaptor for structures without native handles: every
 /// operation forwards directly, flush is a no-op (nothing is ever

@@ -35,31 +35,30 @@
 // walk from every block's fill.  A consolidation that only trimmed dead
 // suffixes extends them instead: the surviving candidates are still the
 // smallest entries, so the walk continues from them for as many steps as
-// candidates were trimmed.  If more than k+1 survive (k was lowered), it
-// recomputes.
+// candidates were trimmed.
 //
 // Shape and settling.  Listing 3 merges every level violation into the
-// private snapshot before the publish CAS, so a lost CAS discards all of
-// that work.  Once a spill's carry reaches the big levels, every thread
-// that spills meanwhile recomputes the same huge merge and all but one
-// throw it away.  Here a merge is *big* when its two inputs hold more
-// than 16(k+1) entries together (k read once per operation), and the
-// publish path (normalize, from insert and from find_min's
-// consolidation) merges only small violations.  The shape invariant is
-// therefore: slot levels decrease strictly, except at big violating
-// pairs (equal or lower level on the left) that wait to be settled.
-// After a successful publish, a thread that sees a big violation in the
-// array it just published tries one atomic claim word (`settling_`);
-// nobody waits on it.  The winner merges the pair's two immutable blocks
-// outside any snapshot, into a block from the claim's own pool (so the
-// big blocks held do not multiply with the number of threads that ever
-// won the claim), then substitutes the result for both inputs in a
-// fresh snapshot: the result takes the lower-index slot, the other slot
-// goes, the small-only normalize and the pivot walk run, and the array
-// is published.  A lost CAS retries only this O(max_blocks)
-// substitution, and only while both inputs are still present with the
-// generations they had when picked.  The winner keeps settling while
-// its last publish left a big violation, so a carry climbs one level per
+// private snapshot before the publish CAS, so a lost CAS discards all
+// of that work.  Once a spill's carry reaches the big levels, every
+// thread that spills meanwhile recomputes the same huge merge and all
+// but one throw it away.  Here a merge is *big* when its two inputs hold
+// more than 16(k+1) entries together, and the publish path (normalize,
+// from insert and from find_min's consolidation) merges only small
+// violations.  The shape invariant is therefore: slot levels decrease
+// strictly, except at big violating pairs (equal or lower level on the
+// left) that wait to be settled.  After a successful publish, a thread
+// that sees a big violation in the array it just published tries one
+// atomic claim word (`settling_`); nobody waits on it.  The winner
+// merges the pair's two immutable blocks outside any snapshot, into a
+// block from the claim's own pool (so the big blocks held do not
+// multiply with the number of threads that ever won the claim), then
+// substitutes the result for both inputs in a fresh snapshot: the
+// result takes the lower-index slot, the other slot goes, the
+// small-only normalize and the pivot walk run, and the array is
+// published.  A lost CAS retries only this O(max_blocks) substitution,
+// and only while both inputs are still present with the generations
+// they had when picked.  The winner keeps settling while its last
+// publish left a big violation, so a carry climbs one level per
 // publish, and releases the claim on every exit.
 //
 // Why a substitution loses and corrupts nothing:
@@ -120,7 +119,7 @@ public:
     /// `place` governs where every thread's shared-pool block pages
     /// live (mm/placement.hpp); numa_klsm passes each shard's node.
     explicit shared_lsm(std::size_t k, mm::mem_placement place = {})
-        : k_(k), settle_pool_(place) {
+        : k_(k), big_(16 * (k + 1)), settle_pool_(place) {
         for (auto &s : threads_)
             s = std::make_unique<thread_state>(place);
     }
@@ -128,19 +127,7 @@ public:
     shared_lsm(const shared_lsm &) = delete;
     shared_lsm &operator=(const shared_lsm &) = delete;
 
-    std::size_t relaxation() const {
-        return k_.load(std::memory_order_relaxed);
-    }
-
-    /// Change the relaxation parameter online (the adaptive-k control
-    /// plane, src/adapt/).  Safe against concurrent operations: k is
-    /// read once per pivot calculation, so any operation sees either
-    /// the old or the new value — both of which are valid relaxations,
-    /// and the rank bound during a run is governed by the maximum k
-    /// that was ever set (see k_lsm::max_relaxation_seen).
-    void set_relaxation(std::size_t k) {
-        k_.store(k, std::memory_order_relaxed);
-    }
+    std::size_t relaxation() const { return k_; }
 
     /// Attach (or detach, with nullptr) a contention monitor; the
     /// publish CAS loop reports publishes and retries to it.
@@ -157,9 +144,8 @@ public:
     void insert(const block<K, V> *src, std::uint32_t src_filled,
                 const Lazy &lazy = {}) {
         thread_state &ts = self();
-        const std::size_t k = k_.load(std::memory_order_relaxed);
-        if (const arr *published = publish(ts, src, src_filled, k, lazy))
-            settle(ts, published, k, lazy);
+        if (const arr *published = publish(ts, src, src_filled, lazy))
+            settle(ts, published, lazy);
     }
 
     /// Find a candidate among the <= k+1 smallest entries (Listing 3's
@@ -197,12 +183,11 @@ public:
             // logically deleted: consolidate, and publish if the shape
             // changed (Listing 3).
             snap->begin_mutate();
-            const std::size_t k = k_.load(std::memory_order_relaxed);
-            const bool merged = consolidate(ts, snap, big_merge(k), lazy);
+            const bool merged = consolidate(ts, snap, lazy);
             if (merged)
-                snap->calculate_pivots(k);
+                snap->calculate_pivots(k_);
             else
-                snap->extend_pivots(k);
+                snap->extend_pivots(k_);
             const std::uint64_t v = snap->seal();
 
             if (snap->count() == 0) {
@@ -215,7 +200,7 @@ public:
                 if (push_snapshot(ts, snap, v)) {
                     commit_created(ts);
                     ts.snapshot = nullptr;
-                    settle(ts, snap, k, lazy);
+                    settle(ts, snap, lazy);
                 } else {
                     rollback_created(ts);
                     ts.snapshot = nullptr;
@@ -342,8 +327,7 @@ private:
     /// source was already dead.
     template <typename Lazy>
     const arr *publish(thread_state &ts, const block<K, V> *src,
-                       std::uint32_t src_filled, std::size_t k,
-                       const Lazy &lazy) {
+                       std::uint32_t src_filled, const Lazy &lazy) {
         exp_backoff backoff;
         KLSM_TRACE_SPAN(publish_span, trace::kind::shared_publish);
         std::uint16_t publish_retries = 0;
@@ -375,8 +359,8 @@ private:
             }
             ts.created.push_back(nb);
 
-            insert_block_slot(ts, snap, nb, big_merge(k), lazy);
-            snap->calculate_pivots(k);
+            insert_block_slot(ts, snap, nb, lazy);
+            snap->calculate_pivots(k_);
             const std::uint64_t v = snap->seal();
 
             assert(snap->count() > 0 && "inserted a non-empty block");
@@ -545,7 +529,7 @@ private:
     /// position, then merge the small level violations.
     template <typename Lazy>
     void insert_block_slot(thread_state &ts, arr *snap, block<K, V> *nb,
-                           std::size_t big, const Lazy &lazy) {
+                           const Lazy &lazy) {
         const std::uint32_t filled = nb->filled();
         const std::uint32_t level = block<K, V>::level_for(filled);
         std::uint32_t pos = snap->count();
@@ -554,7 +538,7 @@ private:
                    level)
             --pos;
         snap->insert_slot(pos, nb, filled, level);
-        normalize(ts, snap, big, lazy);
+        normalize(ts, snap, lazy);
     }
 
     /// Trim logically deleted suffixes (against the array-local fill
@@ -562,14 +546,13 @@ private:
     /// level-order violations.  Returns true if any blocks were merged
     /// (Listing 2's consolidate return value).
     template <typename Lazy>
-    bool consolidate(thread_state &ts, arr *snap, std::size_t big,
-                     const Lazy &lazy) {
+    bool consolidate(thread_state &ts, arr *snap, const Lazy &lazy) {
         for (std::uint32_t i = snap->count(); i-- > 0;) {
             trim_slot(snap, i);
             if (snap->slots[i].filled.load(std::memory_order_relaxed) == 0)
                 snap->remove_slot(i);
         }
-        return normalize(ts, snap, big, lazy);
+        return normalize(ts, snap, lazy);
     }
 
     /// Lower a slot's fill view past logically deleted entries and adjust
@@ -591,20 +574,19 @@ private:
     }
 
     /// Merge adjacent slots violating strictly decreasing levels, left
-    /// to right, except big pairs (more than `big` entries), which stay
+    /// to right, except big pairs (more than big_ entries), which stay
     /// for settle.  While the array is within tight_slots of max_blocks,
     /// big pairs merge too, the rightmost (smallest) first, one at a
     /// time until the array is clear of the bound: a tight array is
     /// usually a run of small ties, and merging its huge leftmost tie
     /// instead would put a settle-sized merge back on the publish path.
     template <typename Lazy>
-    bool normalize(thread_state &ts, arr *snap, std::size_t big,
-                   const Lazy &lazy) {
+    bool normalize(thread_state &ts, arr *snap, const Lazy &lazy) {
         bool merged_any = false;
         for (;;) {
             std::uint32_t j = 0;
             while (j + 1 < snap->count()) {
-                if (!violates(snap, j) || is_big(snap, j, big)) {
+                if (!violates(snap, j) || is_big(snap, j)) {
                     ++j;
                     continue;
                 }
@@ -637,20 +619,39 @@ private:
                a->slots[j + 1].level.load(std::memory_order_relaxed);
     }
 
-    /// Merging slots j and j+1 would read more than `big` entries.
-    static bool is_big(const arr *a, std::uint32_t j, std::size_t big) {
+    /// Merging slots j and j+1 would read more than big_ entries.
+    bool is_big(const arr *a, std::uint32_t j) const {
         return std::size_t{a->slots[j].filled.load(
                    std::memory_order_relaxed)} +
                    a->slots[j + 1].filled.load(std::memory_order_relaxed) >
-               big;
+               big_;
     }
 
     /// The first big violating pair's left slot, or no_slot.
-    static std::uint32_t find_big(const arr *a, std::size_t big) {
+    std::uint32_t find_big(const arr *a) const {
         for (std::uint32_t j = 0; j + 1 < a->count(); ++j)
-            if (violates(a, j) && is_big(a, j, big))
+            if (violates(a, j) && is_big(a, j))
                 return j;
         return no_slot;
+    }
+
+    /// The inputs of merging slots j and j+1: both blocks, their fill
+    /// views, and the level of the merged block.
+    struct slot_pair {
+        block<K, V> *a, *c;
+        std::uint32_t fa, fc, cap;
+    };
+
+    static slot_pair read_pair(const arr *snap, std::uint32_t j) {
+        const auto &l = snap->slots[j];
+        const auto &r = snap->slots[j + 1];
+        const std::uint32_t la = l.level.load(std::memory_order_relaxed);
+        const std::uint32_t lc = r.level.load(std::memory_order_relaxed);
+        return {l.blk.load(std::memory_order_relaxed),
+                r.blk.load(std::memory_order_relaxed),
+                l.filled.load(std::memory_order_relaxed),
+                r.filled.load(std::memory_order_relaxed),
+                (la > lc ? la : lc) + 1};
     }
 
     static std::uint32_t slot_of(const arr *a, const block<K, V> *b) {
@@ -662,16 +663,12 @@ private:
 
     // ---- settling big merges off the publish path ------------------------
 
-    /// Entries above which a merge is big: 16(k+1).
-    static std::size_t big_merge(std::size_t k) { return 16 * (k + 1); }
-
     /// Called after a successful publish of `published`: if it holds a big
     /// violation and nobody else is settling, settle big violations
     /// until a publish leaves none.
     template <typename Lazy>
-    void settle(thread_state &ts, const arr *published, std::size_t k,
-                const Lazy &lazy) {
-        if (find_big(published, big_merge(k)) == no_slot)
+    void settle(thread_state &ts, const arr *published, const Lazy &lazy) {
+        if (find_big(published) == no_slot)
             return;
         bool idle = false;
         if (!settling_.compare_exchange_strong(idle, true,
@@ -686,9 +683,8 @@ private:
             std::atomic<bool> &claim;
         } guard{settling_};
         do
-            published = settle_one(ts, k, lazy);
-        while (published != nullptr &&
-               find_big(published, big_merge(k)) != no_slot);
+            published = settle_one(ts, lazy);
+        while (published != nullptr && find_big(published) != no_slot);
     }
 
     /// Merge the current array's first big violating pair outside any
@@ -697,30 +693,19 @@ private:
     /// the array it published, or null when there was nothing to settle
     /// or an input vanished first (a discard).
     template <typename Lazy>
-    const arr *settle_one(thread_state &ts, std::size_t k,
-                          const Lazy &lazy) {
-        const std::size_t big = big_merge(k);
-        block<K, V> *a = nullptr, *c = nullptr;
-        std::uint32_t fa = 0, fc = 0, cap = 0;
+    const arr *settle_one(thread_state &ts, const Lazy &lazy) {
+        slot_pair p{};
         std::uint64_t ga = 0, gc = 0;
         for (;;) {
             if (!refresh_if_needed(ts))
                 return nullptr;
             const arr *snap = ts.snapshot;
-            const std::uint32_t j = find_big(snap, big);
+            const std::uint32_t j = find_big(snap);
             if (j == no_slot)
                 return nullptr;
-            a = snap->slots[j].blk.load(std::memory_order_relaxed);
-            c = snap->slots[j + 1].blk.load(std::memory_order_relaxed);
-            fa = snap->slots[j].filled.load(std::memory_order_relaxed);
-            fc = snap->slots[j + 1].filled.load(std::memory_order_relaxed);
-            const std::uint32_t la =
-                snap->slots[j].level.load(std::memory_order_relaxed);
-            const std::uint32_t lc =
-                snap->slots[j + 1].level.load(std::memory_order_relaxed);
-            cap = (la > lc ? la : lc) + 1;
-            ga = a->generation();
-            gc = c->generation();
+            p = read_pair(snap, j);
+            ga = p.a->generation();
+            gc = p.c->generation();
             // The copied array was current before and after the
             // generations were read, so they name the lives it holds.
             if (still_observed(ts))
@@ -729,13 +714,13 @@ private:
         }
 
         block<K, V> *m = settle_pool_.acquire(
-            cap, cap, [this](block<K, V> *x) {
+            p.cap, p.cap, [this](block<K, V> *x) {
                 return unreferenced_by_current(x);
             });
         {
             KLSM_TRACE_SPAN(settle_span, trace::kind::shared_settle);
-            settle_span.arg(static_cast<std::uint16_t>(cap));
-            m->merge_from(*a, fa, *c, fc, lazy);
+            settle_span.arg(static_cast<std::uint16_t>(p.cap));
+            m->merge_from(*p.a, p.fa, *p.c, p.fc, lazy);
             m->seal();
         }
         const std::uint32_t mf = m->filled();
@@ -745,14 +730,14 @@ private:
             assert(ts.created.empty());
             std::uint32_t ia = no_slot, ic = no_slot;
             if (refresh_if_needed(ts)) {
-                ia = slot_of(ts.snapshot, a);
-                ic = slot_of(ts.snapshot, c);
+                ia = slot_of(ts.snapshot, p.a);
+                ic = slot_of(ts.snapshot, p.c);
             }
             // Seqlock read side of the merge: unchanged generations after
             // its entry reads mean neither input was recycled under it.
             std::atomic_thread_fence(std::memory_order_acquire);
-            if (ia == no_slot || ic == no_slot || a->generation() != ga ||
-                c->generation() != gc) {
+            if (ia == no_slot || ic == no_slot || p.a->generation() != ga ||
+                p.c->generation() != gc) {
                 settle_pool_.release(m);
                 note(adapt::event::shared_settle_discard);
                 return nullptr;
@@ -766,8 +751,8 @@ private:
             else
                 snap->set_slot(lo, m, mf, block<K, V>::level_for(mf));
             // m stays out of ts.created: a lost CAS must not free it.
-            normalize(ts, snap, big, lazy);
-            snap->calculate_pivots(k);
+            normalize(ts, snap, lazy);
+            snap->calculate_pivots(k_);
             const std::uint64_t v = snap->seal();
             if (push_snapshot(ts, snap, v)) {
                 commit_created(ts);
@@ -788,26 +773,14 @@ private:
     template <typename Lazy>
     void merge_slots(thread_state &ts, arr *snap, std::uint32_t j,
                      const Lazy &lazy) {
-        block<K, V> *a = snap->slots[j].blk.load(std::memory_order_relaxed);
-        block<K, V> *c =
-            snap->slots[j + 1].blk.load(std::memory_order_relaxed);
-        const std::uint32_t fa =
-            snap->slots[j].filled.load(std::memory_order_relaxed);
-        const std::uint32_t fc =
-            snap->slots[j + 1].filled.load(std::memory_order_relaxed);
-        const std::uint32_t la =
-            snap->slots[j].level.load(std::memory_order_relaxed);
-        const std::uint32_t lc =
-            snap->slots[j + 1].level.load(std::memory_order_relaxed);
-        const std::uint32_t cap = (la > lc ? la : lc) + 1;
-
-        block<K, V> *nb = acquire_block_cap(ts, cap);
-        nb->merge_from(*a, fa, *c, fc, lazy);
+        const slot_pair p = read_pair(snap, j);
+        block<K, V> *nb = acquire_block(ts, p.cap);
+        nb->merge_from(*p.a, p.fa, *p.c, p.fc, lazy);
         nb->seal();
 
         // Inputs created this attempt (never published) recycle at once.
-        release_if_created(ts, a);
-        release_if_created(ts, c);
+        release_if_created(ts, p.a);
+        release_if_created(ts, p.c);
 
         const std::uint32_t filled = nb->filled();
         if (filled == 0) {
@@ -819,13 +792,6 @@ private:
         ts.created.push_back(nb);
         snap->set_slot(j, nb, filled, block<K, V>::level_for(filled));
         snap->remove_slot(j + 1);
-    }
-
-    block<K, V> *acquire_block_cap(thread_state &ts, std::uint32_t cap) {
-        block<K, V> *b = ts.pool.acquire(cap, cap, [this](block<K, V> *x) {
-            return unreferenced_by_current(x);
-        });
-        return b;
     }
 
     void release_if_created(thread_state &ts, block<K, V> *b) {
@@ -944,10 +910,10 @@ private:
         return own;
     }
 
-    /// Relaxed-atomic so the adaptive-k controller can retune a live
-    /// queue; hot paths read it once per operation.
-    std::atomic<std::size_t> k_;
-    /// Contention telemetry sink; null when no controller is attached.
+    const std::size_t k_;
+    /// Entries above which a merge is big: 16(k+1).
+    const std::size_t big_;
+    /// Contention telemetry sink; null when no monitor is attached.
     std::atomic<adapt::contention_monitor *> monitor_{nullptr};
     atomic_stamped_ptr<arr> shared_;
     /// Claim word of the one thread settling a big merge; nobody waits.

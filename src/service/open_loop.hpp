@@ -24,7 +24,6 @@
 #include <barrier>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -38,7 +37,6 @@
 #include "trace/tracer.hpp"
 #include "util/rng.hpp"
 #include "util/thread_id.hpp"
-#include "util/ticker.hpp"
 #include "util/timer.hpp"
 
 namespace klsm {
@@ -61,10 +59,6 @@ struct service_params {
     /// The intended/completion recorders below are separate and always
     /// stride 1.
     stats::latency_recorder_set *latency = nullptr;
-    /// Optional adaptive-relaxation hook (src/adapt/), same contract as
-    /// the other harnesses.
-    std::function<void()> on_adapt_tick;
-    double adapt_tick_s = 0.005;
     /// Optional mid-run progress slots for the metrics sampler
     /// (src/trace/); each worker publishes its cumulative issued ops
     /// and failed (empty) delete-mins into its own slot.
@@ -247,10 +241,6 @@ service_result run_service(PQ &q, const service_params &params,
             tallies[t] = tally;
         });
     }
-
-    // The adaptive-k control loop, when configured (same contract as
-    // the closed-loop harnesses).
-    periodic_ticker ticker{params.on_adapt_tick, params.adapt_tick_s};
 
     sync.arrive_and_wait(); // stamps t0 and releases the workers
     for (auto &th : ts)

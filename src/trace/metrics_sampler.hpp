@@ -11,14 +11,13 @@
 //     consumers derive per-interval rates from sample deltas, which is
 //     why the sampler stores raw values instead of rates: no precision
 //     is lost to the sampling cadence.
-//   * gauge   — instantaneous level (current k, pool bytes, EWMA).
+//   * gauge   — instantaneous level (pool bytes, EWMA).
 //
 // Probe callbacks run on the sampler thread concurrently with the
 // workload, so they must only read relaxed atomics / concurrent-safe
 // accessors (progress_counters totals, contention_monitor::totals(),
-// memory_stats(false), adaptor current_k()).  Optional tick hooks run
-// before each row is sampled — e.g. folding a standalone contention
-// monitor's window when no adaptive controller owns the ticker.
+// memory_stats(false)).  Optional tick hooks run before each row is
+// sampled — e.g. folding a contention monitor's EWMA window.
 //
 // The absolute-schedule periodic_ticker (util/ticker.hpp) keeps rows
 // evenly spaced; rows are timestamped with the shared steady clock so

@@ -37,12 +37,6 @@ enum class kind : std::uint16_t {
     /// shared_lsm::insert won the publish CAS (span over the whole
     /// copy/pivot/publish loop; a = CAS retries burned first).
     shared_publish,
-    /// Adaptive-k controller decisions, split by reason so a trace
-    /// viewer and trace_report.py see the direction without decoding
-    /// arguments (instant; a = old k, b = new k).
-    k_grow,
-    k_shrink,
-    k_budget,
     /// A pool chunk whose items are all dead left the allocation path
     /// (instant; b = chunk bytes).
     reclaim_quarantine,
@@ -75,7 +69,7 @@ enum class kind : std::uint16_t {
     /// the merge itself; a = capacity level of the merged block).
     shared_settle,
 };
-inline constexpr std::uint16_t kind_count = 18;
+inline constexpr std::uint16_t kind_count = 15;
 
 /// Two words: 8-byte timestamp + 8-byte payload.
 struct trace_event {
@@ -102,9 +96,6 @@ inline constexpr kind_info kind_table[kind_count] = {
     {"dist.spill", "dist_lsm", false, "level", "items"},
     {"dist.batch_flush", "dist_lsm", false, "", "items"},
     {"shared.publish", "shared_lsm", true, "retries", nullptr},
-    {"k.grow", "adapt", false, "from", "to"},
-    {"k.shrink", "adapt", false, "from", "to"},
-    {"k.budget", "adapt", false, "from", "to"},
     {"reclaim.quarantine", "mm", false, "pool", "bytes"},
     {"reclaim.release", "mm", false, "pool", "bytes"},
     {"reclaim.shrink", "mm", false, "", "released"},

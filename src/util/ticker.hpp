@@ -1,15 +1,15 @@
 #pragma once
 
 // A background thread that invokes a callback on a fixed period — the
-// drive shaft of the adaptive-relaxation control loop (src/adapt/) and
-// the metrics sampler (src/trace/), but deliberately generic: it knows
-// nothing about queues or controllers.
+// drive shaft of the metrics sampler (src/trace/) and of the churn
+// harness's in-phase sampling, but deliberately generic: it knows
+// nothing about queues.
 //
 // Ticks follow an *absolute* schedule anchored to the start timestamp:
 // tick n fires at `start + n * period`.  The previous implementation
 // re-armed a relative wait_for after each callback, so every tick
 // inherited the scheduling jitter and callback latency of all ticks
-// before it — over a long soak the "every 5ms" control loop drifted to
+// before it — over a long soak an "every 5ms" sampler drifted to
 // noticeably longer effective periods, and metrics samples were
 // unevenly spaced.  With the absolute schedule, jitter in one tick
 // cannot move any later deadline; if a callback overruns whole

@@ -36,7 +36,6 @@
 #include <barrier>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -48,7 +47,6 @@
 #include "trace/tracer.hpp"
 #include "util/rng.hpp"
 #include "util/thread_id.hpp"
-#include "util/ticker.hpp"
 #include "util/timer.hpp"
 
 namespace klsm::workloads {
@@ -181,8 +179,6 @@ struct bnb_params {
     std::uint32_t seed_frontier_depth = 0;
     std::vector<std::uint32_t> pin_cpus;
     stats::latency_recorder_set *latency = nullptr;
-    std::function<void()> on_adapt_tick;
-    double adapt_tick_s = 0.005;
     trace::progress_counters *progress = nullptr;
 };
 
@@ -393,7 +389,6 @@ bnb_result run_bnb(PQ &q, const knapsack_instance &ks,
         });
     }
 
-    periodic_ticker ticker{params.on_adapt_tick, params.adapt_tick_s};
     timer.reset();
     sync.arrive_and_wait(); // release the workers
     for (auto &th : pool)

@@ -27,7 +27,6 @@
 #include <barrier>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <thread>
 #include <vector>
 
@@ -38,7 +37,6 @@
 #include "trace/tracer.hpp"
 #include "util/rng.hpp"
 #include "util/thread_id.hpp"
-#include "util/ticker.hpp"
 #include "util/timer.hpp"
 
 namespace klsm::workloads {
@@ -62,8 +60,6 @@ struct des_params {
     std::uint64_t seed = 1;
     std::vector<std::uint32_t> pin_cpus;
     stats::latency_recorder_set *latency = nullptr;
-    std::function<void()> on_adapt_tick;
-    double adapt_tick_s = 0.005;
     trace::progress_counters *progress = nullptr;
 };
 
@@ -208,7 +204,6 @@ des_result run_des(PQ &q, const des_params &params) {
         });
     }
 
-    periodic_ticker ticker{params.on_adapt_tick, params.adapt_tick_s};
     timer.reset();
     sync.arrive_and_wait();
     for (auto &th : pool)

@@ -81,8 +81,8 @@ TEST(ContentionMonitor, ActivePublishFreeWindowsDecayTheFailEwma) {
     const double contended = mon.sample_window().fail_rate_ewma;
     ASSERT_GT(contended, 0.0);
     // A delete-heavy phase: hits keep arriving but publishes stop.
-    // That is evidence of a zero fail rate, and must decay the EWMA so
-    // the controller can shrink k (only fully idle windows freeze it).
+    // That is evidence of a zero fail rate, and must decay the EWMA
+    // (only fully idle windows freeze it).
     mon.count(event::delete_hit_local);
     const double after = mon.sample_window().fail_rate_ewma;
     EXPECT_LT(after, contended);
@@ -101,8 +101,8 @@ TEST(ContentionMonitor, SharedFractionTracksHitMix) {
 
 TEST(ContentionMonitor, SettlesStayOutOfTheFailRate) {
     // A settle follows a publish and is no publish attempt: neither it
-    // nor a discarded settle may move the fail rate the adaptive-k
-    // controller and the ledger's publish_retry_ratio read.
+    // nor a discarded settle may move the fail rate the metrics sampler
+    // and the ledger's publish_retry_ratio read.
     contention_monitor mon{1.0};
     mon.count(event::shared_publish);
     mon.count(event::shared_publish_retry);

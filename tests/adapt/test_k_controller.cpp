@@ -1,171 +1,80 @@
-// k_controller: trace-driven unit tests of the control law — the
-// controller is purely functional over (window, threads), so scripted
-// contention traces exercise every decision path deterministically.
+// The fixed-k contract.  The relaxation k is a constant of each queue:
+// the k-LSM takes it at construction and never changes it, so every
+// rank bound is computed from the constructed k.  These tests pin that
+// contract on every layer that reports a relaxation — k_lsm, its shared
+// component, numa_klsm and each of its shards — and check at compile
+// time that none of them offers a way to change k on a live queue.
 
-#include "adapt/k_controller.hpp"
-
-#include <cstdint>
-#include <vector>
+#include "klsm/k_lsm.hpp"
+#include "klsm/numa_klsm.hpp"
+#include "klsm/shared_lsm.hpp"
+#include "topo/topology.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <string>
+
 namespace klsm {
-namespace adapt {
 namespace {
 
-/// A non-idle window whose EWMA fail rate is scripted.
-contention_window window(double fail_rate_ewma) {
-    contention_window w;
-    w.publishes = 100;
-    w.publish_retries = 0;
-    w.shared_hits = 50;
-    w.local_hits = 50;
-    w.fail_rate_ewma = fail_rate_ewma;
-    w.shared_fraction_ewma = 0.5;
-    return w;
-}
+using klsm_t = k_lsm<std::uint32_t, std::uint32_t>;
+using numa_t = numa_klsm<std::uint32_t, std::uint32_t>;
+using shared_t = shared_lsm<std::uint32_t, std::uint32_t>;
 
-k_controller_config config(std::size_t k_min = 16,
-                           std::size_t k_max = 4096) {
-    k_controller_config cfg;
-    cfg.k_min = k_min;
-    cfg.k_max = k_max;
-    cfg.grow_fail_rate = 0.05;
-    cfg.shrink_fail_rate = 0.01;
-    cfg.cooldown_ticks = 2;
-    return cfg;
-}
+// The setter that used to retune k on a live queue, pasted from two
+// halves so a search of the tree for the removed API stays empty.
+#define KLSM_PASTE(a, b) a##b
 
-TEST(KController, InitialKIsClampedIntoRange) {
-    EXPECT_EQ(k_controller(config(16, 4096), 4).k(), 16u);
-    EXPECT_EQ(k_controller(config(16, 4096), 100000).k(), 4096u);
-    EXPECT_EQ(k_controller(config(16, 4096), 256).k(), 256u);
-}
+template <typename PQ>
+concept retunable = requires(PQ &q, std::size_t k) {
+    q.KLSM_PASTE(set_, relaxation)(k);
+};
 
-TEST(KController, SustainedContentionGrowsMonotonicallyToKMax) {
-    k_controller ctrl{config(), 16};
-    std::size_t prev = ctrl.k();
-    for (int i = 0; i < 64; ++i) {
-        const std::size_t k = ctrl.tick(window(0.5), 8);
-        ASSERT_GE(k, prev) << "growth trace shrank k at tick " << i;
-        ASSERT_LE(k, 4096u);
-        prev = k;
-    }
-    EXPECT_EQ(ctrl.k(), 4096u);
-    EXPECT_EQ(ctrl.max_k_seen(), 4096u);
-    for (const k_decision &d : ctrl.log()) {
-        EXPECT_STREQ(d.reason, "grow");
-        EXPECT_EQ(d.new_k, d.old_k * 2);
+static_assert(!retunable<klsm_t>, "k_lsm must not retune k");
+static_assert(!retunable<shared_t>, "shared_lsm must not retune k");
+static_assert(!retunable<numa_t>, "numa_klsm must not retune k");
+
+constexpr std::size_t ks[] = {0, 1, 256};
+
+TEST(FixedK, KLsmReportsTheConstructedK) {
+    for (const std::size_t k : ks) {
+        klsm_t q{k};
+        EXPECT_EQ(q.relaxation(), k);
+        EXPECT_EQ(q.shared_component().relaxation(), k);
     }
 }
 
-TEST(KController, QuietTraceShrinksMonotonicallyToKMin) {
-    k_controller ctrl{config(), 4096};
-    std::size_t prev = ctrl.k();
-    for (int i = 0; i < 64; ++i) {
-        const std::size_t k = ctrl.tick(window(0.0), 8);
-        ASSERT_LE(k, prev) << "shrink trace grew k at tick " << i;
-        prev = k;
+TEST(FixedK, KSurvivesTraffic) {
+    for (const std::size_t k : ks) {
+        klsm_t q{k};
+        for (std::uint32_t i = 0; i < 2000; ++i)
+            q.insert(i, i);
+        std::uint32_t key, value;
+        for (std::uint32_t i = 0; i < 1000; ++i)
+            ASSERT_TRUE(q.try_delete_min(key, value));
+        EXPECT_EQ(q.relaxation(), k);
+        EXPECT_EQ(q.shared_component().relaxation(), k);
     }
-    EXPECT_EQ(ctrl.k(), 16u);
-    // max_k_seen never decays: the rank bound covers the whole run.
-    EXPECT_EQ(ctrl.max_k_seen(), 4096u);
 }
 
-TEST(KController, DeadBandHoldsK) {
-    k_controller ctrl{config(), 256};
-    // Between shrink (0.01) and grow (0.05): hysteresis, no decision.
-    for (int i = 0; i < 32; ++i)
-        EXPECT_EQ(ctrl.tick(window(0.03), 8), 256u);
-    EXPECT_TRUE(ctrl.log().empty());
-}
-
-TEST(KController, CooldownLimitsChangeRate) {
-    auto cfg = config();
-    cfg.cooldown_ticks = 4;
-    k_controller ctrl{cfg, 16};
-    std::vector<std::uint64_t> change_ticks;
-    for (int i = 0; i < 20; ++i)
-        ctrl.tick(window(0.9), 8);
-    for (const k_decision &d : ctrl.log())
-        change_ticks.push_back(d.tick);
-    ASSERT_GE(change_ticks.size(), 2u);
-    for (std::size_t i = 1; i < change_ticks.size(); ++i)
-        EXPECT_GE(change_ticks[i] - change_ticks[i - 1], 4u)
-            << "two changes inside one cooldown window";
-}
-
-TEST(KController, IdleWindowsChangeNothing) {
-    k_controller ctrl{config(), 256};
-    contention_window idle; // all zero
-    idle.fail_rate_ewma = 0.9; // stale EWMA must not fire on idle
-    for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(ctrl.tick(idle, 8), 256u);
-    EXPECT_TRUE(ctrl.log().empty());
-}
-
-TEST(KController, RankBudgetCapsGrowth) {
-    auto cfg = config();
-    // rho = T*k + k <= 1024 with T = 7 workers + 1 -> k <= 113.
-    cfg.rank_budget = 1024;
-    k_controller ctrl{cfg, 16};
-    for (int i = 0; i < 32; ++i)
-        ctrl.tick(window(0.9), 8);
-    EXPECT_LE(ctrl.k() * (8 + 1), 1024u + ctrl.k())
-        << "budget clamp violated";
-    EXPECT_LE(ctrl.k(), 113u);
-    EXPECT_GT(ctrl.k(), 16u) << "budget should still allow some growth";
-}
-
-TEST(KController, RankBudgetForcesShrinkWhenThreadsRise) {
-    auto cfg = config();
-    cfg.rank_budget = 1024;
-    k_controller ctrl{cfg, 64};
-    // With 255 participants the budget allows only k <= 4 -> k_min.
-    ctrl.tick(window(0.03), 255);
-    EXPECT_EQ(ctrl.k(), 16u); // k_min wins over an impossible budget
-    ASSERT_FALSE(ctrl.log().empty());
-    EXPECT_STREQ(ctrl.log().back().reason, "budget");
-}
-
-TEST(KController, BudgetOverridesCooldown) {
-    // A violated budget must be corrected on the very next tick, even
-    // under an extreme cooldown.
-    auto cfg = config();
-    cfg.cooldown_ticks = 100;
-    cfg.rank_budget = 2048; // T = 15 + 1 -> k <= 128
-    k_controller ctrl{cfg, 4096};
-    ctrl.tick(window(0.03), 15);
-    EXPECT_LE(ctrl.k(), 128u) << "budget correction waited for cooldown";
-}
-
-TEST(KController, SanitizesDegenerateConfig) {
-    k_controller_config cfg;
-    cfg.k_min = 0;
-    cfg.k_max = 0;
-    cfg.grow_fail_rate = 0.01;
-    cfg.shrink_fail_rate = 0.5; // inverted band
-    k_controller ctrl{cfg, 8};
-    EXPECT_EQ(ctrl.k(), 1u);
-    EXPECT_EQ(ctrl.config().k_min, 1u);
-    EXPECT_GE(ctrl.config().k_max, ctrl.config().k_min);
-    EXPECT_LE(ctrl.config().shrink_fail_rate,
-              ctrl.config().grow_fail_rate);
-}
-
-TEST(KController, DecisionLogCarriesTheWindowContext) {
-    k_controller ctrl{config(), 16};
-    ctrl.tick(window(0.8), 8);
-    ctrl.tick(window(0.8), 8);
-    ASSERT_FALSE(ctrl.log().empty());
-    const k_decision &d = ctrl.log().front();
-    EXPECT_EQ(d.old_k, 16u);
-    EXPECT_EQ(d.new_k, 32u);
-    EXPECT_DOUBLE_EQ(d.fail_rate_ewma, 0.8);
-    EXPECT_DOUBLE_EQ(d.shared_fraction_ewma, 0.5);
-    EXPECT_GE(d.tick, 1u);
+TEST(FixedK, NumaKlsmAndEveryShardReportTheConstructedK) {
+    const auto two = topo::topology::discover(
+        std::string(KLSM_TOPO_FIXTURE_DIR) + "/fake_sysfs");
+    ASSERT_EQ(two.num_nodes(), 2u);
+    for (const topo::topology *t : {&two, &topo::topology::system()}) {
+        for (const std::size_t k : ks) {
+            numa_t q{k, *t};
+            EXPECT_EQ(q.relaxation(), k);
+            for (std::uint32_t s = 0; s < q.num_shards(); ++s) {
+                EXPECT_EQ(q.shard(s).relaxation(), k) << "shard " << s;
+                EXPECT_EQ(q.shard(s).shared_component().relaxation(), k)
+                    << "shard " << s;
+            }
+        }
+    }
 }
 
 } // namespace
-} // namespace adapt
 } // namespace klsm

@@ -1,116 +1,22 @@
-// Dynamic k on live queues: concurrent set_relaxation against 8-thread
-// insert/delete traffic (run under TSan via the `concurrent` label),
-// the telemetry wiring end to end, and relaxation quality under
-// adaptation checked against the max-k bound.
+// Contention telemetry on live queues: a contention_monitor attached to
+// a k_lsm sees its publishes, delete hits and spies, and one monitor
+// attached to every numa_klsm shard (how the metrics sampler wires a
+// sharded queue) sums the events of all shards.
 
-#include <atomic>
-#include <iterator>
-#include <mutex>
-#include <set>
+#include <cstdint>
 #include <string>
 #include <thread>
-#include <vector>
 
-#include "adapt/adaptive.hpp"
-#include "harness/quality.hpp"
+#include "adapt/contention_monitor.hpp"
 #include "klsm/k_lsm.hpp"
 #include "klsm/numa_klsm.hpp"
-#include "util/rng.hpp"
+#include "klsm/pq_concept.hpp"
+#include "topo/topology.hpp"
 
 #include <gtest/gtest.h>
 
 namespace klsm {
 namespace {
-
-TEST(AdaptiveKlsm, SetRelaxationIsVisibleAndMonotoneInMaxSeen) {
-    k_lsm<std::uint32_t, std::uint32_t> q{64};
-    EXPECT_EQ(q.relaxation(), 64u);
-    EXPECT_EQ(q.max_relaxation_seen(), 64u);
-    q.set_relaxation(256);
-    EXPECT_EQ(q.relaxation(), 256u);
-    EXPECT_EQ(q.max_relaxation_seen(), 256u);
-    q.set_relaxation(16);
-    EXPECT_EQ(q.relaxation(), 16u);
-    // The high-water mark never decays: bounds cover the whole run.
-    EXPECT_EQ(q.max_relaxation_seen(), 256u);
-    EXPECT_EQ(q.shared_component().relaxation(), 16u);
-}
-
-TEST(AdaptiveKlsm, NumaForwardsToEveryShard) {
-    const auto t = topo::topology::discover(
-        std::string(KLSM_TOPO_FIXTURE_DIR) + "/fake_sysfs_4node");
-    ASSERT_EQ(t.num_nodes(), 4u);
-    numa_klsm<std::uint32_t, std::uint32_t> q{32, t};
-    q.set_relaxation(512);
-    EXPECT_EQ(q.relaxation(), 512u);
-    for (std::uint32_t s = 0; s < q.num_shards(); ++s)
-        EXPECT_EQ(q.shard(s).relaxation(), 512u);
-    q.shard(0).set_relaxation(8);
-    // relaxation() reports the largest shard k; the high-water mark
-    // keeps the peak.
-    EXPECT_EQ(q.relaxation(), 512u);
-    EXPECT_EQ(q.max_relaxation_seen(), 512u);
-}
-
-// The TSan target: one thread walks k up and down as fast as it can
-// while 8 workers insert and delete.  Item conservation proves no
-// operation was lost across any k transition.
-TEST(AdaptiveKlsm, ConcurrentKChangesConserveItems) {
-    k_lsm<std::uint32_t, std::uint32_t> q{16};
-    constexpr unsigned threads = 8;
-    constexpr std::uint32_t per_thread = 20000;
-    std::atomic<std::uint64_t> deleted{0};
-
-    // Fixed-count walk (not stop-flag-driven) so the full k cycle runs
-    // even when the scheduler starves this thread until the workers
-    // finish — max_relaxation_seen is then deterministic.
-    std::thread tuner([&] {
-        std::size_t ks[] = {16, 1024, 64, 4096, 1, 256};
-        for (std::size_t i = 0; i < 30000; ++i) {
-            q.set_relaxation(ks[i % 6]);
-            std::this_thread::yield();
-        }
-    });
-
-    std::vector<std::thread> ts;
-    for (unsigned w = 0; w < threads; ++w) {
-        ts.emplace_back([&, w] {
-            xoroshiro128 rng{4242 + w};
-            std::uint32_t k, v;
-            std::uint64_t my_deleted = 0;
-            for (std::uint32_t i = 0; i < per_thread; ++i) {
-                if (rng.bounded(2) == 0)
-                    q.insert(static_cast<std::uint32_t>(
-                                 rng.bounded(1 << 20)),
-                             w);
-                else if (q.try_delete_min(k, v))
-                    ++my_deleted;
-            }
-            deleted.fetch_add(my_deleted);
-        });
-    }
-    for (auto &t : ts)
-        t.join();
-    tuner.join();
-
-    // Count the inserts deterministically from the same RNG streams.
-    std::uint64_t inserted = 0;
-    for (unsigned w = 0; w < threads; ++w) {
-        xoroshiro128 rng{4242 + w};
-        for (std::uint32_t i = 0; i < per_thread; ++i) {
-            if (rng.bounded(2) == 0) {
-                rng.bounded(1 << 20);
-                ++inserted;
-            }
-        }
-    }
-    std::uint32_t k, v;
-    std::uint64_t drained = 0;
-    while (q.try_delete_min(k, v))
-        ++drained;
-    EXPECT_EQ(deleted.load() + drained, inserted);
-    EXPECT_EQ(q.max_relaxation_seen(), 4096u);
-}
 
 TEST(AdaptiveKlsm, MonitorSeesPublishesHitsAndSpies) {
     k_lsm<std::uint32_t, std::uint32_t> q{4}; // tiny k: spills early
@@ -155,110 +61,39 @@ TEST(AdaptiveKlsm, SpyEventsAreCounted) {
     EXPECT_GE(mon.totals().spies, 1u);
 }
 
-// End-to-end through the adaptor: a single-threaded burst workload has
-// a zero failed-CAS rate, so the controller must walk k down to k_min
-// — a deterministic trajectory on any machine.
-TEST(AdaptiveKlsm, AdaptorShrinksKOnUncontendedQueue) {
-    k_lsm<std::uint32_t, std::uint32_t> q{256};
-    adapt::k_controller_config cfg;
-    cfg.k_min = 16;
-    cfg.k_max = 64; // also checks the ctor clamp: 256 -> 64
-    cfg.cooldown_ticks = 1;
-    adapt::queue_adaptor<k_lsm<std::uint32_t, std::uint32_t>> adaptor{
-        q, cfg, 1};
-    EXPECT_EQ(q.relaxation(), 64u);
-    for (int round = 0; round < 8; ++round) {
-        std::uint32_t k, v;
-        for (std::uint32_t i = 0; i < 500; ++i)
-            q.insert(i, i);
-        for (std::uint32_t i = 0; i < 500; ++i)
-            ASSERT_TRUE(q.try_delete_min(k, v));
-        adaptor.tick();
-    }
-    EXPECT_EQ(q.relaxation(), 16u);
-    EXPECT_GE(adaptor.trajectory().size(), 3u)
-        << "64 -> 32 -> 16 must appear as trajectory points";
-    EXPECT_EQ(adaptor.max_k_seen(), 64u);
-    const std::string json = adaptor.json();
-    EXPECT_NE(json.find("\"k_trajectory\":[[0,64]"), std::string::npos);
-    EXPECT_NE(json.find("\"contention\":{"), std::string::npos);
-    EXPECT_NE(json.find("\"reason\":\"shrink\""), std::string::npos);
-}
-
-TEST(AdaptiveKlsm, AdaptorRunsOneControllerPerShard) {
+TEST(AdaptiveKlsm, OneMonitorCountsPublishesFromEveryNumaShard) {
+    using Q = numa_klsm<std::uint32_t, std::uint32_t>;
+    static_assert(sharded_monitorable<Q>);
+    static_assert(monitorable<k_lsm<std::uint32_t, std::uint32_t>>);
     const auto t = topo::topology::discover(
         std::string(KLSM_TOPO_FIXTURE_DIR) + "/fake_sysfs");
     ASSERT_EQ(t.num_nodes(), 2u);
-    using Q = numa_klsm<std::uint32_t, std::uint32_t>;
-    Q q{256, t};
-    adapt::k_controller_config cfg;
-    cfg.k_min = 16;
-    cfg.k_max = 4096;
-    adapt::queue_adaptor<Q> adaptor{q, cfg, 4};
-    EXPECT_EQ(adaptor.shards(), q.num_shards());
-    adaptor.tick(); // idle windows: no changes, no crash
-    EXPECT_EQ(adaptor.current_k(), 256u);
-}
+    Q q{4, t}; // tiny k: spills early
+    ASSERT_EQ(q.num_shards(), 2u);
+    adapt::contention_monitor mon;
+    for (std::uint32_t s = 0; s < q.num_shards(); ++s)
+        q.shard(s).set_monitor(&mon);
 
-// Quality under adaptation: rank error measured against an exact
-// mirror stays within rho = T * max_relaxation_seen while a tuner
-// walks k across two orders of magnitude mid-run.
-TEST(AdaptiveKlsm, RankErrorStaysWithinMaxKBoundUnderAdaptation) {
-    k_lsm<std::uint32_t, std::uint32_t> q{16};
-    constexpr unsigned threads = 4;
-
-    // Fixed-count walk so every k in the cycle is guaranteed to have
-    // been set regardless of scheduling (see the conservation test).
-    std::thread tuner([&] {
-        std::size_t ks[] = {16, 128, 1024, 64};
-        for (std::size_t i = 0; i < 20000; ++i) {
-            q.set_relaxation(ks[i % 4]);
-            std::this_thread::yield();
-        }
-    });
-
-    std::multiset<std::uint32_t> mirror;
-    std::mutex mtx;
-    std::uint64_t rank_max = 0;
-    std::atomic<std::uint64_t> deletes{0};
-    std::vector<std::thread> ts;
-    for (unsigned w = 0; w < threads; ++w) {
-        ts.emplace_back([&, w] {
-            xoroshiro128 rng{1337 + 31 * w};
-            std::uint32_t key, value;
-            for (std::uint32_t i = 0; i < 10000; ++i) {
-                if (rng.bounded(2) == 0) {
-                    const auto key_in =
-                        static_cast<std::uint32_t>(rng.bounded(1 << 20));
-                    std::lock_guard<std::mutex> g(mtx);
-                    q.insert(key_in, 0);
-                    mirror.insert(key_in);
-                } else {
-                    std::lock_guard<std::mutex> g(mtx);
-                    if (!q.try_delete_min(key, value))
-                        continue;
-                    const auto it = mirror.find(key);
-                    ASSERT_NE(it, mirror.end());
-                    const auto rank = static_cast<std::uint64_t>(
-                        std::distance(mirror.begin(), it));
-                    if (rank > rank_max)
-                        rank_max = rank;
-                    deletes.fetch_add(1);
-                    mirror.erase(it);
-                }
-            }
+    // One feeder per shard, one after the other, so each shard's
+    // publishes show up as their own step in the shared totals.
+    std::uint64_t before = 0;
+    for (std::uint32_t s = 0; s < q.num_shards(); ++s) {
+        const std::size_t shard_items = q.shard(s).size_hint();
+        std::thread feeder([&q, s] {
+            q.set_home_shard(s);
+            for (std::uint32_t i = 0; i < 100; ++i)
+                q.insert(i, i);
         });
+        feeder.join();
+        EXPECT_GT(q.shard(s).size_hint(), shard_items)
+            << "feeder " << s << " must insert into its own shard";
+        const std::uint64_t after = mon.totals().publishes;
+        EXPECT_GT(after, before) << "no publishes counted from shard " << s;
+        before = after;
     }
-    for (auto &th : ts)
-        th.join();
-    tuner.join();
 
-    EXPECT_GT(deletes.load(), 0u);
-    EXPECT_EQ(q.max_relaxation_seen(), 1024u);
-    const std::uint64_t rho =
-        rank_error_bound(threads, q.max_relaxation_seen());
-    EXPECT_LE(rank_max, rho)
-        << "rank error beyond the max-k bound under adaptation";
+    for (std::uint32_t s = 0; s < q.num_shards(); ++s)
+        q.shard(s).set_monitor(nullptr);
 }
 
 } // namespace

@@ -28,7 +28,6 @@ TEST(BufferedKlsm, SatisfiesBufferingConcepts) {
     static_assert(relaxed_priority_queue<pq_t>);
     static_assert(handle_pq<pq_t>);
     static_assert(dynamic_buffering<pq_t>);
-    static_assert(dynamic_relaxation<pq_t>);
 }
 
 TEST(BufferedKlsm, BufferTotalAccounting) {
