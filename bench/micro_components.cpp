@@ -1,10 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the design choices DESIGN.md
 // calls out: versioned item allocation/reuse, block two-way merges,
 // stamped-pointer CAS, DistLSM insert/merge chains, spying, the shared
-// LSM's take path and its own-entry (local ordering) scan, and
-// single-thread k-LSM operation costs across k.  These quantify the
-// component costs behind Figure 3's single-thread ordering (DLSM ~
-// binary heap >> k-LSM(0)).
+// LSM's take path and its own-entry (local ordering) scan, the k-LSM
+// delete that skips the shared draw, and single-thread k-LSM operation
+// costs across k.  These quantify the component costs behind Figure 3's
+// single-thread ordering (DLSM ~ binary heap >> k-LSM(0)).
 
 #include <benchmark/benchmark.h>
 
@@ -40,16 +40,29 @@ void BM_item_pool_alloc_take(benchmark::State &state) {
 }
 BENCHMARK(BM_item_pool_alloc_take);
 
+// Two-way merge of two n-entry blocks.  random:0 interleaves the inputs
+// (keys 2i and 2i+1), so every merge branch is predicted; random:1 draws
+// each block's keys at random, so the branches are not.  Items stay
+// cache-hot in both.
 void BM_block_merge(benchmark::State &state) {
     const auto n = static_cast<std::uint32_t>(state.range(0));
+    const bool random = state.range(1) != 0;
     const std::uint32_t pow = block<bench_key, bench_val>::level_for(n);
     item_pool<bench_key, bench_val> pool;
     block<bench_key, bench_val> a{pow}, b{pow}, dst{pow + 1};
+    std::vector<bench_key> ka(n), kb(n);
+    xoroshiro128 rng{19};
+    for (std::uint32_t i = 0; i < n; ++i) {
+        ka[i] = random ? static_cast<bench_key>(rng()) : 2 * i;
+        kb[i] = random ? static_cast<bench_key>(rng()) : 2 * i + 1;
+    }
+    std::sort(ka.rbegin(), ka.rend());
+    std::sort(kb.rbegin(), kb.rend());
     a.reuse_begin(pow);
     b.reuse_begin(pow);
-    for (std::uint32_t i = n; i-- > 0;) {
-        a.append(pool.allocate(2 * i, 0));
-        b.append(pool.allocate(2 * i + 1, 0));
+    for (std::uint32_t i = 0; i < n; ++i) {
+        a.append(pool.allocate(ka[i], 0));
+        b.append(pool.allocate(kb[i], 0));
     }
     a.seal();
     b.seal();
@@ -62,7 +75,9 @@ void BM_block_merge(benchmark::State &state) {
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) * 2 * n);
 }
-BENCHMARK(BM_block_merge)->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_block_merge)
+    ->ArgNames({"n", "random"})
+    ->ArgsProduct({{64, 1024, 16384}, {0, 1}});
 
 void BM_stamped_ptr_cas(benchmark::State &state) {
     struct alignas(2048) target {
@@ -279,6 +294,35 @@ BENCHMARK(BM_shared_lsm_spill_t4)
     ->Threads(4)
     ->Iterations(1024)
     ->UseRealTime();
+
+// Delete-min served from the caller's DistLSM without a shared-LSM draw:
+// one insert plus one try_delete_min on a k = 256 k_lsm whose shared LSM
+// holds ~10^5 keys in [2^30, 2^31).  local_wins:1 inserts random keys
+// below 2^30, so the local minimum beats every shared key and the shared
+// find_min is skipped; local_wins:0 inserts increasing keys from 2^31, so
+// every delete draws from the shared LSM (whose spills keep it at ~10^5).
+void BM_klsm_shared_skip(benchmark::State &state) {
+    constexpr std::uint32_t prefill = 100000;
+    const bool local_wins = state.range(0) != 0;
+    k_lsm<bench_key, bench_val> q{256};
+    xoroshiro128 rng{29};
+    for (std::uint32_t i = 0; i < prefill; ++i)
+        q.insert((1u << 30) | static_cast<bench_key>(rng.bounded(1u << 30)),
+                 0);
+    bench_key next = 1u << 31;
+    bench_key k;
+    bench_val v;
+    for (auto _ : state) {
+        const bench_key key =
+            local_wins ? static_cast<bench_key>(rng.bounded(1u << 30))
+                       : next++;
+        q.insert(key, 0);
+        benchmark::DoNotOptimize(q.try_delete_min(k, v));
+        benchmark::DoNotOptimize(k);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_klsm_shared_skip)->ArgName("local_wins")->Arg(1)->Arg(0);
 
 // Single-thread cost of the full k-LSM vs a plain binary heap — the
 // paper's intro comparison (Section 6.1: "the performance of the DLSM is

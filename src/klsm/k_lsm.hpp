@@ -22,6 +22,14 @@
 // find_min serves the thread's own smallest key whenever it is no larger
 // than the random candidate.
 //
+// Skipping the shared draw: Listing 5 serves the local minimum unless the
+// shared candidate is strictly smaller, and every shared candidate is an
+// entry of the caller's shared snapshot, so it is no smaller than the
+// snapshot's smallest block minimum.  When the local minimum is no larger
+// than that bound (shared_lsm::has_key_below), the local item wins
+// whatever the shared LSM would draw, and the draw is skipped; the choice
+// is the one Listing 5 makes.
+//
 // The Lazy template parameter implements Section 4.5's lazy deletion: a
 // stateful predicate consulted whenever items are copied between blocks
 // (see lazy.hpp); the default never deletes.
@@ -133,21 +141,16 @@ public:
     /// Attempt to delete a minimal key under the relaxed semantics.
     /// Returns false if the queue appears empty (may fail spuriously; the
     /// paper's interface explicitly permits this as long as a key is
-    /// eventually returned given enough attempts).
+    /// eventually returned given enough attempts).  The candidate is
+    /// Listing 5's (select_min): the shared LSM is drawn from only when
+    /// its snapshot holds a key below the local minimum, since otherwise
+    /// the local item wins whatever the draw returns.
     bool try_delete_min(K &key, V &value) {
         const std::uint32_t slot = dir_.register_self();
-        dist_lsm_local<K, V> &mine = *dist_[slot];
         do {
             for (;;) {
-                // Listing 5: consult both components, prefer the smaller.
-                item_ref<K, V> cand = mine.find_min(lazy_);
-                item_ref<K, V> shared_cand = shared_.find_min(slot, lazy_);
                 bool from_shared = false;
-                if (!shared_cand.empty() &&
-                    (cand.empty() || shared_cand.key < cand.key)) {
-                    cand = shared_cand;
-                    from_shared = true;
-                }
+                item_ref<K, V> cand = select_min(slot, from_shared);
                 if (cand.empty())
                     break; // both empty: try spying
                 // Read the payload before the take; CAS success certifies
@@ -171,12 +174,9 @@ public:
     /// a key/value that was among the relaxed minima at some recent
     /// point; false if the queue appears empty.
     bool try_find_min(K &key, V &value) {
-        const std::uint32_t slot = dir_.register_self();
-        item_ref<K, V> cand = dist_[slot]->find_min(lazy_);
-        item_ref<K, V> shared_cand = shared_.find_min(slot, lazy_);
-        if (!shared_cand.empty() &&
-            (cand.empty() || shared_cand.key < cand.key))
-            cand = shared_cand;
+        bool from_shared = false;
+        const item_ref<K, V> cand =
+            select_min(dir_.register_self(), from_shared);
         if (cand.empty())
             return false;
         key = cand.key;
@@ -366,6 +366,20 @@ public:
     }
 
 private:
+    /// Listing 5: consult both components, prefer the smaller; a tie goes
+    /// to the local item.  The shared find_min is skipped when its
+    /// snapshot holds no key below the local minimum, as it cannot win
+    /// (see the header): same choice, no draw.
+    item_ref<K, V> select_min(std::uint32_t slot, bool &from_shared) {
+        const item_ref<K, V> local = dist_[slot]->find_min(lazy_);
+        if (!local.empty() && !shared_.has_key_below(local.key))
+            return local;
+        const item_ref<K, V> shared_cand = shared_.find_min(slot, lazy_);
+        from_shared = !shared_cand.empty() &&
+                      (local.empty() || shared_cand.key < local.key);
+        return from_shared ? shared_cand : local;
+    }
+
     bool spy(std::uint32_t slot) {
         // Bound the copy to k items (Section 4.2's space bound); always
         // allow at least one so spying makes progress for k == 0.

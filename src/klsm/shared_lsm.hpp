@@ -30,6 +30,24 @@
 // dereferences only the caller's items, and resumes from per-slot
 // cursors that stay valid while the snapshot is unchanged.
 //
+// Nothing below a key (has_key_below): every candidate find_min returns
+// (the random pick, the block-minimum fallback, the caller's own
+// minimum) is an entry of the caller's snapshot, so it is no smaller
+// than the snapshot's smallest block minimum, the key at some slot's
+// fill - 1.  has_key_below(key) compares `key` with that bound, so k_lsm
+// can serve its local item without a draw when no shared key is smaller.
+// The bound counts dead entries, so it is conservative, and a trim only
+// raises it.  It is cached per thread for one snapshot pointer and
+// version, as the own-scan cursors are, and built lazily: a query scans
+// slots only until it meets a block minimum below its key, and the next
+// query on the same snapshot resumes there, so each slot's minimum is
+// read at most once per snapshot.  Its keys come from blocks that their
+// owner may recycle once the array referencing them is superseded, so a
+// "nothing below" answer stands only when `shared_` still equals
+// `observed` after the bound was read or reused; otherwise the caller
+// runs find_min.  An empty or null shared LSM answers "nothing below",
+// as find_min would return empty.
+//
 // Pivots (block_array::calculate_pivots / extend_pivots): an insert, or
 // a consolidation that merged blocks, recomputes them with a (k+1)-step
 // walk from every block's fill.  A consolidation that only trimmed dead
@@ -210,6 +228,47 @@ public:
         }
     }
 
+    /// Does the caller's current snapshot hold any key below `key`?  A
+    /// false answer means every candidate find_min could return now is
+    /// >= `key` (k_lsm serves its local item without a draw); a true
+    /// answer may be conservative.  Empty or null answers false.
+    bool has_key_below(const K &key) {
+        thread_state &ts = self();
+        if (!refresh_if_needed(ts))
+            return false; // shared is null: empty
+        const arr *snap = ts.snapshot;
+        const std::uint64_t version =
+            snap->version.load(std::memory_order_relaxed);
+        if (ts.bound_snap != snap || ts.bound_version != version) {
+            ts.bound_snap = snap;
+            ts.bound_version = version;
+            ts.bound_scanned = 0;
+            ts.bound_any = false;
+        }
+        if (ts.bound_any && ts.bound < key)
+            return true;
+        // Extend the bound over the slots not yet scanned, up to the
+        // first block minimum below `key`.
+        while (ts.bound_scanned < snap->count()) {
+            const auto &s = snap->slots[ts.bound_scanned++];
+            const std::uint32_t f = s.filled.load(std::memory_order_relaxed);
+            if (f == 0)
+                continue;
+            const K m =
+                s.blk.load(std::memory_order_relaxed)->load_entry(f - 1).key;
+            if (!ts.bound_any || m < ts.bound) {
+                ts.bound = m;
+                ts.bound_any = true;
+            }
+            if (m < key)
+                return true;
+        }
+        // The blocks were still referenced by the current array after
+        // their keys were read, so none was recycled under the reads.
+        std::atomic_thread_fence(std::memory_order_acquire);
+        return shared_.load() != ts.observed;
+    }
+
     /// Approximate number of entries (including not-yet-trimmed logically
     /// deleted ones) in the current shared array.  May be off by the
     /// relaxation bound, as the paper's size() permits.
@@ -305,6 +364,16 @@ private:
         std::uint64_t cursor_version = 0;
         std::uint32_t cursor_owner = 0;
         std::uint32_t own_cursor[max_blocks] = {};
+
+        /// has_key_below's bound, valid for one snapshot pointer and
+        /// version: the smallest key at fill - 1 (dead entries included)
+        /// over the first bound_scanned slots; bound_any is false while
+        /// none of them was read.
+        const arr *bound_snap = nullptr;
+        std::uint64_t bound_version = 0;
+        std::uint32_t bound_scanned = 0;
+        bool bound_any = false;
+        K bound{};
     };
 
     static constexpr std::uint32_t no_slot = max_blocks;

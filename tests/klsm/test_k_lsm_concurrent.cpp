@@ -233,6 +233,36 @@ TEST(KLsmSpy, IdleOwnersItemsRemainReachable) {
     consumer.join();
 }
 
+// A delete that serves the local item without a shared draw relies on
+// the shared snapshot's bound; another thread's publish of smaller keys
+// must reach the next delete.
+TEST(KLsmSharedSkip, PublishReachesTheNextDelete) {
+    constexpr std::size_t k = 4;
+    queue_t q{k};
+    // This thread (B): k+1 keys >= 1000 spill into the shared LSM, then
+    // 500 and 600 stay in its DistLSM.
+    for (std::uint32_t i = 0; i <= k; ++i)
+        q.insert(1000 + i, 0);
+    q.insert(500, 0);
+    q.insert(600, 0);
+    ASSERT_FALSE(q.shared_component().has_key_below(500))
+        << "B's delete should take the skip";
+    std::uint32_t key;
+    std::uint64_t val;
+    ASSERT_TRUE(q.try_delete_min(key, val));
+    EXPECT_EQ(key, 500u);
+
+    // A: k+1 keys below 500 spill into the shared LSM.
+    std::thread a([&] {
+        for (std::uint32_t i = 0; i <= k; ++i)
+            q.insert(100 + i, 1);
+    });
+    a.join();
+
+    ASSERT_TRUE(q.try_delete_min(key, val));
+    EXPECT_LT(key, 500u) << "B served its local 600 over A's smaller keys";
+}
+
 TEST(KLsmStress, HighContentionSmallKeyRange) {
     constexpr int threads = 8;
     constexpr std::uint32_t per_thread = 1500;

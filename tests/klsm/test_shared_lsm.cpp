@@ -334,6 +334,70 @@ TEST(SharedLsm, TwoArraysPerThreadSuffice) {
         << "paper bound of two BlockArrays per thread violated";
 }
 
+TEST(SharedLsmKeyBelow, EmptyHoldsNothingBelow) {
+    shared_t s{4};
+    EXPECT_FALSE(s.has_key_below(0));
+    EXPECT_FALSE(s.has_key_below(~0u));
+    // Drained to empty: find_min replaces the empty array with null.
+    pool_t items;
+    source_block src{items, {5}};
+    s.insert(&src.blk, src.blk.filled());
+    EXPECT_TRUE(s.has_key_below(6));
+    ASSERT_TRUE(s.find_min(0).take());
+    EXPECT_TRUE(s.find_min(0).empty());
+    EXPECT_FALSE(s.has_key_below(~0u));
+}
+
+TEST(SharedLsmKeyBelow, ComparesWithTheSmallestBlockMinimum) {
+    pool_t items;
+    shared_t s{4};
+    source_block a{items, {40, 50, 60, 70}};
+    source_block b{items, {30, 80}};
+    s.insert(&a.blk, a.blk.filled());
+    s.insert(&b.blk, b.blk.filled());
+    ASSERT_EQ(s.slot_levels(), (std::vector<std::uint32_t>{2, 1}));
+    // 41 is decided at the first slot (minimum 40); 35 must resume the
+    // scan at the second (minimum 30).
+    EXPECT_TRUE(s.has_key_below(41));
+    EXPECT_TRUE(s.has_key_below(35));
+    EXPECT_TRUE(s.has_key_below(31));
+    EXPECT_FALSE(s.has_key_below(30)) << "a tie is not below";
+    EXPECT_FALSE(s.has_key_below(29));
+    EXPECT_TRUE(s.has_key_below(~0u));
+}
+
+TEST(SharedLsmKeyBelow, BoundRisesAfterTakeAndTrim) {
+    pool_t items;
+    shared_t s{0};
+    source_block src{items, {10, 20, 30}};
+    s.insert(&src.blk, src.blk.filled());
+    EXPECT_TRUE(s.has_key_below(11));
+    const ref_t first = s.find_min(0);
+    ASSERT_EQ(first.key, 10u);
+    ASSERT_TRUE(first.take());
+    // The dead minimum still counts until a trim drops it.
+    EXPECT_TRUE(s.has_key_below(11));
+    // find_min meets the dead minimum, trims it and serves 20.
+    EXPECT_EQ(s.find_min(0).key, 20u);
+    EXPECT_FALSE(s.has_key_below(11));
+    EXPECT_FALSE(s.has_key_below(20));
+    EXPECT_TRUE(s.has_key_below(21));
+}
+
+TEST(SharedLsmKeyBelow, SeesAnotherThreadsPublish) {
+    pool_t items;
+    shared_t s{4};
+    source_block big{items, {1000, 1001, 1002}};
+    s.insert(&big.blk, big.blk.filled());
+    EXPECT_FALSE(s.has_key_below(500)); // caches the bound 1000
+    pool_t other_items{{}, 3};
+    source_block small{other_items, {100}};
+    std::thread other([&] { s.insert(&small.blk, small.blk.filled()); });
+    other.join();
+    EXPECT_TRUE(s.has_key_below(500))
+        << "the bound of a superseded snapshot was reused";
+}
+
 TEST(SharedLsm, ConcurrentInsertDeleteConservation) {
     constexpr int threads = 4;
     constexpr std::uint32_t per_thread = 3000;
