@@ -1,10 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the design choices DESIGN.md
-// calls out: versioned item allocation/reuse, block two-way merges,
-// stamped-pointer CAS, DistLSM insert/merge chains, spying, the shared
-// LSM's take path and its own-entry (local ordering) scan, the k-LSM
-// delete that skips the shared draw, and single-thread k-LSM operation
-// costs across k.  These quantify the component costs behind Figure 3's
-// single-thread ordering (DLSM ~ binary heap >> k-LSM(0)).
+// calls out: versioned item allocation/reuse and the reclaim tier's
+// quiescent pool shrink, block two-way merges, stamped-pointer CAS,
+// DistLSM insert/merge chains, spying, the shared LSM's take path and
+// its own-entry (local ordering) scan, the k-LSM delete that skips the
+// shared draw, and single-thread k-LSM operation costs across k.  These
+// quantify the component costs behind Figure 3's single-thread ordering
+// (DLSM ~ binary heap >> k-LSM(0)).
 
 #include <benchmark/benchmark.h>
 
@@ -39,6 +40,49 @@ void BM_item_pool_alloc_take(benchmark::State &state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_item_pool_alloc_take);
+
+// One quiescent_shrink of a `full`-policy pool: ten full chunks (about
+// 2.6 x 10^5 items) plus a part-filled eleventh, every item dead on
+// the freelist except one live item in each even chunk.  The five odd
+// chunks go cold and release; the freelist keeps the even chunks' and
+// the last chunk's nodes.  Set-up and teardown are untimed.
+void BM_item_pool_quiescent_shrink(benchmark::State &state) {
+    using pool_t = item_pool<bench_key, bench_val>;
+    // Chunks double from 256 items, so chunk c starts at item first(c).
+    const auto first = [](std::size_t c) {
+        return 256 * ((std::size_t{1} << c) - 1);
+    };
+    constexpr std::size_t chunks = 10;
+    const std::size_t items = first(chunks) + 1000;
+    std::vector<bool> pinned(items, false);
+    for (std::size_t c = 0; c < chunks; c += 2)
+        pinned[first(c)] = true;
+    mm::mem_placement place;
+    place.reclaim.policy = mm::reclaim_policy::full;
+    place.reclaim.maintenance_period = 1u << 30; // no in-run maintenance
+    std::size_t released = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto pool = std::make_unique<pool_t>(place);
+        std::vector<item_ref<bench_key, bench_val>> refs;
+        refs.reserve(items);
+        for (std::size_t i = 0; i < items; ++i)
+            refs.push_back(pool->allocate(static_cast<bench_key>(i), 0));
+        for (std::size_t i = 0; i < items; ++i)
+            if (!pinned[i])
+                refs[i].take();
+        state.ResumeTiming();
+        released = pool->quiescent_shrink();
+        benchmark::DoNotOptimize(released);
+        state.PauseTiming();
+        pool.reset();
+        state.ResumeTiming();
+    }
+    state.counters["released_chunks"] = static_cast<double>(released);
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * items));
+}
+BENCHMARK(BM_item_pool_quiescent_shrink)->Unit(benchmark::kMillisecond);
 
 // Two-way merge of two n-entry blocks.  random:0 interleaves the inputs
 // (keys 2i and 2i+1), so every merge branch is predicted; random:1 draws

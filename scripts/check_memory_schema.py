@@ -34,14 +34,17 @@ Records produced by `--workload churn` additionally carry
       pool_high_water_bytes, plateau_tolerance, plateau_ratio,
       plateau_ok,
       "phases":  [{index, name, insert_percent, bursty, start_t_ns,
-                   end_t_ns, inserts, deletes, failed_deletes}, ...],
+                   end_t_ns, shrink_ns, inserts, deletes,
+                   failed_deletes}, ...],
       "samples": [{t_ns, rss_bytes, pool_bytes, released_bytes,
                    reclaimed_chunks, shrink_events, freelist_hits,
                    phase}, ...]
     }
 
 with monotone sample timestamps, monotone cumulative shrink_events,
-released_bytes <= pool_bytes per sample, and phase windows ordered.
+released_bytes <= pool_bytes per sample, and phase windows ordered
+with each boundary's shrink inside the gap before the next phase
+(end_t_ns + shrink_ns <= the next start_t_ns).
 
 Usage:
     check_memory_schema.py report.json [report2.json ...]
@@ -79,7 +82,7 @@ SAMPLE_FIELDS = ("t_ns", "rss_bytes", "pool_bytes", "released_bytes",
                  "reclaimed_chunks", "shrink_events", "freelist_hits",
                  "phase")
 PHASE_FIELDS = ("index", "insert_percent", "start_t_ns", "end_t_ns",
-                "inserts", "deletes", "failed_deletes")
+                "shrink_ns", "inserts", "deletes", "failed_deletes")
 
 
 def check_pool(where, pool, resident_queried):
@@ -174,8 +177,9 @@ def check_timeline(where, tl):
         assert p["start_t_ns"] <= p["end_t_ns"], \
             f"{pw}: phase window inverted"
         assert p["start_t_ns"] >= prev_end, \
-            f"{pw}: phase windows must not overlap"
-        prev_end = p["end_t_ns"]
+            f"{pw}: phase windows must not overlap the previous " \
+            f"phase and its boundary shrink"
+        prev_end = p["end_t_ns"] + p["shrink_ns"]
 
 
 def check_report(report, path, require_timeline=False):

@@ -278,13 +278,16 @@ churn_result run_churn(PQ &q, const churn_params &params) {
         out.inserts += mark.inserts;
         out.deletes += mark.deletes;
         out.failed_deletes += mark.failed_deletes;
-        out.timeline.phases.push_back(mark);
 
         // Phase boundary: the queue is quiescent (workers joined), so
         // force the shrink tier to release everything that went cold —
         // this is where the surge memory comes back.
-        if constexpr (pool_backed<PQ>)
+        if constexpr (pool_backed<PQ>) {
+            const std::uint64_t shrink_start = now_ns();
             q.quiescent_shrink();
+            mark.shrink_ns = now_ns() - shrink_start;
+        }
+        out.timeline.phases.push_back(mark);
         if constexpr (requires { q.release_memory(); })
             q.release_memory();
         take_sample();

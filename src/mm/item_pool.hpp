@@ -39,6 +39,16 @@
 //     chunk's recorded *version floor* (an even value >= every version
 //     the chunk ever held), preserving the monotone-version ABA
 //     defense across the zeroing.
+//
+//     One helper, filter_freelist(), takes cold items off the freelist:
+//     it walks the chain once and drops every node of any non-active
+//     chunk.  Each lifecycle step orders its state change around it —
+//     a quarantine marks the chunk inactive first, a release filters
+//     before madvise, a revival filters while its chunk is still
+//     inactive.  quiescent_shrink() decides every chunk first, then
+//     filters the freelist and compacts the sweep array once for all
+//     of them, so its cost grows with the pool's items, not with
+//     chunks x freelist length.
 
 #include <algorithm>
 #include <cassert>
@@ -117,25 +127,36 @@ public:
     /// PRECONDITION: no concurrent operations on the owning queue — the
     /// same quiescence the residency walk already requires.  Without
     /// in-flight deleters there are no ghost freelist pushers, so the
-    /// grace period protects nothing.  Returns the number of chunks
-    /// whose pages were released.
+    /// grace period protects nothing, and one freelist filter ahead of
+    /// every release suffices.  Returns the number of chunks whose
+    /// pages were released.
     std::size_t quiescent_shrink() {
         if (!reclaim_.shrink_enabled())
             return 0;
         sync_chunk_state();
-        std::size_t released = 0;
+        // Decide every chunk first: quarantine the all-dead active
+        // ones and collect everything now quarantined.
+        std::vector<std::size_t> cold;
+        std::vector<chunk_span> newly_cold;
         for (std::size_t c = 0; c < chunk_state_.size(); ++c) {
-            chunk_rec &rec = chunk_state_[c];
-            if (rec.st == chunk_rec::active) {
-                std::uint64_t floor = 0;
-                if (!chunk_fully_reusable(c, floor))
-                    continue;
-                quarantine_chunk(c, floor);
+            const chunk_rec &rec = chunk_state_[c];
+            std::uint64_t floor = 0;
+            if (rec.st == chunk_rec::active &&
+                chunk_fully_reusable(c, floor)) {
+                mark_quarantined(c, floor);
+                newly_cold.push_back(span_of(c));
             }
-            if (rec.st == chunk_rec::quarantined &&
-                try_release_chunk(c))
-                ++released;
+            if (rec.st == chunk_rec::quarantined)
+                cold.push_back(c);
         }
+        if (cold.empty())
+            return 0;
+        filter_freelist();
+        compact_sweep(newly_cold);
+        std::size_t released = 0;
+        for (std::size_t c : cold)
+            if (release_chunk(c))
+                ++released;
         return released;
     }
 
@@ -193,6 +214,12 @@ private:
         /// Even version >= every version any item of the chunk held at
         /// quarantine time; restored on reactivation after a release.
         std::uint64_t version_floor = 0;
+    };
+
+    /// [lo, hi) of one chunk's used items.
+    struct chunk_span {
+        const item<K, V> *lo;
+        const item<K, V> *hi;
     };
 
     item<K, V> *pop_recycled() {
@@ -268,8 +295,13 @@ private:
             break;
         }
         case chunk_rec::quarantined:
-            if (++rec.cold_inspections >= reclaim_.grace_inspections)
-                try_release_chunk(c);
+            // Re-filter before the release: ghosts may have linked
+            // chunk items since quarantine, and madvise must never zero
+            // a node the live chain routes through.
+            if (++rec.cold_inspections >= reclaim_.grace_inspections) {
+                filter_freelist();
+                release_chunk(c);
+            }
             break;
         case chunk_rec::released:
             break;
@@ -296,20 +328,10 @@ private:
         return true;
     }
 
-    /// Take chunk `c` out of circulation: filter its items out of the
-    /// freelist chain and the sweep array.  Ghost pushers may re-link
-    /// individual items afterwards; those ghosts land in released pages
-    /// at worst (benign refault) and are discarded by pop validation.
-    void quarantine_chunk(std::size_t c, std::uint64_t floor) {
-        drain_freelist_excluding(c);
-        item<K, V> *base = arena_.chunk_data(c);
-        item<K, V> *end = base + arena_.chunk_used(c);
-        all_.erase(std::remove_if(all_.begin(), all_.end(),
-                                  [base, end](item<K, V> *p) {
-                                      return p >= base && p < end;
-                                  }),
-                   all_.end());
-        cursor_ = 0;
+    /// Flip chunk `c` to quarantined with its version floor.  Its
+    /// items stay on the freelist and in the sweep array until the
+    /// caller filters both.
+    void mark_quarantined(std::size_t c, std::uint64_t floor) {
         chunk_rec &rec = chunk_state_[c];
         rec.st = chunk_rec::quarantined;
         rec.cold_inspections = 0;
@@ -318,11 +340,21 @@ private:
                          arena_.chunk_bytes(c));
     }
 
-    /// Release a quarantined chunk's pages.  Re-filters the freelist
-    /// first: ghosts may have linked chunk items since quarantine, and
-    /// madvise must never zero a node the live chain routes through.
-    bool try_release_chunk(std::size_t c) {
-        drain_freelist_excluding(c);
+    /// Take chunk `c` out of circulation: mark it inactive, then filter
+    /// its items out of the freelist chain and the sweep array.  Ghost
+    /// pushers may re-link individual items afterwards; those ghosts
+    /// land in released pages at worst (benign refault) and are
+    /// discarded by pop validation.
+    void quarantine_chunk(std::size_t c, std::uint64_t floor) {
+        mark_quarantined(c, floor);
+        filter_freelist();
+        compact_sweep({span_of(c)});
+    }
+
+    /// Release a quarantined chunk's pages.  The caller must have
+    /// filtered the freelist since the last moment a ghost could link
+    /// one of the chunk's items.
+    bool release_chunk(std::size_t c) {
         if (!arena_.release_chunk_pages(c))
             return false; // platform refused; stays quarantined
         chunk_state_[c].st = chunk_rec::released;
@@ -331,26 +363,61 @@ private:
         return true;
     }
 
-    /// Swap-drain the freelist and push back everything that is not in
-    /// chunk `c` (and not in any other inactive chunk), fixing up each
-    /// kept node's link word.  Owner-only.
-    void drain_freelist_excluding(std::size_t c) {
+    /// Swap-drain the freelist in one pass and push back every node
+    /// that is not in a non-active chunk, in chain order.  Each dropped
+    /// node goes back to the attached-unlinked state.  Owner-only.
+    void filter_freelist() {
         if (!reclaim_.freelist_enabled())
             return;
+        const std::vector<chunk_span> cold = cold_spans();
         item<K, V> *x = freelist_.detach_all();
         std::vector<item<K, V> *> keep;
         while (x != nullptr) {
             item<K, V> *next = freelist_type::linked_next(x);
-            const bool in_chunk = arena_.chunk_contains(c, x);
             // Unlink: back to attached-unlinked state either way; kept
             // nodes are re-pushed below.
             x->attach_reclaim_sink(freelist_.sink_word());
-            if (!in_chunk && !item_in_inactive_chunk(x))
+            if (!in_spans(cold, x))
                 keep.push_back(x);
             x = next;
         }
         for (std::size_t i = keep.size(); i-- > 0;)
             freelist_.push(keep[i]);
+    }
+
+    /// Drop the items of the just-quarantined chunks `drop` from the
+    /// sweep array (it holds no item of an older inactive chunk).
+    void compact_sweep(const std::vector<chunk_span> &drop) {
+        if (drop.empty())
+            return;
+        all_.erase(std::remove_if(all_.begin(), all_.end(),
+                                  [&drop](const item<K, V> *p) {
+                                      return in_spans(drop, p);
+                                  }),
+                   all_.end());
+        cursor_ = 0;
+    }
+
+    chunk_span span_of(std::size_t c) {
+        const item<K, V> *base = arena_.chunk_data(c);
+        return {base, base + arena_.chunk_used(c)};
+    }
+
+    /// The item ranges of every chunk not in the active state.
+    std::vector<chunk_span> cold_spans() {
+        std::vector<chunk_span> out;
+        for (std::size_t c = 0; c < chunk_state_.size(); ++c)
+            if (chunk_state_[c].st != chunk_rec::active)
+                out.push_back(span_of(c));
+        return out;
+    }
+
+    static bool in_spans(const std::vector<chunk_span> &spans,
+                         const item<K, V> *p) {
+        for (const chunk_span &s : spans)
+            if (p >= s.lo && p < s.hi)
+                return true;
+        return false;
     }
 
     /// Bring a cold chunk back into service when demand returns and the
@@ -377,8 +444,9 @@ private:
     item<K, V> *reactivate_chunk(std::size_t c) {
         // Filter any ghost-linked items of this chunk out of the chain
         // before rewriting their words (severing a chain mid-node would
-        // strand its tail).
-        drain_freelist_excluding(c);
+        // strand its tail).  The chunk is still inactive here, so the
+        // filter drops its nodes.
+        filter_freelist();
         chunk_rec &rec = chunk_state_[c];
         item<K, V> *base = arena_.chunk_data(c);
         const std::size_t n = arena_.chunk_used(c);

@@ -90,6 +90,9 @@ struct timeline_phase_mark {
     bool bursty = false;
     std::uint64_t start_t_ns = 0;
     std::uint64_t end_t_ns = 0;
+    /// Time of the quiescent_shrink at this phase's closing boundary
+    /// (0 for structures without pools); it runs after end_t_ns.
+    std::uint64_t shrink_ns = 0;
     std::uint64_t inserts = 0;
     std::uint64_t deletes = 0;
     std::uint64_t failed_deletes = 0;
@@ -165,6 +168,7 @@ struct memory_timeline {
                << ",\"bursty\":" << (p.bursty ? "true" : "false")
                << ",\"start_t_ns\":" << p.start_t_ns
                << ",\"end_t_ns\":" << p.end_t_ns
+               << ",\"shrink_ns\":" << p.shrink_ns
                << ",\"inserts\":" << p.inserts
                << ",\"deletes\":" << p.deletes
                << ",\"failed_deletes\":" << p.failed_deletes << '}';

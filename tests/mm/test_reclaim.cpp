@@ -107,6 +107,99 @@ TEST(Reclaim, QuiescentShrinkReleasesFullyDeadChunks) {
     EXPECT_LE(snap.released_bytes, snap.bytes);
 }
 
+TEST(Reclaim, QuiescentShrinkFiltersFreelistOnce) {
+    // Maintenance off: only the shrink below touches chunk state.
+    pool_t pool{with_policy(mm::reclaim_policy::full, 1u << 30)};
+    // Chunks 0-3 (256 + 512 + 1024 + 2048 items) fill; 100 more open
+    // chunk 4, which is never tracked.
+    std::vector<ref_t> refs;
+    for (std::uint32_t i = 0; i < 3840 + 100; ++i)
+        refs.push_back(pool.allocate(i, i));
+    // refs[0] pins chunk 0; every other item dies onto the freelist.
+    for (std::size_t i = 1; i < refs.size(); ++i)
+        ASSERT_TRUE(refs[i].take());
+    const std::uint64_t pushes_before = pool.freelist().pushes();
+    pool.quiescent_shrink();
+    EXPECT_EQ(pool.census().active, 1u);
+    EXPECT_EQ(pool.census().active + pool.census().quarantined +
+                  pool.census().released,
+              4u);
+    std::size_t linked = 0;
+    for (const ref_t &r : refs)
+        linked += r.it->freelist_linked() ? 1 : 0;
+    EXPECT_EQ(linked, 255u + 100u)
+        << "the dead items of chunk 0 and chunk 4 stay linked";
+    EXPECT_EQ(pool.freelist().pushes() - pushes_before, linked)
+        << "one filter pass re-pushes each kept node exactly once";
+    const auto before = pool.stats().snapshot();
+    for (std::size_t i = 0; i < linked; ++i)
+        pool.allocate(10000, 0);
+    const auto after = pool.stats().snapshot();
+    EXPECT_EQ(after.freelist_hits - before.freelist_hits, linked);
+    EXPECT_EQ(after.freelist_drops - before.freelist_drops, 0u)
+        << "no node of a cold chunk may be left on the freelist";
+}
+
+TEST(Reclaim, QuiescentShrinkReleasesMaintenanceAndBoundaryChunksTogether) {
+    if (!mm::reclaim::release_pages_supported())
+        GTEST_SKIP() << "madvise(MADV_DONTNEED) unavailable";
+    // Maintenance every allocation, with a grace no test run reaches:
+    // an in-run quarantine stays quarantined until the boundary.
+    pool_t pool{with_policy(mm::reclaim_policy::full, 1, 1000)};
+    // Chunks 0-2 (items 0-255, 256-767, 768-1791) fill; two more open
+    // chunk 3.
+    std::vector<ref_t> refs;
+    for (std::uint32_t i = 0; i < 1792 + 2; ++i)
+        refs.push_back(pool.allocate(i, i));
+    // Chunk 3 is one allocation of 2048 items starting at refs[1792].
+    const auto in_chunk3 = [chunk3 = refs[1792].it](const void *p) {
+        const auto a = reinterpret_cast<std::uintptr_t>(p);
+        const auto lo = reinterpret_cast<std::uintptr_t>(chunk3);
+        return a >= lo && a < lo + 2048 * sizeof(*chunk3);
+    };
+    // Chunk 1 dies first; chunk 3's items die last, so they head the
+    // freelist and every allocation below recycles one of them.
+    for (std::size_t i = 256; i < 768; ++i)
+        ASSERT_TRUE(refs[i].take());
+    ASSERT_TRUE(refs[1792].take());
+    ASSERT_TRUE(refs[1793].take());
+    for (int i = 0; i < 8 && pool.census().quarantined == 0; ++i) {
+        auto r = pool.allocate(5000, 0);
+        ASSERT_TRUE(in_chunk3(r.it)) << "recycled outside chunk 3";
+        ASSERT_TRUE(r.take());
+    }
+    ASSERT_EQ(pool.census().quarantined, 1u)
+        << "maintenance must quarantine all-dead chunk 1 in-run";
+    // Chunk 2 dies with no allocation after it: only the boundary
+    // shrink sees it.
+    for (std::size_t i = 768; i < 1792; ++i)
+        ASSERT_TRUE(refs[i].take());
+    ASSERT_EQ(pool.census().active, 2u);
+
+    EXPECT_EQ(pool.quiescent_shrink(), 2u);
+    const auto census = pool.census();
+    EXPECT_EQ(census.released, 2u);
+    EXPECT_EQ(census.quarantined, 0u);
+    EXPECT_EQ(census.active, 1u) << "chunk 0 holds live items";
+    std::vector<std::size_t> region_bytes;
+    pool.for_each_region([&](const void *, std::size_t bytes) {
+        region_bytes.push_back(bytes);
+    });
+    ASSERT_EQ(region_bytes.size(), 4u);
+    const auto snap = pool.stats().snapshot();
+    EXPECT_EQ(snap.reclaimed_chunks, census.released);
+    EXPECT_EQ(snap.shrink_events, census.released);
+    EXPECT_EQ(snap.released_bytes, region_bytes[1] + region_bytes[2]);
+    // Pop the whole chain: it must hold exactly chunk 3's two dead
+    // items, and no node of a released chunk.
+    std::size_t popped = 0;
+    while (auto *x = pool.freelist().pop()) {
+        ++popped;
+        EXPECT_TRUE(in_chunk3(x)) << "a released chunk's node is linked";
+    }
+    EXPECT_EQ(popped, 2u);
+}
+
 TEST(Reclaim, StaleTakeAgainstReleasedChunkFailsSafely) {
     if (!mm::reclaim::release_pages_supported())
         GTEST_SKIP() << "madvise(MADV_DONTNEED) unavailable";
