@@ -5,6 +5,8 @@
 
 #include <stdexcept>
 
+#include "topo/pinning.hpp"
+#include "topo/topology.hpp"
 #include "util/thread_id.hpp"
 
 namespace klsm::bench {
@@ -64,10 +66,10 @@ void register_core_flags(cli_parser &cli,
                  "alias for --workload (overrides it when set)");
     cli.add_flag("structure", "klsm",
                  "comma-separated: klsm,dlsm,multiqueue,linden,"
-                 "spraylist,heap,centralized,hybrid,numa_klsm");
+                 "spraylist,heap,centralized,hybrid");
     cli.add_flag("pin", "none",
                  "comma-separated pinning policies: none,compact,"
-                 "scatter,numa_fill");
+                 "scatter");
     cli.add_flag("threads", "4", "comma-separated thread counts");
     cli.add_flag("k", "256", "k-LSM relaxation parameter");
     cli.add_flag("mq-stickiness", "8",
@@ -85,14 +87,9 @@ void register_core_flags(cli_parser &cli,
     cli.add_flag("latency-sample", "0",
                  "per-op latency sampling stride: 0 = off, 1 = every "
                  "op, N = every Nth op (--smoke raises 0 to 4)");
-    cli.add_flag("numa-alloc", "none",
-                 "pool page placement for the k-LSM family: none | "
-                 "bind (mbind each shard's pools to its node) | "
-                 "firsttouch (pre-fault on the allocating thread)");
     cli.add_bool_flag("alloc-stats", false,
                       "emit a `memory` allocation-telemetry object per "
-                      "record (chunks/bytes/reuse per pool, resident-"
-                      "node histogram where move_pages is queryable)");
+                      "record (chunks/bytes/reuse per pool)");
     cli.add_flag("reclaim", "auto",
                  "pool reclamation tier for the k-LSM family: auto "
                  "(full for churn, none otherwise) | none | freelist "
@@ -144,15 +141,6 @@ bool parse_core_config(const cli_parser &cli,
     cfg.prefill = static_cast<std::size_t>(cli.get_int("prefill"));
     cfg.seed = cli.get_uint64("seed");
     cfg.latency_sample = cli.get_uint64("latency-sample");
-    const auto numa_alloc =
-        klsm::mm::parse_numa_alloc_policy(cli.get("numa-alloc"));
-    if (!numa_alloc) {
-        std::cerr << "unknown --numa-alloc policy: "
-                  << cli.get("numa-alloc")
-                  << " (expected none, bind, or firsttouch)\n";
-        return false;
-    }
-    cfg.numa_alloc = *numa_alloc;
     cfg.alloc_stats = cli.get_bool("alloc-stats");
     if (cli.get("reclaim") == "auto") {
         // Reclamation soaks (churn) exercise the full tier by default;
@@ -215,8 +203,7 @@ bool parse_core_config(const cli_parser &cli,
     for (const auto &pin : cfg.pins) {
         if (!klsm::topo::parse_pin_policy(pin)) {
             std::cerr << "unknown pin policy: " << pin
-                      << " (expected none, compact, scatter, or "
-                         "numa_fill)\n";
+                      << " (expected none, compact, or scatter)\n";
             return false;
         }
     }
@@ -265,8 +252,6 @@ void annotate_core_meta(const core_config &cfg, json_reporter &json) {
     json.meta().set("seed", cfg.seed);
     json.meta().set("smoke", cfg.smoke);
     json.meta().set("latency_sample", cfg.latency_sample);
-    json.meta().set("numa_alloc",
-                    klsm::mm::numa_alloc_policy_name(cfg.numa_alloc));
     json.meta().set("alloc_stats", cfg.alloc_stats);
     json.meta().set("reclaim",
                     klsm::mm::reclaim::reclaim_policy_name(

@@ -30,12 +30,9 @@
 #include "harness/reporter.hpp"
 #include "harness/workload_registry.hpp"
 #include "klsm/k_lsm.hpp"
-#include "klsm/numa_klsm.hpp"
 #include "klsm/pq_concept.hpp"
 #include "mm/alloc_stats.hpp"
 #include "mm/placement.hpp"
-#include "topo/pinning.hpp"
-#include "topo/topology.hpp"
 #include "trace/metrics_sampler.hpp"
 #include "trace/progress.hpp"
 #include "trace/tracer.hpp"
@@ -75,14 +72,10 @@ inline double effective_metrics_interval_s(const core_config &cfg,
     return std::max(s, 1e-4);
 }
 
-/// The placement the non-sharded k-LSM structures use: the configured
-/// policy targeted at the constructing thread's current node (the only
-/// sensible single target; numa_klsm overrides per shard).  Reclamation
-/// settings ride inside the placement.
+/// The placement the k-LSM structures use: the configured reclamation
+/// tier.
 inline klsm::mm::mem_placement family_placement(const core_config &cfg) {
-    return {cfg.numa_alloc,
-            klsm::topo::current_node(klsm::topo::topology::system()),
-            cfg.reclaim};
+    return {cfg.reclaim};
 }
 
 /// Construct the structure named `name` for key/value types K, V and
@@ -117,15 +110,10 @@ bool with_structure(const std::string &name, unsigned threads,
     } else if (name == "hybrid") {
         klsm::hybrid_k_pq<K, V> q{k};
         fn(q);
-    } else if (name == "numa_klsm") {
-        klsm::numa_klsm<K, V> q{k, klsm::topo::topology::system(), {},
-                                cfg.numa_alloc, cfg.reclaim};
-        fn(q);
     } else {
         std::cerr << "unknown structure: " << name
                   << " (expected klsm, dlsm, multiqueue, linden, "
-                     "spraylist, heap, centralized, hybrid, or "
-                     "numa_klsm)\n";
+                     "spraylist, heap, centralized, or hybrid)\n";
         return false;
     }
     return true;
@@ -137,17 +125,13 @@ std::vector<std::uint32_t> pin_order(const std::string &policy);
 
 /// Attach the `memory` telemetry object to a record when --alloc-stats
 /// is on and the structure exposes pool telemetry (the k-LSM family).
-/// Residency is queried here, after the harness joined its workers, so
-/// the quiescent-only region walk is safe.
 template <typename PQ>
 void attach_memory(klsm::json_record &rec, PQ &q,
                    const core_config &cfg) {
     if (!cfg.alloc_stats)
         return;
-    if constexpr (klsm::pool_backed<PQ>) {
-        rec.set_raw("memory", klsm::mm::memory_json(q.memory_stats(true),
-                                                    cfg.numa_alloc));
-    }
+    if constexpr (klsm::pool_backed<PQ>)
+        rec.set_raw("memory", klsm::mm::memory_json(q.memory_stats()));
 }
 
 /// One record's metrics-sampling machinery (src/trace/): the progress
@@ -157,7 +141,7 @@ void attach_memory(klsm::json_record &rec, PQ &q,
 /// progress(), run between start() and finish(rec, label).
 ///
 /// Every probe reads only concurrent-safe state (relaxed atomics,
-/// monitor totals, quiescence-free memory_stats(false)), so the
+/// monitor totals, memory_stats counters), so the
 /// sampler thread can run while the workers do.
 class record_sampling {
 public:
@@ -202,24 +186,10 @@ public:
             q.set_monitor(monitor_.get());
             detach_ = [&q] { q.set_monitor(nullptr); };
             wire_monitor();
-        } else if constexpr (klsm::sharded_monitorable<PQ>) {
-            // One aggregate monitor across shards: count() only ever
-            // touches the calling thread's private slot, so sharing
-            // the monitor merely merges the shard mixes — which is
-            // the queue-wide view the sampler wants anyway.
-            monitor_ =
-                std::make_unique<klsm::adapt::contention_monitor>();
-            for (std::uint32_t s = 0; s < q.num_shards(); ++s)
-                q.shard(s).set_monitor(monitor_.get());
-            detach_ = [&q] {
-                for (std::uint32_t s = 0; s < q.num_shards(); ++s)
-                    q.shard(s).set_monitor(nullptr);
-            };
-            wire_monitor();
         }
         if constexpr (klsm::pool_backed<PQ>) {
             const auto pools = [&q] {
-                const klsm::mm::memory_stats m = q.memory_stats(false);
+                const klsm::mm::memory_stats m = q.memory_stats();
                 klsm::mm::pool_alloc_snapshot all = m.items;
                 all.merge(m.dist_blocks);
                 all.merge(m.shared_blocks);
@@ -309,7 +279,7 @@ inline std::ostream &table_stream(const core_config &cfg) {
 // --- core CLI layer (definitions in bench_common.cpp) ---------------
 
 /// Register the cross-cutting flags (structure/pin/threads, relaxation
-/// and handle knobs, placement, tracing, output) under the "core"
+/// and handle knobs, allocation, tracing, output) under the "core"
 /// group.  The registry is consulted only to name the registered
 /// workloads in --workload's help text.
 void register_core_flags(cli_parser &cli,

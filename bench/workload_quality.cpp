@@ -72,20 +72,9 @@ int run(const quality_config &w, const core_config &cfg,
                         sampling.start();
                         const auto res = klsm::measure_rank_error(q, params);
                         // Lemma 2: the k-LSM guarantees at most T*k
-                        // smaller keys are skipped.  numa_klsm's
-                        // composed bound nodes*(T*k + k) is structural
-                        // only with one shard (see numa_klsm.hpp): on a
-                        // multi-node machine local-first deletes trade
-                        // it for locality, so there it is reported and
-                        // checked advisorily, without failing the run.
-                        // The relaxed comparators offer no bound at all.
-                        const std::uint32_t numa_nodes =
-                            klsm::topo::topology::system().num_nodes();
-                        const bool has_rho =
-                            name == "klsm" || name == "numa_klsm";
-                        const bool hard =
-                            name == "klsm" ||
-                            (name == "numa_klsm" && numa_nodes == 1);
+                        // smaller keys are skipped, a hard bound.  The
+                        // relaxed comparators offer no bound at all.
+                        const bool has_rho = name == "klsm";
                         // Buffered handles hide up to buffer_total items
                         // per worker; the extended rho (quality.hpp)
                         // charges T * max_buffer_depth_seen() on top of
@@ -95,16 +84,11 @@ int run(const quality_config &w, const core_config &cfg,
                                           std::remove_reference_t<
                                               decltype(q)>>)
                             buffer_total = q.max_buffer_depth_seen();
-                        const std::uint64_t rho =
-                            name == "numa_klsm"
-                                ? klsm::numa_rank_error_bound(
-                                      numa_nodes, threads, cfg.k)
-                                : klsm::rank_error_bound(threads, cfg.k,
-                                                         buffer_total);
+                        const std::uint64_t rho = klsm::rank_error_bound(
+                            threads, cfg.k, buffer_total);
                         std::string bound_cell = "none";
                         if (has_rho)
-                            bound_cell = "rho=" + std::to_string(rho) +
-                                         (hard ? "" : " (advisory)");
+                            bound_cell = "rho=" + std::to_string(rho);
                         report.row(name, pin, threads, res.deletes,
                                    res.mean_rank(), res.rank_max,
                                    bound_cell);
@@ -125,18 +109,14 @@ int run(const quality_config &w, const core_config &cfg,
                         attach_memory(rec, q, cfg);
                         if (has_rho) {
                             rec.set("rho", rho);
-                            rec.set("rho_hard", hard);
+                            rec.set("rho_hard", true);
                             rec.set("buffer_total", buffer_total);
                             if (res.rank_max > rho) {
-                                std::cerr
-                                    << (hard ? "BOUND VIOLATION: "
-                                             : "advisory bound "
-                                               "exceeded: ")
-                                    << name << " k=" << cfg.k
-                                    << " max rank " << res.rank_max
-                                    << " > " << rho << "\n";
-                                if (hard)
-                                    status = 1;
+                                std::cerr << "BOUND VIOLATION: " << name
+                                          << " k=" << cfg.k
+                                          << " max rank " << res.rank_max
+                                          << " > " << rho << "\n";
+                                status = 1;
                             }
                         }
                     });

@@ -1,30 +1,26 @@
 #!/usr/bin/env python3
 """Validate the `memory` and `memory_timeline` telemetry in klsm_bench JSON.
 
-Schema (README "Memory placement" / "Memory reclamation & soak
+Schema (README "Allocation telemetry" / "Memory reclamation & soak
 testing"): when a report was produced with --alloc-stats, every record
-of a k-LSM-family structure (klsm, dlsm, numa_klsm) must carry
+of a k-LSM-family structure (klsm, dlsm) must carry
 
     "memory": {
-      "policy": "none" | "bind" | "firsttouch",
-      "resident_queried": bool,
       "pools": {
         "items":         {chunks, bytes, reuse_hits, fresh_allocs,
                           reuse_hit_rate, growth_beyond_bound,
-                          bound_chunks, prefaulted_chunks,
-                          freelist_hits, freelist_drops,
-                          freelist_hit_rate, reclaimed_chunks,
-                          released_bytes, shrink_events,
-                          reactivated_chunks
-                          [, resident_nodes, resident_unknown_pages]},
+                          prefaulted_chunks, freelist_hits,
+                          freelist_drops, freelist_hit_rate,
+                          reclaimed_chunks, released_bytes,
+                          shrink_events, reactivated_chunks},
         "dist_blocks":   {same fields},
         "shared_blocks": {same fields}
       }
     }
 
-with internally consistent values (rates in [0, 1], bound/prefaulted/
+with internally consistent values (rates in [0, 1], prefaulted and
 reclaimed counts never exceeding chunks, released bytes never exceeding
-chunk bytes, resident_nodes only when queried).
+chunk bytes).
 
 Records produced by `--workload churn` additionally carry
 
@@ -52,8 +48,8 @@ Usage:
     check_memory_schema.py --bench-churn path/to/klsm_bench [--smoke]
 
 --bench runs the allocation-telemetry acceptance command end to end
-(--structure numa_klsm --pin compact --smoke --alloc-stats
---numa-alloc bind --json-out -) and validates its stdout.
+(--structure klsm --pin compact --smoke --alloc-stats --json-out -)
+and validates its stdout.
 
 --bench-churn runs the soak acceptance command (--workload churn
 --alloc-stats --json-out -) and additionally *enforces* the soak
@@ -67,12 +63,11 @@ import json
 import subprocess
 import sys
 
-FAMILY = ("klsm", "dlsm", "numa_klsm")
-POLICIES = ("none", "bind", "firsttouch")
+FAMILY = ("klsm", "dlsm")
 RECLAIM_POLICIES = ("none", "freelist", "shrink", "full")
 COUNTER_FIELDS = ("chunks", "bytes", "reuse_hits", "fresh_allocs",
-                  "growth_beyond_bound", "bound_chunks",
-                  "prefaulted_chunks", "freelist_hits", "freelist_drops",
+                  "growth_beyond_bound", "prefaulted_chunks",
+                  "freelist_hits", "freelist_drops",
                   "reclaimed_chunks", "released_bytes", "shrink_events",
                   "reactivated_chunks")
 TIMELINE_SCALARS = ("shrink_events", "rss_high_water_bytes",
@@ -85,7 +80,7 @@ PHASE_FIELDS = ("index", "insert_percent", "start_t_ns", "end_t_ns",
                 "shrink_ns", "inserts", "deletes", "failed_deletes")
 
 
-def check_pool(where, pool, resident_queried):
+def check_pool(where, pool):
     for field in COUNTER_FIELDS:
         assert field in pool, f"{where}.{field} missing"
         value = pool[field]
@@ -95,8 +90,6 @@ def check_pool(where, pool, resident_queried):
         rate = pool.get(rate_field)
         assert isinstance(rate, (int, float)) and 0.0 <= rate <= 1.0, \
             f"{where}.{rate_field} = {rate!r} outside [0, 1]"
-    assert pool["bound_chunks"] <= pool["chunks"], \
-        f"{where}: bound_chunks exceeds chunks"
     assert pool["prefaulted_chunks"] <= pool["chunks"], \
         f"{where}: prefaulted_chunks exceeds chunks"
     # Reclamation invariants: the released gauges can never exceed what
@@ -108,18 +101,6 @@ def check_pool(where, pool, resident_queried):
         f"{where}: released_bytes exceeds bytes"
     if pool["chunks"] > 0:
         assert pool["bytes"] > 0, f"{where}: chunks without bytes"
-    if resident_queried:
-        assert "resident_nodes" in pool, \
-            f"{where}.resident_nodes missing despite resident_queried"
-        for entry in pool["resident_nodes"]:
-            assert (isinstance(entry, list) and len(entry) == 2
-                    and all(isinstance(x, int) and x >= 0
-                            for x in entry)), \
-                f"{where}.resident_nodes entry {entry!r} malformed"
-        assert pool.get("resident_unknown_pages", 0) >= 0
-    else:
-        assert "resident_nodes" not in pool, \
-            f"{where}: resident_nodes present without a query"
 
 
 def check_timeline(where, tl):
@@ -185,8 +166,6 @@ def check_timeline(where, tl):
 def check_report(report, path, require_timeline=False):
     assert report.get("alloc_stats") is True, \
         f"{path}: alloc_stats meta flag missing or false"
-    assert report.get("numa_alloc") in POLICIES, \
-        f"{path}: numa_alloc meta = {report.get('numa_alloc')!r}"
     assert report.get("reclaim") in RECLAIM_POLICIES, \
         f"{path}: reclaim meta = {report.get('reclaim')!r}"
     checked = 0
@@ -203,18 +182,12 @@ def check_report(report, path, require_timeline=False):
             continue
         assert "memory" in record, \
             f"{path}: {structure} record lacks the memory object"
-        memory = record["memory"]
-        assert memory.get("policy") == report["numa_alloc"], \
-            f"{path}: memory.policy disagrees with the meta flag"
-        resident_queried = memory.get("resident_queried")
-        assert isinstance(resident_queried, bool), \
-            f"{path}: memory.resident_queried missing"
-        pools = memory.get("pools")
+        pools = record["memory"].get("pools")
         assert isinstance(pools, dict), f"{path}: memory.pools missing"
         for name in ("items", "dist_blocks", "shared_blocks"):
             assert name in pools, f"{path}: memory.pools.{name} missing"
             check_pool(f"{path}:{structure}.memory.pools.{name}",
-                       pools[name], resident_queried)
+                       pools[name])
         # The paper's four-blocks-per-level bound is structural for the
         # DistLSM pools; the shared pools' safety valve is exempt.
         assert pools["dist_blocks"]["growth_beyond_bound"] == 0, \
@@ -249,9 +222,8 @@ def check_soak_verdicts(report, path, enforce_plateau):
 
 def main(argv):
     if len(argv) >= 2 and argv[0] == "--bench":
-        cmd = [argv[1], "--structure", "numa_klsm", "--pin", "compact",
-               "--smoke", "--alloc-stats", "--numa-alloc", "bind",
-               "--json-out", "-"]
+        cmd = [argv[1], "--structure", "klsm", "--pin", "compact",
+               "--smoke", "--alloc-stats", "--json-out", "-"]
         out = subprocess.run(cmd, stdout=subprocess.PIPE, check=True)
         checked = check_report(json.loads(out.stdout), "<bench stdout>")
         print(f"memory schema OK: acceptance run, {checked} record(s)")

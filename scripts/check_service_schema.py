@@ -39,8 +39,8 @@ Usage:
     check_service_schema.py report.json [report2.json ...]
     check_service_schema.py --bench path/to/klsm_bench
 
-The --bench mode runs the ISSUE's acceptance command end to end
-(--workload service --structure klsm,numa_klsm --arrival poisson
+The --bench mode runs the service acceptance command end to end
+(--workload service --structure klsm,dlsm --arrival poisson
 --rate 500000 --smoke --json-out -) and validates its stdout; CTest
 invokes it so the JSON wiring is covered by `ctest -L tier1`.
 """
@@ -191,7 +191,7 @@ def check_report(report, path):
 def main(argv):
     if len(argv) >= 2 and argv[0] == "--bench":
         cmd = [argv[1], "--workload", "service", "--structure",
-               "klsm,numa_klsm", "--arrival", "poisson", "--rate",
+               "klsm,dlsm", "--arrival", "poisson", "--rate",
                "500000", "--smoke", "--json-out", "-"]
         out = subprocess.run(cmd, stdout=subprocess.PIPE,
                              stderr=subprocess.DEVNULL, check=True)

@@ -8,8 +8,8 @@
 #       [--memory-only|--service-only|--soak-only|--workloads-only]
 #   (defaults: build, <build-dir>/smoke-reports)
 #
-# --memory-only runs the memory-placement section instead — what the CI
-# `memory-placement` job invokes (in parallel with the smoke job), so
+# --memory-only runs the allocation-telemetry section instead — what the
+# CI `alloc-telemetry` job invokes (in parallel with the smoke job), so
 # the sweep and its schema validator have exactly one definition and
 # run exactly once per pipeline.  --service-only does the same for the
 # open-loop service section (the CI `service-smoke` job), --soak-only
@@ -50,50 +50,49 @@ for record in report["records"]:
 EOF
 }
 
-# Allocation-telemetry schema (README "Memory placement"): every
+# Allocation-telemetry schema (README "Allocation telemetry"): every
 # k-LSM-family record of an --alloc-stats report must carry the full
 # `memory` object.  The field-level checks live in
 # scripts/check_memory_schema.py so the CTest wiring test and the CI
-# memory-placement job validate against the same definition.
+# allocation-telemetry job validate against the same definition.
 check_memory() {
     command -v python3 > /dev/null || return 0
     python3 "$(dirname "$0")/check_memory_schema.py" "$1" > /dev/null
 }
 
-# Memory placement: node-bound pools behind --numa-alloc, telemetry
-# behind --alloc-stats.  On a single-node runner `bind` exercises the
-# documented fallback path end to end.  Run ONLY via --memory-only (the
-# dedicated CI memory-placement job, in parallel with the smoke job) —
-# appending it to the full flow too would execute the identical sweep
-# twice per pipeline.
+# Allocation telemetry behind --alloc-stats.  Run ONLY via
+# --memory-only (the dedicated CI allocation-telemetry job, in parallel
+# with the smoke job) — appending it to the full flow too would execute
+# the identical sweep twice per pipeline.
 memory_section() {
-    echo "== memory placement: --numa-alloc x --alloc-stats =="
-    # The CI memory-placement sweep: every structure under the bind
-    # policy; the validator checks the k-LSM family's memory objects
-    # and that the others emit none.
-    local json="$REPORT_DIR/memory-bind-all.json"
+    echo "== allocation telemetry: --alloc-stats =="
+    # The CI allocation-telemetry sweep: every structure; the validator
+    # checks the k-LSM family's memory objects and that the others emit
+    # none.
+    local json="$REPORT_DIR/memory-all.json"
     "$BUILD_DIR/bench/klsm_bench" --smoke --workload throughput \
-        --structure klsm,dlsm,multiqueue,linden,spraylist,heap,centralized,hybrid,numa_klsm \
-        --threads 1,2 --alloc-stats --numa-alloc bind \
+        --structure klsm,dlsm,multiqueue,linden,spraylist,heap,centralized,hybrid \
+        --threads 1,2 --alloc-stats \
         --json-out "$json" > /dev/null
     check_json "$json"
     check_memory "$json"
-    echo "smoke OK: memory bind, all structures"
-    # Every policy through the placement-aware structures.
-    for mp in none bind firsttouch; do
-        json="$REPORT_DIR/memory-$mp.json"
+    echo "smoke OK: memory telemetry, all structures"
+    # Plain heap storage and page-managed (shrink-enabled) storage
+    # through the pool-backed structures.
+    for rp in none shrink; do
+        json="$REPORT_DIR/memory-$rp.json"
         "$BUILD_DIR/bench/klsm_bench" --smoke --workload throughput \
-            --structure klsm,dlsm,numa_klsm --threads 2 \
-            --alloc-stats --numa-alloc "$mp" \
+            --structure klsm,dlsm --threads 2 \
+            --alloc-stats --reclaim "$rp" \
             --json-out "$json" > /dev/null
         check_json "$json"
         check_memory "$json"
-        echo "smoke OK: memory policy=$mp"
+        echo "smoke OK: memory reclaim=$rp"
     done
-    # The acceptance shape: numa_klsm pinned compact, bind, telemetry.
+    # The acceptance shape: klsm pinned compact, telemetry on.
     json="$REPORT_DIR/memory-accept.json"
-    "$BUILD_DIR/bench/klsm_bench" --structure numa_klsm --pin compact \
-        --smoke --alloc-stats --numa-alloc bind \
+    "$BUILD_DIR/bench/klsm_bench" --structure klsm --pin compact \
+        --smoke --alloc-stats \
         --json-out "$json" > /dev/null
     check_json "$json"
     check_memory "$json"
@@ -122,16 +121,16 @@ service_section() {
     for a in steady poisson spike diurnal; do
         json="$REPORT_DIR/service-$a.json"
         "$BUILD_DIR/bench/klsm_bench" --smoke --workload service \
-            --structure klsm,numa_klsm --arrival "$a" --rate 200000 \
+            --structure klsm,dlsm --arrival "$a" --rate 200000 \
             --threads 2 --json-out "$json" > /dev/null
         check_json "$json"
         check_service "$json"
         echo "smoke OK: service arrival=$a"
     done
-    # The ISSUE's acceptance shape: poisson at 500k ops/s.
+    # The acceptance shape: poisson at 500k ops/s.
     json="$REPORT_DIR/service-accept.json"
     "$BUILD_DIR/bench/klsm_bench" --workload service \
-        --structure klsm,numa_klsm --arrival poisson --rate 500000 \
+        --structure klsm,dlsm --arrival poisson --rate 500000 \
         --smoke --json-out "$json" > /dev/null
     check_json "$json"
     check_service "$json"
@@ -171,7 +170,7 @@ soak_section() {
     for rp in none freelist shrink full; do
         json="$REPORT_DIR/churn-$rp.json"
         "$BUILD_DIR/bench/klsm_bench" --smoke --workload churn \
-            --structure klsm,dlsm,numa_klsm --threads 2 \
+            --structure klsm,dlsm --threads 2 \
             --reclaim "$rp" --alloc-stats --json-out "$json" > /dev/null
         check_json "$json"
         check_memory "$json"
@@ -257,7 +256,7 @@ workloads_section() {
 
 if [[ "$MODE" == "--memory-only" ]]; then
     memory_section
-    echo "memory placement stage passed (reports in $REPORT_DIR)"
+    echo "allocation telemetry stage passed (reports in $REPORT_DIR)"
     exit 0
 fi
 if [[ "$MODE" == "--service-only" ]]; then
@@ -284,8 +283,7 @@ echo "== examples =="
 echo "examples OK"
 
 echo "== klsm_bench --smoke =="
-for s in klsm dlsm multiqueue linden spraylist heap centralized hybrid \
-         numa_klsm; do
+for s in klsm dlsm multiqueue linden spraylist heap centralized hybrid; do
     for w in throughput quality sssp; do
         json="$REPORT_DIR/$s-$w.json"
         "$BUILD_DIR/bench/klsm_bench" --smoke --workload "$w" \
@@ -296,13 +294,12 @@ for s in klsm dlsm multiqueue linden spraylist heap centralized hybrid \
 done
 
 echo "== klsm_bench --smoke pinning policies =="
-# Every placement policy, on the structures that care most about
-# placement; on a single-node runner this exercises the topology
-# fallback path end to end.
-for p in none compact scatter numa_fill; do
+# Every pinning policy; on a runner without sysfs this exercises the
+# topology fallback path end to end.
+for p in none compact scatter; do
     json="$REPORT_DIR/pin-$p.json"
     "$BUILD_DIR/bench/klsm_bench" --smoke --workload throughput \
-        --structure klsm,numa_klsm --threads 2 --pin "$p" \
+        --structure klsm --threads 2 --pin "$p" \
         --json-out "$json" > /dev/null
     check_json "$json"
     echo "smoke OK: pin=$p"
@@ -310,7 +307,7 @@ done
 # The acceptance shape: a multi-policy sweep in one invocation.
 json="$REPORT_DIR/pin-sweep.json"
 "$BUILD_DIR/bench/klsm_bench" --smoke --workload throughput \
-    --structure numa_klsm --pin compact,scatter --threads 1,2 \
+    --structure klsm --pin compact,scatter --threads 1,2 \
     --json-out "$json" > /dev/null
 check_json "$json"
 check_latency "$json"
@@ -350,7 +347,7 @@ echo "== pinned sweeps: compact + scatter across every workload =="
 for w in throughput quality sssp; do
     json="$REPORT_DIR/pin-sweep-$w.json"
     "$BUILD_DIR/bench/klsm_bench" --smoke --workload "$w" \
-        --structure klsm,numa_klsm --pin compact,scatter --threads 2 \
+        --structure klsm --pin compact,scatter --threads 2 \
         --json-out "$json" > /dev/null
     check_json "$json"
     check_latency "$json"

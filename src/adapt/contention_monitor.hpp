@@ -22,8 +22,8 @@
 // The monitor is passive: it never touches the queue.  Attachment is a
 // relaxed atomic pointer inside the queue (k_lsm::set_monitor), so the
 // un-instrumented hot path pays one predictable branch.  One monitor
-// may be attached to several queues (every numa_klsm shard): count()
-// only touches the calling thread's slot, so it sums their events.
+// may be attached to several queues: count() only touches the calling
+// thread's slot, so it sums their events.
 
 #include <atomic>
 #include <cstdint>

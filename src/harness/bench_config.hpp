@@ -2,8 +2,8 @@
 
 // The cross-cutting benchmark configuration: everything a workload
 // driver needs that is not specific to one workload — which structures
-// to run, thread counts, pinning, relaxation/handle knobs, memory
-// placement, tracing, and output routing.
+// to run, thread counts, pinning, relaxation/handle knobs, allocation
+// telemetry and reclamation, tracing, and output routing.
 //
 // Workload-specific settings (event counts, arrival processes, graph
 // sizes, ...) live in per-workload config structs owned by the
@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "mm/placement.hpp"
 #include "mm/reclaim/config.hpp"
 #include "trace/tracer.hpp"
 
@@ -43,8 +42,7 @@ struct core_config {
     std::uint64_t seed = 1;
     std::uint64_t latency_sample = 0;
 
-    // Memory placement and reclamation.
-    mm::numa_alloc_policy numa_alloc = mm::numa_alloc_policy::none;
+    // Allocation telemetry and reclamation.
     bool alloc_stats = false;
     mm::reclaim_config reclaim{};
 

@@ -109,7 +109,7 @@ namespace detail {
 template <typename PQ>
 void fill_pool_fields(PQ &q, mm::reclaim::timeline_sample &s) {
     if constexpr (pool_backed<PQ>) {
-        const mm::memory_stats m = q.memory_stats(false);
+        const mm::memory_stats m = q.memory_stats();
         mm::pool_alloc_snapshot all = m.items;
         all.merge(m.dist_blocks);
         all.merge(m.shared_blocks);

@@ -288,8 +288,8 @@ public:
     bool entries_released() const { return entries_released_; }
     void set_entries_released(bool v) { entries_released_ = v; }
 
-    /// The entry array's backing storage, for placement telemetry
-    /// (byte footprint, how it was placed, residency-query region).
+    /// The entry array's backing storage, for allocation telemetry and
+    /// the shrink tier (byte footprint, page-managed region).
     const mm::placed_array<entry> &entry_storage() const {
         return entries_;
     }

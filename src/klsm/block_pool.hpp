@@ -50,9 +50,8 @@ public:
     static constexpr std::uint32_t max_levels = 32;
     static constexpr std::size_t blocks_per_level = 4;
 
-    /// `place` governs where every block's entry pages live
-    /// (mm/placement.hpp); the default is the historical plain heap
-    /// allocation.
+    /// `place` says how every block's entries are allocated
+    /// (mm/placement.hpp); the default is plain heap allocation.
     explicit block_pool(mm::mem_placement place = {}) : place_(place) {}
     block_pool(const block_pool &) = delete;
     block_pool &operator=(const block_pool &) = delete;
@@ -136,15 +135,14 @@ public:
         return n;
     }
 
-    /// Allocation-placement telemetry (owner increments, any thread may
+    /// Allocation telemetry (owner increments, any thread may
     /// snapshot; see mm/alloc_stats.hpp).
     const mm::alloc_counters &stats() const { return stats_; }
-    const mm::mem_placement &placement() const { return place_; }
 
     /// Return every free block's entry pages to the OS (the block
     /// objects and their mappings stay put — type stability holds, a
     /// later acquire refaults).  PRECONDITION: no concurrent operations
-    /// on the owning queue (same contract as for_each_region).  Only
+    /// on the owning queue: buckets may grow under an acquire.  Only
     /// page-managed entry storage of at least a page is eligible.
     /// Returns the number of blocks whose pages were released.
     std::size_t quiescent_shrink() {
@@ -173,21 +171,6 @@ public:
         return released;
     }
 
-    /// Walk every block's page-managed entry region for the residency
-    /// query; `none`-policy blocks are skipped (their entries share
-    /// heap pages with unrelated allocations, so per-page attribution
-    /// would double count).  Quiescent-only: buckets may grow under a
-    /// concurrent acquire.
-    template <typename F>
-    void for_each_region(F &&f) const {
-        for (const auto &bucket : buckets_)
-            for (const auto &b : bucket) {
-                const auto &storage = b->entry_storage();
-                if (storage.page_managed())
-                    f(storage.region(), storage.bytes());
-            }
-    }
-
 private:
     void push_new_block(
         std::vector<std::unique_ptr<block<K, V>>> &bucket,
@@ -195,7 +178,7 @@ private:
         bucket.push_back(
             std::make_unique<block<K, V>>(capacity_pow, place_));
         const auto &storage = bucket.back()->entry_storage();
-        stats_.count_chunk(storage.bytes(), storage.how_placed());
+        stats_.count_chunk(storage.bytes(), storage.page_managed());
     }
 
     std::vector<std::unique_ptr<block<K, V>>> buckets_[max_levels];

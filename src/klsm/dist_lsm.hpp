@@ -49,8 +49,8 @@ public:
     static constexpr std::size_t unbounded =
         std::numeric_limits<std::size_t>::max();
 
-    /// `place` governs where this LSM's item and block pages live
-    /// (mm/placement.hpp); numa_klsm passes each shard's node here.
+    /// `place` carries the reclamation settings of this LSM's item and
+    /// block pools (mm/placement.hpp).
     /// `owner` is the thread slot this LSM belongs to; its item pool
     /// stamps it into every item (klsm/item.hpp).
     explicit dist_lsm_local(mm::mem_placement place = {},
@@ -316,13 +316,12 @@ public:
 
     /// Conservative item count (counts logically deleted items that
     /// have not been trimmed yet).  Callable by ANY thread, not just
-    /// the owner: k_lsm::size_hint and numa_klsm's hot-shard hint read
-    /// other threads' LSMs through it mid-run, so the loads are
-    /// acquire — they synchronize with the owner's release publication
-    /// of each block, which happens after the block's construction and
-    /// seal.  Torn values (a block being concurrently reused) only
-    /// skew the estimate, never safety: blocks are type-stable and
-    /// `filled` is atomic.
+    /// the owner: k_lsm::size_hint reads other threads' LSMs through it
+    /// mid-run, so the loads are acquire — they synchronize with the
+    /// owner's release publication of each block, which happens after
+    /// the block's construction and seal.  Torn values (a block being
+    /// concurrently reused) only skew the estimate, never safety:
+    /// blocks are type-stable and `filled` is atomic.
     std::size_t item_count_estimate() const {
         std::size_t total = 0;
         const std::uint32_t n = size_.load(std::memory_order_acquire);
@@ -340,31 +339,17 @@ public:
 
     block_pool<K, V> &pool() { return pool_; }
     item_pool<K, V> &items() { return items_; }
-    const mm::mem_placement &placement() const {
-        return pool_.placement();
-    }
 
-    /// Fold this LSM's pool telemetry into `out`; with
-    /// `query_residency`, also walk the backing regions through the
-    /// move_pages query (quiescent-only — call after workers joined).
-    void collect_memory(mm::memory_stats &out, bool query_residency) const {
+    /// Fold this LSM's pool telemetry into `out` (relaxed counter
+    /// reads: safe while workers run).
+    void collect_memory(mm::memory_stats &out) const {
         out.items.merge(items_.stats().snapshot());
         out.dist_blocks.merge(pool_.stats().snapshot());
-        if (query_residency) {
-            items_.for_each_region([&](const void *p, std::size_t bytes) {
-                mm::query_resident_nodes(p, bytes, out.items_resident);
-            });
-            pool_.for_each_region([&](const void *p, std::size_t bytes) {
-                mm::query_resident_nodes(p, bytes,
-                                         out.dist_blocks_resident);
-            });
-        }
     }
 
     /// Release every cold chunk/block of this LSM's pools right now
     /// (mm/reclaim/).  PRECONDITION: no concurrent operations on the
-    /// queue — same contract as the residency walk above.  Returns the
-    /// number of page-release events.
+    /// queue.  Returns the number of page-release events.
     std::size_t quiescent_shrink() {
         return items_.quiescent_shrink() + pool_.quiescent_shrink();
     }

@@ -63,11 +63,11 @@ public:
     /// `k` is the relaxation parameter: try_delete_min may return any of
     /// the rho + 1 smallest keys, rho = T*k.  k == 0 degenerates to the
     /// shared LSM alone (every insert publishes immediately).
-    /// `place` governs where every pool's pages live (mm/placement.hpp;
-    /// numa_klsm constructs each shard with that shard's node).
+    /// `place` carries every pool's reclamation settings
+    /// (mm/placement.hpp).
     explicit k_lsm(std::size_t k, Lazy lazy = {},
                    mm::mem_placement place = {})
-        : k_(k), lazy_(lazy), place_(place), shared_(k, place) {
+        : k_(k), lazy_(lazy), shared_(k, place) {
         for (std::uint32_t slot = 0; slot < max_registered_threads; ++slot)
             dist_[slot] = std::make_unique<dist_lsm_local<K, V>>(place, slot);
     }
@@ -332,30 +332,21 @@ public:
         return *dist_[slot];
     }
 
-    /// The placement every pool of this queue was constructed with.
-    const mm::mem_placement &placement() const { return place_; }
-
-    /// Aggregate allocation-placement telemetry over every pool (item
-    /// pools, DistLSM block pools, shared-LSM block pools).  Counter
-    /// reads are safe any time; `query_residency` additionally walks
-    /// the backing regions through move_pages(2), which requires
-    /// quiescence (call after workers have joined).
-    mm::memory_stats memory_stats(bool query_residency = false) const {
+    /// Aggregate allocation telemetry over every pool (item pools,
+    /// DistLSM block pools, shared-LSM block pools); safe any time.
+    /// The bool is ignored: ledger/ledger_bench.cpp still passes one.
+    mm::memory_stats memory_stats(bool = false) const {
         mm::memory_stats out;
-        const bool query =
-            query_residency && mm::residency_query_supported();
         for (const auto &d : dist_)
-            d->collect_memory(out, query);
-        shared_.collect_memory(out, query);
-        out.resident_queried = query;
+            d->collect_memory(out);
+        shared_.collect_memory(out);
         return out;
     }
 
     /// Shrink every pool's cold storage right now (mm/reclaim/); no-op
     /// unless the queue was built with a shrink-enabled placement.
-    /// PRECONDITION: no concurrent operations (workers joined) — the
-    /// same quiescence memory_stats' residency walk requires.  Returns
-    /// the number of page-release events.
+    /// PRECONDITION: no concurrent operations (workers joined).
+    /// Returns the number of page-release events.
     std::size_t quiescent_shrink() {
         std::size_t released = 0;
         for (const auto &d : dist_)
@@ -430,7 +421,6 @@ private:
     /// Contention telemetry sink; null when no monitor is attached.
     std::atomic<adapt::contention_monitor *> monitor_{nullptr};
     Lazy lazy_;
-    mm::mem_placement place_;
     shared_lsm<K, V> shared_;
     std::unique_ptr<dist_lsm_local<K, V>> dist_[max_registered_threads];
     slot_directory dir_;
@@ -445,7 +435,7 @@ public:
     using key_type = K;
     using value_type = V;
 
-    explicit dist_pq(mm::mem_placement place = {}) : place_(place) {
+    explicit dist_pq(mm::mem_placement place = {}) {
         for (std::uint32_t slot = 0; slot < max_registered_threads; ++slot)
             dist_[slot] = std::make_unique<dist_lsm_local<K, V>>(place, slot);
     }
@@ -487,16 +477,11 @@ public:
         return total;
     }
 
-    const mm::mem_placement &placement() const { return place_; }
-
     /// Aggregate pool telemetry; see k_lsm::memory_stats.
-    mm::memory_stats memory_stats(bool query_residency = false) const {
+    mm::memory_stats memory_stats() const {
         mm::memory_stats out;
-        const bool query =
-            query_residency && mm::residency_query_supported();
         for (const auto &d : dist_)
-            d->collect_memory(out, query);
-        out.resident_queried = query;
+            d->collect_memory(out);
         return out;
     }
 
@@ -526,7 +511,6 @@ private:
         return false;
     }
 
-    mm::mem_placement place_;
     std::unique_ptr<dist_lsm_local<K, V>> dist_[max_registered_threads];
     slot_directory dir_;
 };

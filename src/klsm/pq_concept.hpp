@@ -21,17 +21,12 @@
 //   dynamic_buffering    — per-thread handle buffer depth is retunable
 //       online (set_buffer_depth / max_buffer_depth_seen).
 //   monitorable          — accepts a contention_monitor (set_monitor)
-//       that its hot paths count publishes, hits and spies into;
-//       sharded_monitorable is the same per shard (numa_klsm).
+//       that its hot paths count publishes, hits and spies into.
 //   pool_backed          — owns mm/ pools: exposes allocation telemetry
 //       (memory_stats) and quiescent page release (quiescent_shrink).
-//   sharded              — composed of per-shard sub-queues addressable
-//       as q.shard(s), s < q.num_shards() (numa_klsm).
 
 #include <concepts>
 #include <cstddef>
-#include <cstdint>
-#include <type_traits>
 
 namespace klsm {
 
@@ -72,26 +67,14 @@ concept dynamic_buffering = requires(PQ q, const PQ cq, std::size_t d) {
 
 template <typename PQ>
 concept pool_backed = requires(PQ q, const PQ cq) {
-    cq.memory_stats(true);
+    cq.memory_stats();
     { q.quiescent_shrink() } -> std::convertible_to<std::size_t>;
-};
-
-template <typename PQ>
-concept sharded = requires(PQ q, std::uint32_t s) {
-    { q.num_shards() } -> std::convertible_to<std::uint32_t>;
-    q.shard(s);
 };
 
 template <typename PQ>
 concept monitorable = requires(PQ &q, adapt::contention_monitor *m) {
     q.set_monitor(m);
 };
-
-template <typename PQ>
-concept sharded_monitorable =
-    sharded<PQ> && requires(PQ &q, std::uint32_t s) {
-        requires monitorable<std::remove_reference_t<decltype(q.shard(s))>>;
-    };
 
 /// Zero-cost handle adaptor for structures without native handles: every
 /// operation forwards directly, flush is a no-op (nothing is ever

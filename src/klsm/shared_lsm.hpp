@@ -134,8 +134,8 @@ public:
     using arr = block_array<K, V>;
     static constexpr std::uint32_t max_blocks = arr::max_blocks;
 
-    /// `place` governs where every thread's shared-pool block pages
-    /// live (mm/placement.hpp); numa_klsm passes each shard's node.
+    /// `place` carries the reclamation settings of every thread's
+    /// shared-pool blocks (mm/placement.hpp).
     explicit shared_lsm(std::size_t k, mm::mem_placement place = {})
         : k_(k), big_(16 * (k + 1)), settle_pool_(place) {
         for (auto &s : threads_)
@@ -319,20 +319,11 @@ public:
         return n;
     }
 
-    /// Fold every thread's shared-pool telemetry into `out`
-    /// (quiescent-only when `query_residency` walks the regions).
-    void collect_memory(mm::memory_stats &out, bool query_residency) const {
-        const auto add = [&](const block_pool<K, V> &pool) {
-            out.shared_blocks.merge(pool.stats().snapshot());
-            if (query_residency)
-                pool.for_each_region([&](const void *p, std::size_t bytes) {
-                    mm::query_resident_nodes(p, bytes,
-                                             out.shared_blocks_resident);
-                });
-        };
+    /// Fold every thread's shared-pool telemetry into `out`.
+    void collect_memory(mm::memory_stats &out) const {
         for (const auto &s : threads_)
-            add(s->pool);
-        add(settle_pool_);
+            out.shared_blocks.merge(s->pool.stats().snapshot());
+        out.shared_blocks.merge(settle_pool_.stats().snapshot());
     }
 
     /// Release every free block's entry pages across all thread slots

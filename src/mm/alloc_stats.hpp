@@ -1,6 +1,6 @@
 #pragma once
 
-// Allocation-placement telemetry for the pool layer.
+// Allocation telemetry for the pool layer.
 //
 // Same shape as the src/stats/ latency recorder: every pool owns one
 // cache-line-aligned counter block that only its owning thread
@@ -31,21 +31,17 @@
 //                             by design and merely counted.  Always 0
 //                             for item pools (the paper bounds blocks,
 //                             not items);
-//   * bound/prefaulted_chunks — how many chunks the placement layer
-//                             actually mbind()-ed / pre-faulted, so a
-//                             silent fallback is visible in the report;
-//   * resident histograms   — where the pages ended up, from the
-//                             move_pages(2) query (quiescent-only:
-//                             regions are walked without locks, so
-//                             query after workers have joined).
+//   * prefaulted_chunks     — chunks allocated as page-aligned,
+//                             pre-faulted storage (the shrink tier's
+//                             precondition, mm/placement.hpp).
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iomanip>
 #include <sstream>
 #include <string>
 
-#include "mm/placement.hpp"
 #include "util/align.hpp"
 
 namespace klsm::mm {
@@ -61,7 +57,6 @@ struct pool_alloc_snapshot {
     std::uint64_t reuse_hits = 0;
     std::uint64_t fresh_allocs = 0;
     std::uint64_t growth_beyond_bound = 0;
-    std::uint64_t bound_chunks = 0;
     std::uint64_t prefaulted_chunks = 0;
     // Reclamation tier (src/mm/reclaim/):
     std::uint64_t freelist_hits = 0;  ///< allocations from freelist pops
@@ -96,7 +91,6 @@ struct pool_alloc_snapshot {
         reuse_hits += o.reuse_hits;
         fresh_allocs += o.fresh_allocs;
         growth_beyond_bound += o.growth_beyond_bound;
-        bound_chunks += o.bound_chunks;
         prefaulted_chunks += o.prefaulted_chunks;
         freelist_hits += o.freelist_hits;
         freelist_drops += o.freelist_drops;
@@ -116,7 +110,6 @@ struct alignas(cache_line_size) alloc_counters {
     std::atomic<std::uint64_t> reuse_hits{0};
     std::atomic<std::uint64_t> fresh_allocs{0};
     std::atomic<std::uint64_t> growth_beyond_bound{0};
-    std::atomic<std::uint64_t> bound_chunks{0};
     std::atomic<std::uint64_t> prefaulted_chunks{0};
     std::atomic<std::uint64_t> freelist_hits{0};
     std::atomic<std::uint64_t> freelist_drops{0};
@@ -125,12 +118,10 @@ struct alignas(cache_line_size) alloc_counters {
     std::atomic<std::uint64_t> shrink_events{0};
     std::atomic<std::uint64_t> reactivated_chunks{0};
 
-    void count_chunk(std::size_t chunk_bytes, chunk_placement how) {
+    void count_chunk(std::size_t chunk_bytes, bool prefaulted) {
         chunks.fetch_add(1, std::memory_order_relaxed);
         bytes.fetch_add(chunk_bytes, std::memory_order_relaxed);
-        if (how.bound)
-            bound_chunks.fetch_add(1, std::memory_order_relaxed);
-        if (how.prefaulted)
+        if (prefaulted)
             prefaulted_chunks.fetch_add(1, std::memory_order_relaxed);
     }
     void count_reuse_hit() {
@@ -172,7 +163,6 @@ struct alignas(cache_line_size) alloc_counters {
         s.fresh_allocs = fresh_allocs.load(std::memory_order_relaxed);
         s.growth_beyond_bound =
             growth_beyond_bound.load(std::memory_order_relaxed);
-        s.bound_chunks = bound_chunks.load(std::memory_order_relaxed);
         s.prefaulted_chunks =
             prefaulted_chunks.load(std::memory_order_relaxed);
         s.freelist_hits = freelist_hits.load(std::memory_order_relaxed);
@@ -190,43 +180,29 @@ struct alignas(cache_line_size) alloc_counters {
 /// One queue's aggregated memory telemetry: item pools, DistLSM block
 /// pools, and shared-LSM block pools summed separately (the paper's
 /// four-per-level bound is structural only for the DistLSM family, so
-/// lumping them together would hide which valve fired), plus — when
-/// requested and queryable — a resident-node histogram per family.
+/// lumping them together would hide which valve fired).
 struct memory_stats {
     pool_alloc_snapshot items;
     pool_alloc_snapshot dist_blocks;
     pool_alloc_snapshot shared_blocks;
-    resident_histogram items_resident;
-    resident_histogram dist_blocks_resident;
-    resident_histogram shared_blocks_resident;
-    /// True iff the residency query was requested and the platform can
-    /// answer it; the histograms are meaningful only then.
-    bool resident_queried = false;
 
     void merge(const memory_stats &o) {
         items.merge(o.items);
         dist_blocks.merge(o.dist_blocks);
         shared_blocks.merge(o.shared_blocks);
-        items_resident.merge(o.items_resident);
-        dist_blocks_resident.merge(o.dist_blocks_resident);
-        shared_blocks_resident.merge(o.shared_blocks_resident);
-        resident_queried = resident_queried || o.resident_queried;
     }
 };
 
 namespace detail {
 
 inline void pool_json(std::ostringstream &os, const char *name,
-                      const pool_alloc_snapshot &p,
-                      const resident_histogram &resident,
-                      bool resident_queried) {
+                      const pool_alloc_snapshot &p) {
     os << '"' << name << "\":{"
        << "\"chunks\":" << p.chunks << ",\"bytes\":" << p.bytes
        << ",\"reuse_hits\":" << p.reuse_hits
        << ",\"fresh_allocs\":" << p.fresh_allocs << ",\"reuse_hit_rate\":"
        << std::setprecision(6) << p.reuse_hit_rate()
        << ",\"growth_beyond_bound\":" << p.growth_beyond_bound
-       << ",\"bound_chunks\":" << p.bound_chunks
        << ",\"prefaulted_chunks\":" << p.prefaulted_chunks
        << ",\"freelist_hits\":" << p.freelist_hits
        << ",\"freelist_drops\":" << p.freelist_drops
@@ -235,39 +211,22 @@ inline void pool_json(std::ostringstream &os, const char *name,
        << ",\"reclaimed_chunks\":" << p.reclaimed_chunks
        << ",\"released_bytes\":" << p.released_bytes
        << ",\"shrink_events\":" << p.shrink_events
-       << ",\"reactivated_chunks\":" << p.reactivated_chunks;
-    if (resident_queried) {
-        os << ",\"resident_nodes\":[";
-        bool first = true;
-        for (const auto &[node, pages] : resident.pairs()) {
-            os << (first ? "" : ",") << '[' << node << ',' << pages
-               << ']';
-            first = false;
-        }
-        os << ']' << ",\"resident_unknown_pages\":"
-           << resident.unknown_pages();
-    }
-    os << '}';
+       << ",\"reactivated_chunks\":" << p.reactivated_chunks << '}';
 }
 
 } // namespace detail
 
 /// Serialize a memory_stats as the `memory` JSON object klsm_bench
-/// embeds per record (README "Memory placement" documents the schema).
-inline std::string memory_json(const memory_stats &m,
-                               numa_alloc_policy policy) {
+/// embeds per record (README "Allocation telemetry" documents the
+/// schema).
+inline std::string memory_json(const memory_stats &m) {
     std::ostringstream os;
-    os << "{\"policy\":\"" << numa_alloc_policy_name(policy) << '"'
-       << ",\"resident_queried\":"
-       << (m.resident_queried ? "true" : "false") << ",\"pools\":{";
-    detail::pool_json(os, "items", m.items, m.items_resident,
-                      m.resident_queried);
+    os << "{\"pools\":{";
+    detail::pool_json(os, "items", m.items);
     os << ',';
-    detail::pool_json(os, "dist_blocks", m.dist_blocks,
-                      m.dist_blocks_resident, m.resident_queried);
+    detail::pool_json(os, "dist_blocks", m.dist_blocks);
     os << ',';
-    detail::pool_json(os, "shared_blocks", m.shared_blocks,
-                      m.shared_blocks_resident, m.resident_queried);
+    detail::pool_json(os, "shared_blocks", m.shared_blocks);
     os << "}}";
     return os.str();
 }

@@ -1,6 +1,6 @@
 #pragma once
 
-// Chunked, type-stable arena with optional NUMA placement.
+// Chunked, type-stable arena.
 //
 // The k-LSM's manual memory management (paper Section 4.4) hinges on
 // *type-stable* storage: once an Item or Block has been allocated, its
@@ -11,15 +11,11 @@
 // supports iteration over all allocated objects (used by the item pool's
 // reuse sweep).
 //
-// Placement: each chunk's backing pages follow the arena's
-// `mem_placement` (mm/placement.hpp) — `none` is the historical plain
-// heap allocation; `bind`/`firsttouch` page-align, optionally mbind to
-// the target node, and pre-fault.  The pools thread a `mem_placement`
-// through this constructor directly (item_pool -> arena, block_pool ->
-// block entries); `numa_arena` below is the equivalent node-bound
-// shorthand for code that uses an arena on its own.  Chunk allocations
-// are reported to an optional `alloc_counters` block so placement
-// telemetry can prove where the bytes went.
+// Each chunk's storage follows the arena's `mem_placement`
+// (mm/placement.hpp): a plain heap array, or page-aligned pre-faulted
+// storage when the shrink tier may release it.  Chunk allocations are
+// reported to an optional `alloc_counters` block so the allocation
+// telemetry can show where the bytes went.
 
 #include <cstddef>
 #include <stdexcept>
@@ -51,7 +47,7 @@ public:
                 mm::placed_array<T>::allocate(next_chunk_size_, place_));
             if (stats_ != nullptr)
                 stats_->count_chunk(chunks_.back().bytes(),
-                                    chunks_.back().how_placed());
+                                    chunks_.back().page_managed());
             used_in_last_ = 0;
             next_chunk_size_ *= 2;
         }
@@ -67,8 +63,6 @@ public:
         return total + used_in_last_;
     }
 
-    const mm::mem_placement &placement() const { return place_; }
-
     /// Visit every allocated object.  Order is allocation order.
     template <typename F>
     void for_each(F &&f) {
@@ -79,19 +73,6 @@ public:
             for (std::size_t i = 0; i < n; ++i)
                 f(chunks_[c][i]);
         }
-    }
-
-    /// Visit every page-managed chunk's backing region as
-    /// (start, bytes) — the residency-telemetry walk.  `none`-policy
-    /// chunks are skipped: they share heap pages with unrelated
-    /// allocations, so per-page residency attribution would double
-    /// count (see placed_array::page_managed).  Quiescent-only: the
-    /// chunk vector may grow under a concurrent owner allocation.
-    template <typename F>
-    void for_each_region(F &&f) const {
-        for (const auto &c : chunks_)
-            if (c.page_managed())
-                f(c.region(), c.bytes());
     }
 
     // --- Chunk-granular access for the shrink tier (mm/reclaim/) ---
@@ -172,23 +153,6 @@ private:
     std::size_t next_chunk_size_;
     mm::mem_placement place_;
     mm::alloc_counters *stats_;
-};
-
-/// The node-bound arena variant, for standalone arena users (the queue
-/// pools pass a mem_placement to arena's own constructor instead):
-/// every chunk targets one NUMA node.  With `bind` the pages are
-/// mbind()-ed there (works no matter which thread allocates); with
-/// `firsttouch` they are pre-faulted by the allocating thread.  Do not
-/// delete through the base pointer (neither class is polymorphic).
-template <typename T>
-class numa_arena : public arena<T> {
-public:
-    explicit numa_arena(
-        std::uint32_t node,
-        mm::numa_alloc_policy policy = mm::numa_alloc_policy::bind,
-        std::size_t first_chunk = 64,
-        mm::alloc_counters *stats = nullptr)
-        : arena<T>(first_chunk, mm::mem_placement{policy, node}, stats) {}
 };
 
 } // namespace klsm

@@ -76,9 +76,9 @@ public:
 
     using freelist_type = mm::reclaim::tagged_freelist<item<K, V>>;
 
-    /// `place` governs where the arena's chunk pages live and which
-    /// reclamation mechanisms are on (mm/placement.hpp); the default is
-    /// the historical plain heap allocation with reclamation off.
+    /// `place` says which reclamation mechanisms are on, and with them
+    /// how the arena's chunks are allocated (mm/placement.hpp); the
+    /// default is plain heap allocation with reclamation off.
     /// `owner` is the thread slot stamped into every item's version.
     explicit item_pool(mm::mem_placement place = {}, std::uint32_t owner = 0)
         : arena_(256, place, &stats_), reclaim_(place.reclaim),
@@ -124,12 +124,11 @@ public:
     }
 
     /// Shrink every cold chunk right now, bypassing the grace period.
-    /// PRECONDITION: no concurrent operations on the owning queue — the
-    /// same quiescence the residency walk already requires.  Without
-    /// in-flight deleters there are no ghost freelist pushers, so the
-    /// grace period protects nothing, and one freelist filter ahead of
-    /// every release suffices.  Returns the number of chunks whose
-    /// pages were released.
+    /// PRECONDITION: no concurrent operations on the owning queue.
+    /// Without in-flight deleters there are no ghost freelist pushers,
+    /// so the grace period protects nothing, and one freelist filter
+    /// ahead of every release suffices.  Returns the number of chunks
+    /// whose pages were released.
     std::size_t quiescent_shrink() {
         if (!reclaim_.shrink_enabled())
             return 0;
@@ -168,12 +167,9 @@ public:
     /// chunk is revived.
     std::size_t capacity() const { return all_.size(); }
 
-    /// Allocation-placement telemetry (owner increments, any thread may
+    /// Allocation telemetry (owner increments, any thread may
     /// snapshot; see mm/alloc_stats.hpp).
     const mm::alloc_counters &stats() const { return stats_; }
-    const mm::mem_placement &placement() const {
-        return arena_.placement();
-    }
     const mm::reclaim_config &reclaim_config() const { return reclaim_; }
     const freelist_type &freelist() const { return freelist_; }
     /// Mutable freelist access for deleters acting on behalf of this
@@ -197,13 +193,6 @@ public:
                 ++out.released;
         }
         return out;
-    }
-
-    /// Walk the arena's chunk regions for the residency query
-    /// (quiescent-only).
-    template <typename F>
-    void for_each_region(F &&f) const {
-        arena_.for_each_region(f);
     }
 
 private:

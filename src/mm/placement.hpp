@@ -1,43 +1,26 @@
 #pragma once
 
-// NUMA-aware page placement for the type-stable pools.
+// Page-granular storage for the type-stable pools.
 //
 // The paper's manual memory scheme (Section 4.4) makes blocks and items
-// type-stable, but says nothing about *where* their pages live.  On a
-// multi-socket machine that matters more than any queue tweak: a
-// numa_klsm shard pinned to node 1 whose blocks were first-touched on
-// node 0 pays a cross-node round trip on every entry it reads (the
-// k-LSM follow-up benchmarking study, arXiv:1603.05047, attributes the
-// large high-thread-count swings to exactly this).  This header is the
-// placement primitive the pools build on:
+// type-stable: their storage is never freed while the queue lives.  The
+// reclamation tier (src/mm/reclaim/) may still hand a cold chunk's
+// physical pages back to the OS, which is only safe for whole,
+// page-aligned regions.  This header provides:
 //
-//   * a `mem_placement` policy threaded through every pool constructor
-//     (none | bind | firsttouch) naming a target NUMA node,
-//   * page-granular allocation (`placed_array`) that pre-faults each
-//     chunk and, under `bind`, pins its pages to the target node with
-//     mbind(2) before the first touch,
-//   * a `move_pages(2)` residency query so telemetry can report where
-//     the pages actually ended up (mm/alloc_stats.hpp).
-//
-// Everything degrades gracefully: on non-Linux platforms, in seccomp'd
-// containers that reject the syscalls, or for nodes that do not exist,
-// `bind` silently decays to pre-faulted local allocation and the
-// telemetry records that no chunk was bound.  The syscalls are invoked
-// directly (stable kernel ABI constants below) so no libnuma dependency
-// is introduced.
+//   * a `mem_placement` value threaded through every pool constructor,
+//     carrying the pools' reclamation settings,
+//   * `placed_array`, a default-constructed T[n] that is a plain heap
+//     array unless shrinking is on, in which case it is page-aligned and
+//     pre-faulted so the shrink tier can madvise it away.
 
 #include <cstddef>
-#include <cstdint>
 #include <cstring>
 #include <new>
-#include <optional>
-#include <string>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #if defined(__linux__)
-#include <sys/syscall.h>
 #include <unistd.h>
 #endif
 
@@ -45,46 +28,9 @@
 
 namespace klsm::mm {
 
-/// Where a pool's backing pages should live.
-///   none       — plain heap allocation, wherever the allocator and the
-///                kernel's default policy put it (the pre-PR behavior).
-///   bind       — mbind the chunk's pages to the target node before the
-///                first touch; falls back to `firsttouch` when mbind is
-///                unavailable or refuses.
-///   firsttouch — pre-fault every page from the allocating thread, so
-///                pages land on the node that thread runs on (correct
-///                placement whenever the owner allocates from its home
-///                node, which is how the sharded queue routes inserts).
-enum class numa_alloc_policy : std::uint8_t { none, bind, firsttouch };
-
-inline const char *numa_alloc_policy_name(numa_alloc_policy p) {
-    switch (p) {
-    case numa_alloc_policy::none: return "none";
-    case numa_alloc_policy::bind: return "bind";
-    case numa_alloc_policy::firsttouch: return "firsttouch";
-    }
-    return "none";
-}
-
-inline std::optional<numa_alloc_policy>
-parse_numa_alloc_policy(const std::string &s) {
-    if (s == "none")
-        return numa_alloc_policy::none;
-    if (s == "bind")
-        return numa_alloc_policy::bind;
-    if (s == "firsttouch")
-        return numa_alloc_policy::firsttouch;
-    return std::nullopt;
-}
-
-/// The placement a pool (and its arena chunks) should use.  Value type,
-/// threaded through item_pool / block_pool / dist_lsm / shared_lsm /
-/// k_lsm construction; numa_klsm builds one per shard with that shard's
-/// node.
+/// How a pool's storage is set up.  Value type, threaded through
+/// item_pool / block_pool / dist_lsm / shared_lsm / k_lsm construction.
 struct mem_placement {
-    numa_alloc_policy policy = numa_alloc_policy::none;
-    /// Target NUMA node (OS node id) for `bind`; ignored otherwise.
-    std::uint32_t node = 0;
     /// Reclamation-tier settings shared by every pool built from this
     /// placement (src/mm/reclaim/).  Riding inside mem_placement means
     /// no queue-layer constructor changes shape.
@@ -106,161 +52,13 @@ inline std::size_t page_size() {
 #endif
 }
 
-// Kernel ABI constants (include/uapi/linux/mempolicy.h).  Spelled out
-// here instead of including the uapi header so the build does not
-// depend on kernel headers being installed.
-inline constexpr int mpol_bind = 2;            // MPOL_BIND
-inline constexpr unsigned mpol_mf_move = 1u << 1; // MPOL_MF_MOVE
-/// Upper bound on node ids we can express in the mbind nodemask.
-inline constexpr std::uint32_t max_bindable_node = 1023;
-
-/// Bind `[p, p + bytes)` to `node` with mbind(2).  Returns true iff the
-/// kernel accepted the policy; false on non-Linux platforms, filtered
-/// syscalls, or nonexistent nodes — callers treat false as "fall back
-/// to first-touch".
-inline bool bind_region_to_node(void *p, std::size_t bytes,
-                                std::uint32_t node) {
-#if defined(__linux__) && defined(SYS_mbind)
-    if (node > max_bindable_node)
-        return false;
-    constexpr std::size_t bits_per_word = 8 * sizeof(unsigned long);
-    unsigned long mask[(max_bindable_node + 1) / bits_per_word] = {};
-    mask[node / bits_per_word] = 1ul << (node % bits_per_word);
-    // maxnode counts bits and the kernel wants one past the highest.
-    const long rc = ::syscall(SYS_mbind, p, bytes, mpol_bind, mask,
-                              static_cast<unsigned long>(
-                                  max_bindable_node + 2),
-                              mpol_mf_move);
-    return rc == 0;
-#else
-    (void)p;
-    (void)bytes;
-    (void)node;
-    return false;
-#endif
-}
-
-/// True iff this platform can answer "which node is this page on"
-/// (move_pages(2) in query mode).  A true return still allows the
-/// per-call query to fail at runtime; failed pages land in the
-/// histogram's `unknown` bucket.
-inline bool residency_query_supported() {
-#if defined(__linux__) && defined(SYS_move_pages)
-    return true;
-#else
-    return false;
-#endif
-}
-
-/// Pages-per-node counts accumulated over one or more regions.  Node
-/// ids index a dense vector (they are small in practice); pages whose
-/// node could not be determined (not yet faulted, query error) count as
-/// `unknown`.
-class resident_histogram {
-public:
-    void add(std::uint32_t node, std::uint64_t pages = 1) {
-        if (node >= counts_.size())
-            counts_.resize(node + 1, 0);
-        counts_[node] += pages;
-    }
-    void add_unknown(std::uint64_t pages = 1) { unknown_ += pages; }
-
-    void merge(const resident_histogram &o) {
-        for (std::uint32_t n = 0; n < o.counts_.size(); ++n)
-            if (o.counts_[n])
-                add(n, o.counts_[n]);
-        unknown_ += o.unknown_;
-    }
-
-    std::uint64_t pages_on(std::uint32_t node) const {
-        return node < counts_.size() ? counts_[node] : 0;
-    }
-    std::uint64_t unknown_pages() const { return unknown_; }
-    std::uint64_t total_pages() const {
-        std::uint64_t t = unknown_;
-        for (const auto c : counts_)
-            t += c;
-        return t;
-    }
-    bool empty() const { return total_pages() == 0; }
-
-    /// (node, pages) pairs for nodes with at least one page, ascending.
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> pairs() const {
-        std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
-        for (std::uint32_t n = 0; n < counts_.size(); ++n)
-            if (counts_[n])
-                out.emplace_back(n, counts_[n]);
-        return out;
-    }
-
-private:
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t unknown_ = 0;
-};
-
-/// Ask the kernel which node each page of `[p, p + bytes)` resides on
-/// and accumulate into `out`.  Returns false when the platform cannot
-/// answer at all (the histogram is untouched then).  Addresses are
-/// rounded down to page boundaries; the kernel reports -ENOENT for
-/// pages that were never faulted, which count as unknown.
-inline bool query_resident_nodes(const void *p, std::size_t bytes,
-                                 resident_histogram &out) {
-#if defined(__linux__) && defined(SYS_move_pages)
-    if (bytes == 0)
-        return true;
-    const std::size_t ps = page_size();
-    auto addr = reinterpret_cast<std::uintptr_t>(p);
-    const std::uintptr_t first = addr - (addr % ps);
-    const std::size_t pages = (addr + bytes - first + ps - 1) / ps;
-    constexpr std::size_t batch = 256;
-    void *page_ptrs[batch];
-    int status[batch];
-    for (std::size_t done = 0; done < pages;) {
-        const std::size_t n = pages - done < batch ? pages - done : batch;
-        for (std::size_t i = 0; i < n; ++i)
-            page_ptrs[i] =
-                reinterpret_cast<void *>(first + (done + i) * ps);
-        const long rc = ::syscall(SYS_move_pages, 0,
-                                  static_cast<unsigned long>(n), page_ptrs,
-                                  nullptr, status, 0);
-        if (rc != 0) {
-            out.add_unknown(pages - done);
-            return true;
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-            if (status[i] >= 0)
-                out.add(static_cast<std::uint32_t>(status[i]));
-            else
-                out.add_unknown();
-        }
-        done += n;
-    }
-    return true;
-#else
-    (void)p;
-    (void)bytes;
-    (void)out;
-    return false;
-#endif
-}
-
-/// How one chunk's pages were actually placed (telemetry feedback from
-/// placed_array::allocate).
-struct chunk_placement {
-    bool bound = false;      ///< mbind accepted the target node
-    bool prefaulted = false; ///< pages were touched at allocation time
-};
-
-/// A default-constructed T[n] whose backing pages follow a
-/// mem_placement.  The `none` policy (with reclamation off) is
-/// byte-for-byte the pre-existing behavior (one operator new[] — same
-/// allocator, same touch pattern); otherwise the array allocates
-/// page-aligned raw storage, applies the policy, pre-faults, then
-/// constructs the elements in place.  Pool shrink forces the
-/// page-granular path even under `none`, because only whole placed
-/// regions can be madvise'd away without touching neighboring heap
-/// objects.  Move-only; elements never move after allocation (type
-/// stability).
+/// A default-constructed T[n] whose storage follows a mem_placement.
+/// With shrinking off it is one operator new[] (same allocator, same
+/// touch pattern as a plain array); with shrinking on the array
+/// allocates page-aligned raw storage, pre-faults it, then constructs
+/// the elements in place, because only whole page-aligned regions can
+/// be madvise'd away without touching neighboring heap objects.
+/// Move-only; elements never move after allocation (type stability).
 template <typename T>
 class placed_array {
     static_assert(std::is_nothrow_default_constructible_v<T>,
@@ -275,7 +73,7 @@ public:
         : data_(std::exchange(o.data_, nullptr)),
           raw_(std::exchange(o.raw_, nullptr)),
           count_(std::exchange(o.count_, 0)),
-          bytes_(std::exchange(o.bytes_, 0)), how_(o.how_) {}
+          bytes_(std::exchange(o.bytes_, 0)) {}
 
     placed_array &operator=(placed_array &&o) noexcept {
         if (this != &o) {
@@ -284,7 +82,6 @@ public:
             raw_ = std::exchange(o.raw_, nullptr);
             count_ = std::exchange(o.count_, 0);
             bytes_ = std::exchange(o.bytes_, 0);
-            how_ = o.how_;
         }
         return *this;
     }
@@ -297,9 +94,7 @@ public:
         out.count_ = n;
         if (n == 0)
             return out;
-        const bool want_paged = place.policy != numa_alloc_policy::none ||
-                                place.reclaim.shrink_enabled();
-        if (!want_paged) {
+        if (!place.reclaim.shrink_enabled()) {
             out.data_ = new T[n]();
             out.bytes_ = n * sizeof(T);
             return out;
@@ -307,18 +102,8 @@ public:
         const std::size_t ps = page_size();
         out.bytes_ = ((n * sizeof(T) + ps - 1) / ps) * ps;
         out.raw_ = ::operator new(out.bytes_, std::align_val_t{ps});
-        if (place.policy == numa_alloc_policy::bind)
-            out.how_.bound =
-                bind_region_to_node(out.raw_, out.bytes_, place.node);
-        // First touch: fault every page in from this thread.  Under
-        // `bind` the pages obey the mbind policy regardless of where
-        // this thread runs; under `firsttouch` they land on this
-        // thread's node — which is the target node whenever the owner
-        // allocates from its home node.  The mbind VMA policy also
-        // outlives a later MADV_DONTNEED, so pages a shrink released
-        // refault back onto the bound node when the chunk regrows.
+        // Fault every page in now, from the allocating thread.
         std::memset(out.raw_, 0, out.bytes_);
-        out.how_.prefaulted = true;
         T *d = static_cast<T *>(out.raw_);
         for (std::size_t i = 0; i < n; ++i)
             new (d + i) T();
@@ -334,16 +119,12 @@ public:
     /// Byte footprint of the allocation (page-rounded for placed
     /// storage), the unit the telemetry counts.
     std::size_t bytes() const { return bytes_; }
-    /// Start of the region for residency queries (page-aligned for
-    /// placed storage).
+    /// Start of the region (page-aligned for placed storage).
     const void *region() const { return raw_ ? raw_ : data_; }
-    /// True iff the storage is page-granular placed storage.  Only
-    /// such regions are meaningful residency-query targets: a plain
-    /// `new T[]` allocation shares heap pages with unrelated objects,
-    /// so per-page attribution would double-count pages spanned by
-    /// adjacent allocations.
+    /// True iff the storage is page-aligned and pre-faulted.  Only such
+    /// regions may have their pages released: a plain `new T[]` shares
+    /// heap pages with unrelated objects.
     bool page_managed() const { return raw_ != nullptr; }
-    chunk_placement how_placed() const { return how_; }
 
 private:
     void destroy() {
@@ -364,7 +145,6 @@ private:
     void *raw_ = nullptr; ///< non-null iff page-aligned placed storage
     std::size_t count_ = 0;
     std::size_t bytes_ = 0;
-    chunk_placement how_{};
 };
 
 } // namespace klsm::mm

@@ -4,7 +4,7 @@
 //
 // A policy is a deterministic ordering of the online logical CPUs; the
 // harnesses pin worker t to the t-th CPU of the order (mod size).  The
-// three non-trivial policies are the standard affinity shapes:
+// two non-trivial policies are the standard affinity shapes:
 //
 //   compact   — pack threads as close together as possible: fill every
 //               hardware thread of a core, then the next core of the same
@@ -14,9 +14,6 @@
 //               across packages, physical cores before SMT siblings.
 //               Maximizes aggregate cache/memory bandwidth, exposes
 //               cross-socket traffic at low thread counts.
-//   numa_fill — fill NUMA node 0 completely (compact within the node),
-//               then node 1, ...  The shape under which a NUMA-sharded
-//               queue stays node-local until a node overflows.
 //
 // `none` performs no pinning at all (the scheduler decides), which is
 // the pre-topology behavior and the default everywhere.
@@ -36,14 +33,13 @@
 
 namespace klsm::topo {
 
-enum class pin_policy { none, compact, scatter, numa_fill };
+enum class pin_policy { none, compact, scatter };
 
 inline const char *pin_policy_name(pin_policy p) {
     switch (p) {
     case pin_policy::none: return "none";
     case pin_policy::compact: return "compact";
     case pin_policy::scatter: return "scatter";
-    case pin_policy::numa_fill: return "numa_fill";
     }
     return "none";
 }
@@ -55,8 +51,6 @@ inline std::optional<pin_policy> parse_pin_policy(const std::string &s) {
         return pin_policy::compact;
     if (s == "scatter")
         return pin_policy::scatter;
-    if (s == "numa_fill")
-        return pin_policy::numa_fill;
     return std::nullopt;
 }
 
@@ -68,8 +62,9 @@ inline std::vector<std::uint32_t> cpu_order(const topology &t,
     if (policy == pin_policy::none)
         return out;
 
-    // Compact order of an arbitrary cpu set: (package, core, smt_rank).
-    const auto compact_sort = [](std::vector<logical_cpu> &v) {
+    if (policy == pin_policy::compact) {
+        // (package, core, smt_rank) lexicographic.
+        std::vector<logical_cpu> v = t.cpus();
         std::sort(v.begin(), v.end(),
                   [](const logical_cpu &a, const logical_cpu &b) {
                       if (a.package != b.package)
@@ -80,23 +75,8 @@ inline std::vector<std::uint32_t> cpu_order(const topology &t,
                           return a.smt_rank < b.smt_rank;
                       return a.os_id < b.os_id;
                   });
-    };
-
-    if (policy == pin_policy::compact) {
-        std::vector<logical_cpu> v = t.cpus();
-        compact_sort(v);
         for (const auto &c : v)
             out.push_back(c.os_id);
-        return out;
-    }
-
-    if (policy == pin_policy::numa_fill) {
-        for (const std::uint32_t node : t.node_ids()) {
-            std::vector<logical_cpu> v = t.cpus_of_node(node);
-            compact_sort(v);
-            for (const auto &c : v)
-                out.push_back(c.os_id);
-        }
         return out;
     }
 
@@ -162,12 +142,6 @@ inline bool pin_self(std::uint32_t os_cpu) {
 #endif
 }
 
-/// The NUMA node the calling thread currently runs on, resolved
-/// against `t`; falls back to `t`'s first node when the platform
-/// cannot report a cpu (topology::node_of's unknown-cpu behavior).
-/// This is the node a non-sharded queue should bind its pools to.
-inline std::uint32_t current_node(const topology &t);
-
 /// The OS cpu the calling thread is currently running on, or nullopt
 /// when the platform cannot say.
 inline std::optional<std::uint32_t> current_cpu() {
@@ -177,11 +151,6 @@ inline std::optional<std::uint32_t> current_cpu() {
         return static_cast<std::uint32_t>(cpu);
 #endif
     return std::nullopt;
-}
-
-inline std::uint32_t current_node(const topology &t) {
-    const auto cpu = current_cpu();
-    return t.node_of(cpu ? *cpu : 0);
 }
 
 } // namespace klsm::topo

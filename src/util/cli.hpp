@@ -88,34 +88,29 @@ public:
                 usage(argv[0]);
                 std::exit(2);
             }
-            std::string name, value;
-            auto eq = arg.find('=');
-            if (eq != std::string::npos) {
-                name = arg.substr(2, eq - 2);
-                value = arg.substr(eq + 1);
-            } else {
-                name = arg.substr(2);
-                const bool is_bool = bool_flags_.count(name) != 0;
-                // A bare boolean flag (last argument, or followed by
-                // another flag) means true.
-                if (is_bool &&
-                    (i + 1 >= argc ||
-                     std::string(argv[i + 1]).rfind("--", 0) == 0)) {
-                    value = "true";
-                } else if (i + 1 >= argc) {
-                    std::cerr << "flag --" << name << " needs a value\n";
-                    std::exit(2);
-                } else {
-                    value = argv[++i];
-                }
-            }
+            const auto eq = arg.find('=');
+            const std::string name =
+                arg.substr(2, eq == std::string::npos ? eq : eq - 2);
             auto it = values_.find(name);
             if (it == values_.end()) {
                 std::cerr << "unknown flag --" << name << "\n";
                 usage(argv[0]);
                 std::exit(2);
             }
-            it->second = value;
+            if (eq != std::string::npos) {
+                it->second = arg.substr(eq + 1);
+            } else if (bool_flags_.count(name) != 0 &&
+                       (i + 1 >= argc ||
+                        std::string(argv[i + 1]).rfind("--", 0) == 0)) {
+                // A bare boolean flag (last argument, or followed by
+                // another flag) means true.
+                it->second = "true";
+            } else if (i + 1 >= argc) {
+                std::cerr << "flag --" << name << " needs a value\n";
+                std::exit(2);
+            } else {
+                it->second = argv[++i];
+            }
         }
     }
 

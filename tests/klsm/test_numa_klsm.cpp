@@ -1,20 +1,29 @@
-// numa_klsm: NUMA-sharded k-LSM.
+// A k_lsm driven by pinned worker threads.
 //
-// Multi-node behavior is modeled on any host by discovering the
-// checked-in 2-node fake sysfs tree and routing threads explicitly with
-// set_home_shard; the single-node path is exercised with a fallback
-// topology (the shape every container CI host has).
+// Four workers pin themselves with pin_self to the CPUs of each pinning
+// policy the benchmarks offer (compact, scatter; topo::cpu_order over
+// the discovered machine, as klsm_bench's pin_order does) and run a
+// mixed insert/delete workload.  Each run checks conservation (every
+// inserted item comes out exactly once) and, in a serialized mirror
+// run, that no delete skips more than rho = (T+1)*k smaller keys
+// (Lemma 2, harness/quality.hpp).  The four-node fixture checks that
+// topology discovery, which the pinning orders are built from, sees
+// every node.
 
-#include "klsm/numa_klsm.hpp"
+#include "klsm/k_lsm.hpp"
 
 #include <algorithm>
 #include <atomic>
 #include <iterator>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "harness/quality.hpp"
+#include "topo/pinning.hpp"
+#include "topo/topology.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
@@ -22,188 +31,108 @@
 namespace klsm {
 namespace {
 
-topo::topology two_node_topology() {
-    auto t = topo::topology::discover(
-        std::string(KLSM_TOPO_FIXTURE_DIR) + "/fake_sysfs");
-    EXPECT_EQ(t.num_nodes(), 2u);
-    return t;
-}
+constexpr unsigned threads = 4;
+constexpr topo::pin_policy pinned_policies[] = {topo::pin_policy::compact,
+                                                topo::pin_policy::scatter};
 
-TEST(NumaKlsm, SingleNodeFallbackHasOneShard) {
-    const auto t = topo::topology::fallback(4);
-    numa_klsm<std::uint32_t, std::uint32_t> q{8, t};
-    EXPECT_EQ(q.num_shards(), 1u);
-    q.insert(3, 30);
-    q.insert(1, 10);
-    q.insert(2, 20);
-    std::uint32_t k, v;
-    std::set<std::uint32_t> seen;
-    while (q.try_delete_min(k, v)) {
-        EXPECT_EQ(v, k * 10);
-        seen.insert(k);
-    }
-    EXPECT_EQ(seen, (std::set<std::uint32_t>{1, 2, 3}));
-    EXPECT_FALSE(q.try_delete_min(k, v));
-}
-
-TEST(NumaKlsm, TwoShardsEveryItemRecoveredExactlyOnce) {
-    const auto t = two_node_topology();
-    numa_klsm<std::uint32_t, std::uint32_t> q{16, t};
-    ASSERT_EQ(q.num_shards(), 2u);
-    constexpr std::uint32_t n = 4000;
-    // Route half the inserts to each shard from this one thread.
-    for (std::uint32_t i = 0; i < n; ++i) {
-        q.set_home_shard(i % 2);
-        q.insert(i, i + 1);
-    }
-    EXPECT_GE(q.size_hint(), n);
-    std::vector<bool> seen(n, false);
-    std::uint32_t k, v;
-    std::uint32_t count = 0;
-    while (q.try_delete_min(k, v)) {
-        ASSERT_LT(k, n);
-        ASSERT_EQ(v, k + 1);
-        ASSERT_FALSE(seen[k]) << "duplicate delivery of key " << k;
-        seen[k] = true;
-        ++count;
-    }
-    EXPECT_EQ(count, n);
-}
-
-TEST(NumaKlsm, DrainsRemoteShardWhenLocalIsEmpty) {
-    const auto t = two_node_topology();
-    numa_klsm<std::uint32_t, std::uint32_t> q{8, t};
-    // Fill only shard 1, then consume with home shard 0: every delete
-    // goes through the local-miss sweep and must still find the items.
-    q.set_home_shard(1);
-    for (std::uint32_t i = 0; i < 500; ++i)
-        q.insert(i, i);
-    q.set_home_shard(0);
-    std::uint32_t k, v;
-    std::uint32_t count = 0;
-    while (q.try_delete_min(k, v))
-        ++count;
-    EXPECT_EQ(count, 500u);
-}
-
-TEST(NumaKlsm, TryFindMinSeesAllShards) {
-    const auto t = two_node_topology();
-    numa_klsm<std::uint32_t, std::uint32_t> q{8, t};
-    std::uint32_t k, v;
-    EXPECT_FALSE(q.try_find_min(k, v));
-    q.set_home_shard(0);
-    q.insert(50, 1);
-    q.set_home_shard(1);
-    q.insert(7, 2);
-    ASSERT_TRUE(q.try_find_min(k, v));
-    // The smaller key lives in shard 1; a global find-min must see it.
-    EXPECT_EQ(k, 7u);
-    EXPECT_EQ(v, 2u);
-}
-
-TEST(NumaKlsm, ConcurrentInsertDeleteConservesItems) {
-    const auto t = two_node_topology();
-    numa_klsm<std::uint32_t, std::uint32_t> q{64, t};
-    constexpr unsigned threads = 4;
-    constexpr std::uint32_t per_thread = 20000;
-    std::atomic<std::uint64_t> deleted{0};
-    std::vector<std::thread> ts;
-    for (unsigned w = 0; w < threads; ++w) {
-        ts.emplace_back([&, w] {
-            q.set_home_shard(w % 2);
-            xoroshiro128 rng{1234 + w};
-            std::uint32_t k, v;
-            std::uint64_t my_deleted = 0;
-            for (std::uint32_t i = 0; i < per_thread; ++i) {
-                if (rng.bounded(2) == 0) {
-                    const auto key_in = static_cast<std::uint32_t>(
-                        rng.bounded(1 << 20));
-                    q.insert(key_in, w);
-                } else if (q.try_delete_min(k, v)) {
-                    ++my_deleted;
-                }
-            }
-            deleted.fetch_add(my_deleted);
-        });
-    }
-    std::uint64_t inserted = 0;
-    for (unsigned w = 0; w < threads; ++w) {
-        ts[w].join();
-    }
-    // Count inserts deterministically from the same RNG streams.
-    for (unsigned w = 0; w < threads; ++w) {
-        xoroshiro128 rng{1234 + w};
-        for (std::uint32_t i = 0; i < per_thread; ++i) {
-            if (rng.bounded(2) == 0) {
-                rng.bounded(1 << 20);
-                ++inserted;
-            }
+/// Pin the calling worker `w` by `order` (best effort, as the harnesses
+/// do) and check that a successful pin really moved it.
+void pin_worker(const std::vector<std::uint32_t> &order, unsigned w) {
+    if (order.empty())
+        return;
+    const std::uint32_t cpu = order[w % order.size()];
+    if (topo::pin_self(cpu)) {
+        const auto now = topo::current_cpu();
+        if (now) {
+            EXPECT_EQ(*now, cpu) << "worker " << w;
         }
     }
-    // Drain the remainder single-threadedly.
-    std::uint32_t k, v;
-    std::uint64_t drained = 0;
-    while (q.try_delete_min(k, v))
-        ++drained;
-    EXPECT_EQ(deleted.load() + drained, inserted);
-    EXPECT_FALSE(q.try_delete_min(k, v));
 }
 
-// The composed bound rho <= nodes * (T*k + k) under balanced routing
-// (the regime the structure is designed for — each worker inserts and
-// deletes on its own home shard): a serialized mirror workload as in
-// harness/quality.hpp, with workers split across both shards so
-// cross-shard skew is actually exercised.  See numa_klsm.hpp for why
-// adversarially skewed routing is excluded from the guarantee: on a
-// multi-node topology the bound is a design property of balanced
-// routing, not a structural worst case (the quality harness checks it
-// advisorily there), so one scheduler-starved run can graze past it.
-// The test therefore checks the median of five independent runs, with
-// no retry.  No single run exceeded rho = 384 in 300 measured (200
-// Release, 100 TSan; median 176, p99 359, max 371), so the single-run
-// rate is p <= 1% (95% upper bound) and the median fails with
-// probability P(at least 3 of 5 exceed) <= 10 p^3 = 1e-5.
-TEST(NumaKlsm, RankErrorWithinComposedBound) {
-    const auto t = two_node_topology();
-    constexpr std::size_t k = 32;
-    constexpr unsigned threads = 4;
-    const std::uint64_t rho =
-        numa_rank_error_bound(t.num_nodes(), threads, k);
+TEST(PinnedKlsm, EveryPolicyOrdersTheOnlineCpus) {
+    const auto &t = topo::topology::system();
+    for (const auto policy : pinned_policies) {
+        auto order = topo::cpu_order(t, policy);
+        ASSERT_EQ(order.size(), t.num_cpus()) << pin_policy_name(policy);
+        std::sort(order.begin(), order.end());
+        EXPECT_EQ(std::unique(order.begin(), order.end()), order.end())
+            << pin_policy_name(policy) << " repeats a cpu";
+    }
+}
 
-    const auto run_once = [&](std::uint64_t seed_base) {
-        numa_klsm<std::uint32_t, std::uint32_t> q{k, t};
-        std::multiset<std::uint32_t> mirror;
-        std::mutex mtx;
-        std::atomic<std::uint64_t> rank_max{0};
-        std::atomic<std::uint64_t> deletes{0};
-
+TEST(PinnedKlsm, ConcurrentInsertDeleteConservesItems) {
+    for (const auto policy : pinned_policies) {
+        const auto order = topo::cpu_order(topo::topology::system(), policy);
+        k_lsm<std::uint32_t, std::uint32_t> q{64};
+        constexpr std::uint32_t per_thread = 20000;
+        std::atomic<std::uint64_t> inserted{0}, deleted{0};
         std::vector<std::thread> ts;
         for (unsigned w = 0; w < threads; ++w) {
             ts.emplace_back([&, w] {
-                q.set_home_shard(w % 2);
-                xoroshiro128 rng{seed_base + 31 * w};
+                pin_worker(order, w);
+                xoroshiro128 rng{1234 + w};
+                std::uint32_t k, v;
+                std::uint64_t mine_in = 0, mine_out = 0;
+                for (std::uint32_t i = 0; i < per_thread; ++i) {
+                    if (rng.bounded(2) == 0) {
+                        q.insert(static_cast<std::uint32_t>(
+                                     rng.bounded(1 << 20)),
+                                 w);
+                        ++mine_in;
+                    } else if (q.try_delete_min(k, v)) {
+                        EXPECT_LT(v, threads);
+                        ++mine_out;
+                    }
+                }
+                inserted.fetch_add(mine_in);
+                deleted.fetch_add(mine_out);
+            });
+        }
+        for (auto &th : ts)
+            th.join();
+        std::uint32_t k, v;
+        std::uint64_t drained = 0;
+        while (q.try_delete_min(k, v))
+            ++drained;
+        EXPECT_EQ(deleted.load() + drained, inserted.load())
+            << pin_policy_name(policy);
+        EXPECT_FALSE(q.try_delete_min(k, v));
+    }
+}
+
+// A serialized mirror workload as in harness/quality.hpp: each operation
+// runs under one lock next to a sorted mirror, so the rank of every
+// deleted key is exact.  The k-LSM's bound is structural, so every run
+// must stay within it; there is no retry or median.
+TEST(PinnedKlsm, RankErrorWithinRho) {
+    constexpr std::size_t k = 32;
+    const std::uint64_t rho = rank_error_bound(threads, k);
+    for (const auto policy : pinned_policies) {
+        const auto order = topo::cpu_order(topo::topology::system(), policy);
+        k_lsm<std::uint32_t, std::uint32_t> q{k};
+        std::multiset<std::uint32_t> mirror;
+        std::mutex mtx;
+        std::uint64_t rank_max = 0, deletes = 0;
+        std::vector<std::thread> ts;
+        for (unsigned w = 0; w < threads; ++w) {
+            ts.emplace_back([&, w] {
+                pin_worker(order, w);
+                xoroshiro128 rng{977 + 31 * w};
                 std::uint32_t key, value;
                 for (std::uint32_t i = 0; i < 10000; ++i) {
+                    std::lock_guard<std::mutex> g(mtx);
                     if (rng.bounded(2) == 0) {
                         const auto key_in = static_cast<std::uint32_t>(
                             rng.bounded(1 << 20));
-                        std::lock_guard<std::mutex> g(mtx);
                         q.insert(key_in, 0);
                         mirror.insert(key_in);
-                    } else {
-                        std::lock_guard<std::mutex> g(mtx);
-                        if (!q.try_delete_min(key, value))
-                            continue;
+                    } else if (q.try_delete_min(key, value)) {
                         const auto it = mirror.find(key);
                         ASSERT_NE(it, mirror.end());
-                        const auto rank = static_cast<std::uint64_t>(
-                            std::distance(mirror.begin(), it));
-                        std::uint64_t cur = rank_max.load();
-                        while (rank > cur &&
-                               !rank_max.compare_exchange_weak(cur,
-                                                               rank)) {
-                        }
-                        deletes.fetch_add(1);
+                        rank_max = std::max<std::uint64_t>(
+                            rank_max, static_cast<std::uint64_t>(
+                                          std::distance(mirror.begin(), it)));
+                        ++deletes;
                         mirror.erase(it);
                     }
                 }
@@ -211,237 +140,22 @@ TEST(NumaKlsm, RankErrorWithinComposedBound) {
         }
         for (auto &th : ts)
             th.join();
-        EXPECT_GT(deletes.load(), 0u);
-        return rank_max.load();
-    };
-
-    std::vector<std::uint64_t> observed;
-    for (unsigned run = 0; run < 5; ++run)
-        observed.push_back(run_once(977 + 7919u * run));
-    std::sort(observed.begin(), observed.end());
-    EXPECT_LE(observed[2], rho)
-        << "median rank error of five runs beyond the composed "
-           "nodes*(T*k + k) bound (max " << observed.back() << ")";
-}
-
-TEST(NumaKlsm, HomeShardPinDoesNotSurviveSlotRecycling) {
-    const auto t = two_node_topology();
-    numa_klsm<std::uint32_t, std::uint32_t> q{8, t};
-    // Thread A pins itself to shard 1 and exits, releasing its dense
-    // thread-id slot.
-    std::thread a([&] {
-        q.set_home_shard(1);
-        q.insert(100, 0);
-    });
-    a.join();
-    ASSERT_GE(q.shard(1).size_hint(), 1u);
-    // Thread B reuses a recycled slot (ids are handed out
-    // smallest-free-first).  Its insert must be routed from its own
-    // cpu, not inherit A's stale pin to shard 1.
-    std::uint32_t expected = 0;
-    std::thread b([&] {
-        const auto cpu = topo::current_cpu();
-        expected = t.node_index(t.node_of(cpu ? *cpu : 0));
-        q.insert(200, 0);
-    });
-    b.join();
-    // Only discriminating when B's own cpu maps to shard 0 (true on
-    // single-cpu CI hosts; on exotic hosts the check is vacuous).
-    if (expected == 0) {
-        EXPECT_GE(q.shard(0).size_hint(), 1u)
-            << "recycled slot inherited the dead thread's pin";
+        EXPECT_GT(deletes, 0u) << pin_policy_name(policy);
+        EXPECT_LE(rank_max, rho) << pin_policy_name(policy);
     }
 }
 
-topo::topology four_node_topology() {
-    auto t = topo::topology::discover(
+TEST(PinnedKlsm, FourNodeFixtureDiscovers) {
+    const auto t = topo::topology::discover(
         std::string(KLSM_TOPO_FIXTURE_DIR) + "/fake_sysfs_4node");
     EXPECT_EQ(t.num_nodes(), 4u);
-    return t;
-}
-
-TEST(NumaKlsm, FourNodeFixtureDiscovers) {
-    const auto t = four_node_topology();
     EXPECT_EQ(t.num_cpus(), 4u);
-    numa_klsm<std::uint32_t, std::uint32_t> q{8, t};
-    EXPECT_EQ(q.num_shards(), 4u);
-}
-
-// Best-of-two remote polling: with remote minima 10 < 20 < 30 in
-// shards 1..3 and home shard 0, every sampled pair contains a shard
-// whose observed minimum beats 30 ({1,2}->10, {1,3}->10, {2,3}->20),
-// so the poll may return 10 or 20 but never 30 — the distinguishing
-// property versus uniform-random victim choice, which returns 30 a
-// third of the time.
-TEST(NumaKlsm, BestOfTwoPollNeverTakesTheWorstRemote) {
-    const auto t = four_node_topology();
-    for (int trial = 0; trial < 200; ++trial) {
-        numa_klsm<std::uint32_t, std::uint32_t> q{8, t};
-        for (std::uint32_t s = 1; s < 4; ++s) {
-            q.set_home_shard(s);
-            q.insert(s * 10, s);
-        }
-        q.set_home_shard(0);
-        std::uint32_t k = 0, v = 0;
-        ASSERT_TRUE(q.poll_remote_best_of_two(0, k, v));
-        EXPECT_NE(k, 30u) << "poll took the worst of three remotes";
-        EXPECT_TRUE(k == 10u || k == 20u);
-    }
-}
-
-TEST(NumaKlsm, BestOfTwoPollDrainsTheSingleRemote) {
-    const auto t = two_node_topology();
-    numa_klsm<std::uint32_t, std::uint32_t> q{8, t};
-    q.set_home_shard(1);
-    q.insert(42, 7);
-    q.set_home_shard(0);
-    std::uint32_t k = 0, v = 0;
-    // One remote shard: best-of-two degenerates to polling it.
-    ASSERT_TRUE(q.poll_remote_best_of_two(0, k, v));
-    EXPECT_EQ(k, 42u);
-    EXPECT_EQ(v, 7u);
-    EXPECT_FALSE(q.poll_remote_best_of_two(0, k, v));
-}
-
-TEST(NumaKlsm, BestOfTwoPollIgnoresTheLocalShard) {
-    const auto t = four_node_topology();
-    numa_klsm<std::uint32_t, std::uint32_t> q{8, t};
-    q.set_home_shard(0);
-    q.insert(1, 1); // only the local shard holds anything
-    std::uint32_t k = 0, v = 0;
-    for (int i = 0; i < 50; ++i)
-        EXPECT_FALSE(q.poll_remote_best_of_two(0, k, v))
-            << "remote poll returned the local shard's key";
-    // The ordinary delete path still reaches the local item.
-    EXPECT_TRUE(q.try_delete_min(k, v));
-    EXPECT_EQ(k, 1u);
-}
-
-// Placement threading (ROADMAP "Per-node block pools"): with the bind
-// policy every shard's pools must target exactly the NUMA node that
-// shard serves, in node_ids() order — the plumbing the real multi-node
-// win depends on, provable on the fake-sysfs fixture without NUMA
-// hardware.
-TEST(NumaKlsm, ShardPoolsTargetTheirOwnNode) {
-    const auto t = four_node_topology();
-    numa_klsm<std::uint32_t, std::uint32_t> q{
-        8, t, {}, mm::numa_alloc_policy::bind};
-    EXPECT_EQ(q.alloc_policy(), mm::numa_alloc_policy::bind);
-    ASSERT_EQ(q.num_shards(), t.num_nodes());
-    for (std::uint32_t s = 0; s < q.num_shards(); ++s) {
-        const auto &place = q.shard(s).placement();
-        EXPECT_EQ(place.policy, mm::numa_alloc_policy::bind);
-        EXPECT_EQ(place.node, t.node_ids()[s])
-            << "shard " << s << " bound to the wrong node";
-    }
-}
-
-TEST(NumaKlsm, DefaultPolicyLeavesPoolsUnplaced) {
-    const auto t = two_node_topology();
-    numa_klsm<std::uint32_t, std::uint32_t> q{8, t};
-    EXPECT_EQ(q.alloc_policy(), mm::numa_alloc_policy::none);
-    for (std::uint32_t s = 0; s < q.num_shards(); ++s)
-        EXPECT_EQ(q.shard(s).placement().policy,
-                  mm::numa_alloc_policy::none);
-}
-
-TEST(NumaKlsm, MemoryStatsAggregateAcrossShards) {
-    const auto t = two_node_topology();
-    numa_klsm<std::uint32_t, std::uint32_t> q{
-        8, t, {}, mm::numa_alloc_policy::firsttouch};
-    for (std::uint32_t s = 0; s < 2; ++s) {
-        q.set_home_shard(s);
-        for (std::uint32_t i = 0; i < 500; ++i)
-            q.insert(i, i);
-    }
-    const auto total = q.memory_stats();
-    const auto shard0 = q.shard(0).memory_stats();
-    EXPECT_GT(shard0.items.fresh_allocs, 0u);
-    EXPECT_GT(total.items.fresh_allocs, shard0.items.fresh_allocs)
-        << "the aggregate must cover both shards";
-    EXPECT_EQ(total.dist_blocks.growth_beyond_bound, 0u);
-}
-
-// Hot-shard hinting: a thread publishes its home shard as the shared
-// hint every hint_update_period of its own inserts when that shard
-// looks fuller than the hinted one — so after a burst into one shard
-// the hint names it.
-TEST(NumaKlsm, HotShardHintTracksFullestShard) {
-    const auto t = four_node_topology();
-    numa_klsm<std::uint32_t, std::uint32_t> q{8, t};
-    using q_t = decltype(q);
-    q.set_home_shard(2);
-    for (std::uint32_t i = 0; i < 4 * q_t::hint_update_period; ++i)
-        q.insert(1000 + i, i);
-    EXPECT_EQ(q.hot_shard_hint(), 2u);
-    // A bigger burst elsewhere moves the hint.
-    q.set_home_shard(1);
-    for (std::uint32_t i = 0; i < 12 * q_t::hint_update_period; ++i)
-        q.insert(5000 + i, i);
-    EXPECT_EQ(q.hot_shard_hint(), 1u);
-}
-
-// With the hint naming the shard that holds the globally smallest
-// keys, every poll pairs the hint with a random remote and must take
-// from the hinted shard (its observed minimum wins the best-of-two) —
-// deterministically, where random+random would miss it when neither
-// sample landed on it.
-TEST(NumaKlsm, BestOfTwoPollPrefersTheHintedShard) {
-    const auto t = four_node_topology();
-    numa_klsm<std::uint32_t, std::uint32_t> q{8, t};
-    using q_t = decltype(q);
-    // Shards 1 and 2: one large key each.  Shard 3: a burst of small
-    // keys that also drives the hint there.
-    q.set_home_shard(1);
-    q.insert(100000, 1);
-    q.set_home_shard(2);
-    q.insert(200000, 2);
-    q.set_home_shard(3);
-    for (std::uint32_t i = 0; i < 4 * q_t::hint_update_period; ++i)
-        q.insert(i, 3);
-    ASSERT_EQ(q.hot_shard_hint(), 3u);
-    q.set_home_shard(0);
-    std::uint32_t k = 0, v = 0;
-    for (int i = 0; i < 50; ++i) {
-        ASSERT_TRUE(q.poll_remote_best_of_two(0, k, v));
-        EXPECT_LT(k, 100000u)
-            << "poll bypassed the hinted hot shard";
-    }
-}
-
-// The hint never breaks the poll's contract when it goes stale: a hint
-// pointing at a drained shard still leaves the random second sample to
-// find backlog elsewhere.
-TEST(NumaKlsm, StaleHintStillFindsBacklogViaTheRandomProbe) {
-    const auto t = four_node_topology();
-    numa_klsm<std::uint32_t, std::uint32_t> q{8, t};
-    using q_t = decltype(q);
-    q.set_home_shard(1);
-    for (std::uint32_t i = 0; i < 2 * q_t::hint_update_period; ++i)
-        q.insert(i, 1);
-    ASSERT_EQ(q.hot_shard_hint(), 1u);
-    // Drain shard 1 entirely; the hint now points at an empty shard.
-    q.set_home_shard(1);
-    std::uint32_t k = 0, v = 0;
-    while (q.shard(1).try_delete_min(k, v)) {
-    }
-    q.set_home_shard(2);
-    q.insert(7, 2);
-    ASSERT_EQ(q.hot_shard_hint(), 1u) << "hint must still be stale";
-    q.set_home_shard(0);
-    bool found = false;
-    for (int i = 0; i < 200 && !found; ++i)
-        found = q.poll_remote_best_of_two(0, k, v);
-    EXPECT_TRUE(found) << "random second probe never found shard 2";
-    EXPECT_EQ(k, 7u);
-}
-
-TEST(NumaKlsm, ComposedBoundFormula) {
-    // nodes * ((T+1)*k + k), T = worker threads (prefill counts once).
-    EXPECT_EQ(numa_rank_error_bound(1, 3, 8), (4 * 8 + 8) * 1u);
-    EXPECT_EQ(numa_rank_error_bound(2, 3, 8), (4 * 8 + 8) * 2u);
-    EXPECT_EQ(numa_rank_error_bound(4, 0, 16), (16 + 16) * 4u);
-    EXPECT_EQ(numa_rank_error_bound(2, 3, 0), 0u);
+    EXPECT_EQ(t.node_ids(), (std::vector<std::uint32_t>{0, 1, 2, 3}));
+    for (const std::uint32_t node : t.node_ids())
+        EXPECT_EQ(t.cpus_of_node(node).size(), 1u) << "node " << node;
+    for (const auto policy : pinned_policies)
+        EXPECT_EQ(topo::cpu_order(t, policy).size(), 4u)
+            << pin_policy_name(policy);
 }
 
 } // namespace

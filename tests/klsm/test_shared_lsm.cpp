@@ -628,7 +628,7 @@ TEST(SharedLsm, SettledBlocksRecycleAcrossSettlers) {
     };
     const auto chunks = [&s] {
         mm::memory_stats m;
-        s.collect_memory(m, false);
+        s.collect_memory(m);
         return m.shared_blocks.chunks;
     };
     thread_index(); // the worker below gets another thread slot

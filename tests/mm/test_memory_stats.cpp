@@ -1,12 +1,12 @@
-// Allocation-placement telemetry wired through the pools and the
-// queues (mm/alloc_stats.hpp consumers).
+// Allocation telemetry wired through the pools and the queues
+// (mm/alloc_stats.hpp consumers).
 //
 // The concurrent case doubles as the paper-bound check the block-pool
-// header promises: a mixed insert/delete run across every placement
-// policy must never grow a DistLSM pool beyond the paper's
-// four-blocks-per-level bound (growth_beyond_bound stays 0 there),
-// whichever node the pages went to.  The shared-LSM pools' safety
-// valve may fire under churn by design and is only bounded loosely.
+// header promises: a mixed insert/delete run, with plain and with
+// page-managed (shrink-enabled) storage, must never grow a DistLSM pool
+// beyond the paper's four-blocks-per-level bound (growth_beyond_bound
+// stays 0 there).  The shared-LSM pools' safety valve may fire under
+// churn by design and is only bounded loosely.
 
 #include "mm/alloc_stats.hpp"
 
@@ -73,8 +73,6 @@ TEST(PoolStats, KLsmAggregatesItemAndBlockPools) {
     EXPECT_EQ(m.dist_blocks.growth_beyond_bound, 0u);
     EXPECT_GT(m.shared_blocks.chunks, 0u)
         << "k=8 forces spills into the shared component";
-    EXPECT_FALSE(m.resident_queried)
-        << "residency is opt-in, not a side effect";
 }
 
 // Block pools allocate on demand, so shared block storage stays within
@@ -92,53 +90,17 @@ TEST(PoolStats, SharedBlockFootprintStaysNearItemCount) {
     EXPECT_EQ(m.dist_blocks.chunks, m.dist_blocks.fresh_allocs);
 }
 
-TEST(PoolStats, ResidencyQueryCoversTheBackingPages) {
-    if (!mm::residency_query_supported())
-        GTEST_SKIP() << "move_pages not available on this platform";
-    k_lsm<std::uint32_t, std::uint32_t> q{
-        8, {}, {mm::numa_alloc_policy::bind, 0}};
-    for (std::uint32_t i = 0; i < 1000; ++i)
-        q.insert(i, i);
-    const auto m = q.memory_stats(true);
-    EXPECT_TRUE(m.resident_queried);
-    EXPECT_GT(m.items_resident.total_pages(), 0u);
-    EXPECT_GT(m.dist_blocks_resident.total_pages(), 0u);
-    // Placed chunks are page-rounded and pre-faulted, so the counted
-    // bytes fully convert into countable pages.
-    EXPECT_EQ(m.items_resident.total_pages(),
-              m.items.bytes / mm::page_size());
-    EXPECT_EQ(m.dist_blocks_resident.total_pages(),
-              m.dist_blocks.bytes / mm::page_size());
-    EXPECT_EQ(m.shared_blocks_resident.total_pages(),
-              m.shared_blocks.bytes / mm::page_size());
-}
-
-TEST(PoolStats, ResidencySkipsUnplacedStorage) {
-    if (!mm::residency_query_supported())
-        GTEST_SKIP() << "move_pages not available on this platform";
-    // `none`-policy storage shares heap pages with unrelated
-    // allocations, so per-page attribution would double-count; the
-    // region walk must skip it rather than report inflated totals.
-    k_lsm<std::uint32_t, std::uint32_t> q{8};
-    for (std::uint32_t i = 0; i < 1000; ++i)
-        q.insert(i, i);
-    const auto m = q.memory_stats(true);
-    EXPECT_TRUE(m.resident_queried);
-    EXPECT_GT(m.items.bytes, 0u);
-    EXPECT_EQ(m.items_resident.total_pages(), 0u);
-    EXPECT_EQ(m.dist_blocks_resident.total_pages(), 0u);
-    EXPECT_EQ(m.shared_blocks_resident.total_pages(), 0u);
-}
-
 // The paper's four-blocks-per-level bound (Section 4.4) holds in a
-// concurrent mixed run, for every placement policy: growth beyond the
-// bound would mean the pool's safety valve fired, i.e. a code path
-// holds more blocks than the reasoning allows.
+// concurrent mixed run, with plain heap storage and with page-managed
+// storage (the shrink tier's): growth beyond the bound would mean the
+// pool's safety valve fired, i.e. a code path holds more blocks than
+// the reasoning allows.
 TEST(PoolStats, ConcurrentRunStaysWithinPaperBlockBound) {
     for (const auto policy :
-         {mm::numa_alloc_policy::none, mm::numa_alloc_policy::bind,
-          mm::numa_alloc_policy::firsttouch}) {
-        k_lsm<std::uint32_t, std::uint32_t> q{16, {}, {policy, 0}};
+         {mm::reclaim_policy::none, mm::reclaim_policy::shrink}) {
+        mm::mem_placement place;
+        place.reclaim.policy = policy;
+        k_lsm<std::uint32_t, std::uint32_t> q{16, {}, place};
         constexpr unsigned threads = 4;
         constexpr std::uint32_t per_thread = 20000;
         std::vector<std::thread> ts;
@@ -160,16 +122,19 @@ TEST(PoolStats, ConcurrentRunStaysWithinPaperBlockBound) {
             t.join();
         const auto m = q.memory_stats();
         EXPECT_EQ(m.dist_blocks.growth_beyond_bound, 0u)
-            << "policy " << mm::numa_alloc_policy_name(policy);
+            << "policy " << mm::reclaim::reclaim_policy_name(policy);
         // The shared pool's valve may fire by design (see
         // mm/alloc_stats.hpp), but runaway growth would mean broken
         // reclamation: a handful of events across 80k ops is the
         // expected order of magnitude.
         EXPECT_LE(m.shared_blocks.growth_beyond_bound, 64u)
-            << "policy " << mm::numa_alloc_policy_name(policy);
+            << "policy " << mm::reclaim::reclaim_policy_name(policy);
         EXPECT_GT(m.dist_blocks.chunks, 0u);
         EXPECT_GT(m.items.chunks, 0u);
-        if (policy != mm::numa_alloc_policy::none) {
+        if (policy == mm::reclaim_policy::none) {
+            EXPECT_EQ(m.dist_blocks.prefaulted_chunks, 0u);
+            EXPECT_EQ(m.items.prefaulted_chunks, 0u);
+        } else {
             EXPECT_EQ(m.dist_blocks.prefaulted_chunks,
                       m.dist_blocks.chunks);
             EXPECT_EQ(m.items.prefaulted_chunks, m.items.chunks);

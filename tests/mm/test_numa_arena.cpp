@@ -1,19 +1,15 @@
-// Node-bound arena / placement layer (mm/placement.hpp, mm/arena.hpp,
-// mm/alloc_stats.hpp).
-//
-// This container is single-node, so what can be asserted hard is the
-// ISSUE's fallback contract: the bind policy must be behavior-identical
-// to the plain arena (same chunk pattern, same stable pointers, same
-// values), binding to the only real node must succeed where the kernel
-// allows mbind, and binding to a nonexistent node must degrade to
-// pre-faulted allocation instead of failing.  Residency assertions are
-// gated on move_pages being queryable.
+// Pool storage (mm/placement.hpp, mm/arena.hpp, mm/alloc_stats.hpp):
+// placed_array with shrinking off (one plain heap array) and on
+// (page-aligned, pre-faulted storage the shrink tier can release),
+// move semantics, arena chunk accounting, and the `memory` JSON schema.
 
 #include "mm/arena.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "mm/alloc_stats.hpp"
@@ -22,41 +18,43 @@
 namespace klsm {
 namespace {
 
-TEST(Placement, PolicyNamesRoundTrip) {
-    using mm::numa_alloc_policy;
-    for (const auto p :
-         {numa_alloc_policy::none, numa_alloc_policy::bind,
-          numa_alloc_policy::firsttouch}) {
-        const auto parsed =
-            mm::parse_numa_alloc_policy(mm::numa_alloc_policy_name(p));
-        ASSERT_TRUE(parsed.has_value());
-        EXPECT_EQ(*parsed, p);
-    }
-    EXPECT_FALSE(mm::parse_numa_alloc_policy("interleave").has_value());
-    EXPECT_FALSE(mm::parse_numa_alloc_policy("").has_value());
+mm::mem_placement shrinking() {
+    mm::mem_placement place;
+    place.reclaim.policy = mm::reclaim_policy::shrink;
+    return place;
 }
 
-TEST(PlacedArray, NonePolicyIsPlainAllocation) {
-    auto a = mm::placed_array<int>::allocate(100, {});
-    ASSERT_NE(a.get(), nullptr);
-    EXPECT_EQ(a.size(), 100u);
-    EXPECT_EQ(a.bytes(), 100 * sizeof(int));
-    EXPECT_FALSE(a.how_placed().bound);
-    EXPECT_FALSE(a.how_placed().prefaulted);
-    for (std::size_t i = 0; i < 100; ++i)
-        EXPECT_EQ(a[i], 0) << "value-initialized like make_unique<T[]>";
+std::size_t page_rounded(std::size_t bytes) {
+    const std::size_t ps = mm::page_size();
+    return (bytes + ps - 1) / ps * ps;
 }
 
-TEST(PlacedArray, PlacedPoliciesPrefaultPageAlignedStorage) {
-    for (const auto policy : {mm::numa_alloc_policy::bind,
-                              mm::numa_alloc_policy::firsttouch}) {
-        auto a = mm::placed_array<int>::allocate(
-            100, {policy, 0});
+TEST(PlacedArray, ShrinkOffIsPlainAllocation) {
+    for (const auto policy :
+         {mm::reclaim_policy::none, mm::reclaim_policy::freelist}) {
+        mm::mem_placement place;
+        place.reclaim.policy = policy;
+        auto a = mm::placed_array<int>::allocate(100, place);
         ASSERT_NE(a.get(), nullptr);
         EXPECT_EQ(a.size(), 100u);
-        EXPECT_TRUE(a.how_placed().prefaulted);
-        EXPECT_EQ(a.bytes() % mm::page_size(), 0u);
-        EXPECT_GE(a.bytes(), 100 * sizeof(int));
+        EXPECT_EQ(a.bytes(), 100 * sizeof(int)) << "no page rounding";
+        EXPECT_FALSE(a.page_managed());
+        EXPECT_EQ(a.region(), a.get());
+        for (std::size_t i = 0; i < 100; ++i)
+            EXPECT_EQ(a[i], 0) << "value-initialized like make_unique<T[]>";
+    }
+}
+
+TEST(PlacedArray, ShrinkOnIsPageAlignedAndPrefaulted) {
+    for (const auto policy :
+         {mm::reclaim_policy::shrink, mm::reclaim_policy::full}) {
+        mm::mem_placement place;
+        place.reclaim.policy = policy;
+        auto a = mm::placed_array<int>::allocate(100, place);
+        ASSERT_NE(a.get(), nullptr);
+        EXPECT_EQ(a.size(), 100u);
+        EXPECT_TRUE(a.page_managed());
+        EXPECT_EQ(a.bytes(), page_rounded(100 * sizeof(int)));
         EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a.region()) %
                       mm::page_size(),
                   0u);
@@ -64,157 +62,120 @@ TEST(PlacedArray, PlacedPoliciesPrefaultPageAlignedStorage) {
             EXPECT_EQ(a[i], 0);
             a[i] = static_cast<int>(i);
         }
-        // Pre-faulted pages are immediately resident and countable.
-        if (mm::residency_query_supported()) {
-            mm::resident_histogram hist;
-            ASSERT_TRUE(
-                mm::query_resident_nodes(a.region(), a.bytes(), hist));
-            EXPECT_EQ(hist.total_pages(),
-                      a.bytes() / mm::page_size());
-        }
+        for (std::size_t i = 0; i < 100; ++i)
+            EXPECT_EQ(a[i], static_cast<int>(i));
+    }
+}
+
+TEST(PlacedArray, EmptyAllocationOwnsNothing) {
+    for (const auto &place : {mm::mem_placement{}, shrinking()}) {
+        auto a = mm::placed_array<int>::allocate(0, place);
+        EXPECT_TRUE(a.empty());
+        EXPECT_EQ(a.get(), nullptr);
+        EXPECT_EQ(a.bytes(), 0u);
+        EXPECT_FALSE(a.page_managed());
     }
 }
 
 TEST(PlacedArray, MoveTransfersOwnership) {
-    auto a = mm::placed_array<int>::allocate(
-        8, {mm::numa_alloc_policy::bind, 0});
-    int *data = a.get();
-    data[3] = 42;
-    mm::placed_array<int> b = std::move(a);
-    EXPECT_EQ(a.get(), nullptr);
-    EXPECT_EQ(b.get(), data) << "elements never move (type stability)";
-    EXPECT_EQ(b[3], 42);
+    for (const auto &place : {mm::mem_placement{}, shrinking()}) {
+        auto a = mm::placed_array<int>::allocate(8, place);
+        const bool paged = a.page_managed();
+        const std::size_t bytes = a.bytes();
+        int *data = a.get();
+        data[3] = 42;
+        mm::placed_array<int> b = std::move(a);
+        EXPECT_EQ(a.get(), nullptr);
+        EXPECT_EQ(a.bytes(), 0u);
+        EXPECT_FALSE(a.page_managed());
+        EXPECT_EQ(b.get(), data) << "elements never move (type stability)";
+        EXPECT_EQ(b[3], 42);
+        EXPECT_EQ(b.page_managed(), paged);
+        EXPECT_EQ(b.bytes(), bytes);
+        mm::placed_array<int> c;
+        c = std::move(b);
+        EXPECT_EQ(b.get(), nullptr);
+        EXPECT_EQ(c.get(), data);
+        EXPECT_EQ(c[3], 42);
+    }
 }
 
-// The ISSUE's single-node acceptance contract: bind behaves exactly
-// like the plain arena — identical chunk pattern, identical allocation
-// order, stable distinct pointers, identical observable content.
-TEST(NumaArena, BindBehaviorIdenticalToPlainArenaFallback) {
-    mm::alloc_counters plain_counters, bound_counters;
+// Both storage kinds give the same arena: the same geometric chunk
+// pattern, allocation order, stable distinct pointers and content.  Only
+// the byte accounting differs, by page rounding.
+TEST(ArenaAccounting, ChunkPatternIsTheSameWithShrinkOffAndOn) {
+    mm::alloc_counters plain_counters, paged_counters;
     arena<int> plain{4, {}, &plain_counters};
-    numa_arena<int> bound{0, mm::numa_alloc_policy::bind, 4,
-                          &bound_counters};
-    std::vector<int *> plain_ptrs, bound_ptrs;
+    arena<int> paged{4, shrinking(), &paged_counters};
+    std::vector<int *> plain_ptrs, paged_ptrs;
     for (int i = 0; i < 100; ++i) {
         int *p = plain.allocate();
-        int *q = bound.allocate();
+        int *q = paged.allocate();
         *p = i;
         *q = i;
         plain_ptrs.push_back(p);
-        bound_ptrs.push_back(q);
+        paged_ptrs.push_back(q);
     }
-    EXPECT_EQ(plain.size(), bound.size());
-    EXPECT_EQ(std::set<int *>(bound_ptrs.begin(), bound_ptrs.end()).size(),
+    EXPECT_EQ(plain.size(), paged.size());
+    EXPECT_EQ(std::set<int *>(paged_ptrs.begin(), paged_ptrs.end()).size(),
               100u);
-    for (int i = 0; i < 100; ++i) {
-        EXPECT_EQ(*plain_ptrs[static_cast<std::size_t>(i)],
-                  *bound_ptrs[static_cast<std::size_t>(i)]);
-        EXPECT_EQ(bound.at(static_cast<std::size_t>(i)), i);
+    for (std::size_t i = 0; i < 100; ++i) {
+        EXPECT_EQ(*plain_ptrs[i], *paged_ptrs[i]);
+        EXPECT_EQ(paged.at(i), static_cast<int>(i));
     }
     int expect = 0;
-    bound.for_each([&](int &v) { EXPECT_EQ(v, expect++); });
+    paged.for_each([&](int &v) { EXPECT_EQ(v, expect++); });
     EXPECT_EQ(expect, 100);
-    // Identical geometric chunk pattern (4, 8, 16, 32, 64 => 5 chunks).
-    EXPECT_EQ(plain_counters.snapshot().chunks,
-              bound_counters.snapshot().chunks);
-    EXPECT_EQ(plain_counters.snapshot().chunks, 5u);
-    // The residency walk covers exactly the page-managed chunks:
-    // all of bound's, none of plain's (heap-shared pages would double
-    // count; see placed_array::page_managed).
-    std::size_t plain_regions = 0, bound_regions = 0;
-    plain.for_each_region(
-        [&](const void *, std::size_t) { ++plain_regions; });
-    bound.for_each_region(
-        [&](const void *, std::size_t) { ++bound_regions; });
-    EXPECT_EQ(plain_regions, 0u);
-    EXPECT_EQ(bound_regions, 5u);
-}
 
-TEST(NumaArena, BindToRealNodeBindsEveryChunk) {
-    mm::alloc_counters counters;
-    numa_arena<std::uint64_t> a{0, mm::numa_alloc_policy::bind, 16,
-                                &counters};
-    for (int i = 0; i < 200; ++i)
-        *a.allocate() = 7;
-    const auto snap = counters.snapshot();
-    EXPECT_GT(snap.chunks, 1u);
-    EXPECT_GE(snap.bytes, 200 * sizeof(std::uint64_t));
-    EXPECT_EQ(snap.prefaulted_chunks, snap.chunks);
-    // Every Linux kernel we run on accepts mbind to node 0; a seccomp
-    // filter that rejects it is the documented fallback, in which case
-    // nothing is bound rather than some things.
-    EXPECT_TRUE(snap.bound_chunks == snap.chunks ||
-                snap.bound_chunks == 0);
-    if (mm::residency_query_supported() &&
-        snap.bound_chunks == snap.chunks) {
-        mm::resident_histogram hist;
-        a.for_each_region([&](const void *p, std::size_t bytes) {
-            mm::query_resident_nodes(p, bytes, hist);
-        });
-        EXPECT_EQ(hist.total_pages(), snap.bytes / mm::page_size());
-        EXPECT_EQ(hist.pages_on(0), hist.total_pages())
-            << "bound chunks must be resident on the target node";
+    // Chunks of 4, 8, 16, 32 and 64 ints.
+    const auto plain_snap = plain_counters.snapshot();
+    const auto paged_snap = paged_counters.snapshot();
+    EXPECT_EQ(plain_snap.chunks, 5u);
+    EXPECT_EQ(paged_snap.chunks, 5u);
+    ASSERT_EQ(plain.chunk_count(), 5u);
+    ASSERT_EQ(paged.chunk_count(), 5u);
+    std::uint64_t plain_bytes = 0, paged_bytes = 0;
+    for (std::size_t c = 0; c < 5; ++c) {
+        const std::size_t n = std::size_t{4} << c;
+        EXPECT_EQ(plain.chunk_bytes(c), n * sizeof(int));
+        EXPECT_EQ(paged.chunk_bytes(c), page_rounded(n * sizeof(int)));
+        EXPECT_FALSE(plain.chunk_page_managed(c));
+        EXPECT_TRUE(paged.chunk_page_managed(c));
+        plain_bytes += plain.chunk_bytes(c);
+        paged_bytes += paged.chunk_bytes(c);
     }
+    EXPECT_EQ(plain_snap.bytes, plain_bytes);
+    EXPECT_EQ(paged_snap.bytes, paged_bytes);
+    EXPECT_EQ(plain_snap.prefaulted_chunks, 0u);
+    EXPECT_EQ(paged_snap.prefaulted_chunks, paged_snap.chunks);
 }
 
-TEST(NumaArena, BindToNonexistentNodeDegradesGracefully) {
+TEST(ArenaAccounting, ReleaseAndReactivateMoveTheGauges) {
     mm::alloc_counters counters;
-    numa_arena<int> a{999, mm::numa_alloc_policy::bind, 8, &counters};
-    for (int i = 0; i < 50; ++i)
-        *a.allocate() = i;
-    for (int i = 0; i < 50; ++i)
-        EXPECT_EQ(a.at(static_cast<std::size_t>(i)), i);
-    const auto snap = counters.snapshot();
-    EXPECT_EQ(snap.bound_chunks, 0u)
-        << "mbind to a nonexistent node must be refused, not faked";
-    EXPECT_EQ(snap.prefaulted_chunks, snap.chunks)
-        << "the fallback still pre-faults";
-}
-
-TEST(NumaArena, FirstTouchNeverCallsMbind) {
-    mm::alloc_counters counters;
-    numa_arena<int> a{0, mm::numa_alloc_policy::firsttouch, 8, &counters};
-    for (int i = 0; i < 50; ++i)
-        a.allocate();
-    const auto snap = counters.snapshot();
-    EXPECT_EQ(snap.bound_chunks, 0u);
-    EXPECT_EQ(snap.prefaulted_chunks, snap.chunks);
-}
-
-TEST(AllocCounters, ArenaChunkAccountingMatchesRegions) {
-    mm::alloc_counters counters;
-    // firsttouch: every chunk is page-managed, so the region walk must
-    // cover exactly what the counters recorded.
-    arena<int> a{4, {mm::numa_alloc_policy::firsttouch, 0}, &counters};
-    for (int i = 0; i < 30; ++i)
-        a.allocate();
-    std::uint64_t region_bytes = 0, regions = 0;
-    a.for_each_region([&](const void *, std::size_t bytes) {
-        region_bytes += bytes;
-        ++regions;
-    });
-    const auto snap = counters.snapshot();
-    EXPECT_EQ(snap.chunks, regions);
-    EXPECT_EQ(snap.bytes, region_bytes);
-}
-
-TEST(ResidentHistogram, AccumulatesAndMerges) {
-    mm::resident_histogram a;
-    a.add(0, 3);
-    a.add(2, 1);
-    a.add_unknown(2);
-    mm::resident_histogram b;
-    b.add(2, 4);
-    a.merge(b);
-    EXPECT_EQ(a.pages_on(0), 3u);
-    EXPECT_EQ(a.pages_on(2), 5u);
-    EXPECT_EQ(a.pages_on(1), 0u);
-    EXPECT_EQ(a.unknown_pages(), 2u);
-    EXPECT_EQ(a.total_pages(), 10u);
-    const auto pairs = a.pairs();
-    ASSERT_EQ(pairs.size(), 2u);
-    EXPECT_EQ(pairs[0], (std::pair<std::uint32_t, std::uint64_t>{0, 3}));
-    EXPECT_EQ(pairs[1], (std::pair<std::uint32_t, std::uint64_t>{2, 5}));
+    arena<std::uint64_t> a{1024, shrinking(), &counters};
+    for (int i = 0; i < 1024; ++i)
+        *a.allocate() = 7;
+    ASSERT_EQ(a.chunk_count(), 1u);
+    arena<std::uint64_t> plain{16};
+    *plain.allocate() = 1;
+    EXPECT_FALSE(plain.release_chunk_pages(0))
+        << "heap storage shares pages and is never released";
+    if (!mm::reclaim::release_pages_supported())
+        GTEST_SKIP() << "madvise(MADV_DONTNEED) unavailable";
+    ASSERT_TRUE(a.release_chunk_pages(0));
+    auto snap = counters.snapshot();
+    EXPECT_EQ(snap.reclaimed_chunks, 1u);
+    EXPECT_EQ(snap.released_bytes, a.chunk_bytes(0));
+    EXPECT_EQ(snap.shrink_events, 1u);
+    EXPECT_EQ(a.at(5), 0u) << "released pages read back as zeros";
+    a.note_chunk_reactivated(0);
+    a.at(5) = 9;
+    EXPECT_EQ(a.at(5), 9u);
+    snap = counters.snapshot();
+    EXPECT_EQ(snap.reclaimed_chunks, 0u);
+    EXPECT_EQ(snap.released_bytes, 0u);
+    EXPECT_EQ(snap.shrink_events, 1u) << "cumulative";
+    EXPECT_EQ(snap.reactivated_chunks, 1u);
 }
 
 TEST(MemoryJson, CarriesTheDocumentedSchema) {
@@ -223,31 +184,28 @@ TEST(MemoryJson, CarriesTheDocumentedSchema) {
     m.items.bytes = 8192;
     m.items.reuse_hits = 10;
     m.items.fresh_allocs = 30;
+    m.items.prefaulted_chunks = 2;
     m.dist_blocks.chunks = 8;
     m.dist_blocks.bytes = 65536;
     m.shared_blocks.chunks = 4;
     m.shared_blocks.growth_beyond_bound = 1;
-    m.resident_queried = true;
-    m.items_resident.add(0, 2);
-    m.dist_blocks_resident.add(1, 16);
-    const std::string json =
-        mm::memory_json(m, mm::numa_alloc_policy::bind);
+    m.shared_blocks.released_bytes = 4096;
+    const std::string json = mm::memory_json(m);
+    EXPECT_EQ(json.rfind("{\"pools\":{", 0), 0u) << json;
     for (const char *needle :
-         {"\"policy\":\"bind\"", "\"resident_queried\":true",
-          "\"pools\":{", "\"items\":{", "\"dist_blocks\":{",
-          "\"shared_blocks\":{", "\"chunks\":2", "\"bytes\":8192",
-          "\"reuse_hits\":10", "\"fresh_allocs\":30",
-          "\"reuse_hit_rate\":0.25", "\"growth_beyond_bound\":1",
-          "\"resident_nodes\":[[0,2]]", "\"resident_nodes\":[[1,16]]"})
+         {"\"items\":{", "\"dist_blocks\":{", "\"shared_blocks\":{",
+          "\"chunks\":2", "\"bytes\":8192", "\"reuse_hits\":10",
+          "\"fresh_allocs\":30", "\"reuse_hit_rate\":0.25",
+          "\"growth_beyond_bound\":1", "\"prefaulted_chunks\":2",
+          "\"freelist_hits\":", "\"freelist_drops\":",
+          "\"freelist_hit_rate\":", "\"reclaimed_chunks\":",
+          "\"released_bytes\":4096", "\"shrink_events\":",
+          "\"reactivated_chunks\":"})
         EXPECT_NE(json.find(needle), std::string::npos)
             << "missing " << needle << " in " << json;
-    // Without residency the histogram fields are omitted entirely.
-    m.resident_queried = false;
-    const std::string no_resident =
-        mm::memory_json(m, mm::numa_alloc_policy::none);
-    EXPECT_EQ(no_resident.find("resident_nodes"), std::string::npos);
-    EXPECT_NE(no_resident.find("\"policy\":\"none\""),
-              std::string::npos);
+    for (const char *gone : {"policy", "resident", "bound_chunks"})
+        EXPECT_EQ(json.find(gone), std::string::npos)
+            << "unexpected " << gone << " in " << json;
 }
 
 } // namespace

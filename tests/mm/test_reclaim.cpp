@@ -181,15 +181,19 @@ TEST(Reclaim, QuiescentShrinkReleasesMaintenanceAndBoundaryChunksTogether) {
     EXPECT_EQ(census.released, 2u);
     EXPECT_EQ(census.quarantined, 0u);
     EXPECT_EQ(census.active, 1u) << "chunk 0 holds live items";
-    std::vector<std::size_t> region_bytes;
-    pool.for_each_region([&](const void *, std::size_t bytes) {
-        region_bytes.push_back(bytes);
-    });
-    ASSERT_EQ(region_bytes.size(), 4u);
+    // A shrink-enabled chunk of n items is n items rounded up to pages.
+    const auto chunk_bytes = [](std::size_t items) {
+        const std::size_t ps = mm::page_size();
+        return (items * sizeof(item<std::uint32_t, std::uint64_t>) + ps -
+                1) / ps * ps;
+    };
     const auto snap = pool.stats().snapshot();
+    ASSERT_EQ(snap.chunks, 4u);
+    EXPECT_EQ(snap.bytes, chunk_bytes(256) + chunk_bytes(512) +
+                              chunk_bytes(1024) + chunk_bytes(2048));
     EXPECT_EQ(snap.reclaimed_chunks, census.released);
     EXPECT_EQ(snap.shrink_events, census.released);
-    EXPECT_EQ(snap.released_bytes, region_bytes[1] + region_bytes[2]);
+    EXPECT_EQ(snap.released_bytes, chunk_bytes(512) + chunk_bytes(1024));
     // Pop the whole chain: it must hold exactly chunk 3's two dead
     // items, and no node of a released chunk.
     std::size_t popped = 0;
@@ -320,37 +324,35 @@ TEST(Reclaim, MaintenanceQuarantinesBeforeReleasing) {
             << "platform refused: the chunk must stay quarantined";
 }
 
-TEST(Reclaim, ShrinkThenRegrowKeepsNodeBinding) {
+TEST(Reclaim, ShrinkThenRegrowRefaultsTheReleasedChunk) {
     if (!mm::reclaim::release_pages_supported())
         GTEST_SKIP() << "madvise(MADV_DONTNEED) unavailable";
-    mm::mem_placement place = with_policy(mm::reclaim_policy::full);
-    place.policy = mm::numa_alloc_policy::bind;
-    place.node = 0;
-    pool_t pool{place};
+    pool_t pool{with_policy(mm::reclaim_policy::full)};
     std::vector<ref_t> refs;
     for (std::uint32_t i = 0; i < 256; ++i)
         refs.push_back(pool.allocate(i, i));
     for (auto &r : refs)
         ASSERT_TRUE(r.take());
     ASSERT_GE(pool.quiescent_shrink(), 1u);
-    // Regrow: revival refaults the released pages.  The mbind VMA
-    // policy outlives MADV_DONTNEED, so the refaulted pages must land
-    // back on the bound node.
+    const auto shrunk = pool.census();
+    EXPECT_EQ(shrunk.released, 1u);
+    EXPECT_EQ(shrunk.active, 0u);
+    EXPECT_EQ(pool.capacity(), 0u) << "a released chunk's items are out";
+    EXPECT_EQ(pool.stats().snapshot().reclaimed_chunks, 1u);
+    // Regrow: revival refaults the released pages.
     std::vector<ref_t> regrown;
     for (std::uint32_t i = 0; i < 256; ++i)
         regrown.push_back(pool.allocate(i, i));
-    if (mm::residency_query_supported()) {
-        mm::resident_histogram hist;
-        bool queried = true;
-        pool.for_each_region([&](const void *p, std::size_t bytes) {
-            queried &= mm::query_resident_nodes(p, bytes, hist);
-        });
-        if (queried && !hist.empty()) {
-            EXPECT_GT(hist.pages_on(0), 0u);
-            for (const auto &[node, pages] : hist.pairs())
-                EXPECT_EQ(node, 0u)
-                    << pages << " refaulted pages landed off-node";
-        }
+    const auto grown = pool.census();
+    EXPECT_EQ(grown.released, 0u);
+    EXPECT_EQ(grown.active, 1u);
+    const auto snap = pool.stats().snapshot();
+    EXPECT_EQ(snap.chunks, 1u) << "regrowth revives, it does not allocate";
+    EXPECT_EQ(snap.reclaimed_chunks, 0u);
+    EXPECT_EQ(snap.reactivated_chunks, 1u);
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        EXPECT_EQ(regrown[i].key, i);
+        EXPECT_EQ(regrown[i].it->value(), i) << "refaulted page lost a write";
     }
 }
 

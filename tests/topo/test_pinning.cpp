@@ -17,7 +17,7 @@ topology fixture() {
 
 TEST(PinPolicy, NamesRoundTrip) {
     for (const auto p : {pin_policy::none, pin_policy::compact,
-                         pin_policy::scatter, pin_policy::numa_fill}) {
+                         pin_policy::scatter}) {
         const auto parsed = parse_pin_policy(pin_policy_name(p));
         ASSERT_TRUE(parsed.has_value());
         EXPECT_EQ(*parsed, p);
@@ -25,6 +25,7 @@ TEST(PinPolicy, NamesRoundTrip) {
     EXPECT_FALSE(parse_pin_policy("").has_value());
     EXPECT_FALSE(parse_pin_policy("Compact").has_value());
     EXPECT_FALSE(parse_pin_policy("numa").has_value());
+    EXPECT_FALSE(parse_pin_policy("numa_fill").has_value());
 }
 
 TEST(PinPolicy, NoneIsEmpty) {
@@ -49,17 +50,9 @@ TEST(PinPolicy, ScatterRoundRobinsPackagesCoresFirst) {
               (std::vector<std::uint32_t>{0, 2, 1, 3, 4, 6, 7}));
 }
 
-TEST(PinPolicy, NumaFillDrainsNodeZeroFirst) {
-    // All of node0 (compact within the node, crossing packages in this
-    // interleaved fixture), then node1.
-    EXPECT_EQ(cpu_order(fixture(), pin_policy::numa_fill),
-              (std::vector<std::uint32_t>{0, 4, 2, 6, 1, 3, 7}));
-}
-
 TEST(PinPolicy, AllPoliciesCoverEveryOnlineCpuOnce) {
     const topology t = fixture();
-    for (const auto p : {pin_policy::compact, pin_policy::scatter,
-                         pin_policy::numa_fill}) {
+    for (const auto p : {pin_policy::compact, pin_policy::scatter}) {
         auto order = cpu_order(t, p);
         ASSERT_EQ(order.size(), t.num_cpus()) << pin_policy_name(p);
         std::sort(order.begin(), order.end());
@@ -81,7 +74,6 @@ TEST(PinPolicy, FallbackTopologyOrdersAreIdentity) {
     const std::vector<std::uint32_t> identity{0, 1, 2, 3};
     EXPECT_EQ(cpu_order(t, pin_policy::compact), identity);
     EXPECT_EQ(cpu_order(t, pin_policy::scatter), identity);
-    EXPECT_EQ(cpu_order(t, pin_policy::numa_fill), identity);
 }
 
 TEST(PinSelf, PinsASpawnedThreadToARealCpu) {

@@ -112,6 +112,24 @@ TEST(CliDeathTest, IntStillRejectsTrailingGarbage) {
                 "--threads");
 }
 
+TEST(CliDeathTest, UnknownFlagIsNamedEvenWithoutAValue) {
+    // A removed flag given last must be reported as unknown, not as a
+    // known flag missing its value.
+    cli_parser p = make_parser();
+    char prog[] = "prog", f[] = "--numa";
+    char *argv[] = {prog, f};
+    EXPECT_EXIT(p.parse(2, argv), ::testing::ExitedWithCode(2),
+                "unknown flag --numa");
+}
+
+TEST(CliDeathTest, KnownFlagGivenLastNeedsAValue) {
+    cli_parser p = make_parser();
+    char prog[] = "prog", f[] = "--threads";
+    char *argv[] = {prog, f};
+    EXPECT_EXIT(p.parse(2, argv), ::testing::ExitedWithCode(2),
+                "flag --threads needs a value");
+}
+
 TEST(Cli, BoolVariants) {
     for (const char *val : {"1", "true", "yes", "on"}) {
         cli_parser p = make_parser();
