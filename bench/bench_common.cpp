@@ -62,8 +62,6 @@ void register_core_flags(cli_parser &cli,
     cli.add_flag("workload", "throughput",
                  "workload(s), comma-separable: " +
                      registry.names_joined());
-    cli.add_flag("benchmark", "",
-                 "alias for --workload (overrides it when set)");
     cli.add_flag("structure", "klsm",
                  "comma-separated: klsm,dlsm,multiqueue,linden,"
                  "spraylist,heap,centralized,hybrid");

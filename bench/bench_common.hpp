@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adapt/contention_monitor.hpp"
@@ -232,30 +233,18 @@ public:
 
 private:
     void wire_monitor() {
-        auto *m = monitor_.get();
-        // Fold the EWMA window once per sample row.
-        sampler_.add_tick_hook([m] { m->sample_window(); });
-        sampler_.add_counter("publishes", [m] {
-            return static_cast<double>(m->totals().publishes);
-        });
-        sampler_.add_counter("publish_retries", [m] {
-            return static_cast<double>(m->totals().publish_retries);
-        });
-        sampler_.add_counter("shared_hits", [m] {
-            return static_cast<double>(m->totals().shared_hits);
-        });
-        sampler_.add_counter("local_hits", [m] {
-            return static_cast<double>(m->totals().local_hits);
-        });
-        sampler_.add_counter("spies", [m] {
-            return static_cast<double>(m->totals().spies);
-        });
-        sampler_.add_gauge("fail_rate_ewma", [m] {
-            return m->totals().fail_rate_ewma;
-        });
-        sampler_.add_gauge("shared_fraction_ewma", [m] {
-            return m->totals().shared_fraction_ewma;
-        });
+        using window = klsm::adapt::contention_window;
+        const std::pair<const char *, std::uint64_t window::*> columns[] = {
+            {"publishes", &window::publishes},
+            {"publish_retries", &window::publish_retries},
+            {"shared_hits", &window::shared_hits},
+            {"local_hits", &window::local_hits},
+            {"spies", &window::spies}};
+        for (const auto &column : columns)
+            sampler_.add_counter(column.first, [m = monitor_.get(),
+                                                f = column.second] {
+                return static_cast<double>(m->totals().*f);
+            });
     }
 
     bool enabled_;
@@ -265,6 +254,22 @@ private:
     std::unique_ptr<klsm::adapt::contention_monitor> monitor_;
     std::function<void()> detach_;
 };
+
+/// Open a record with the header every workload writes first: the
+/// workload, structure, pin policy and thread count it measured (the
+/// key compare_bench matches records on).
+inline klsm::json_record &open_record(klsm::json_reporter &json,
+                                      const std::string &workload,
+                                      const std::string &structure,
+                                      const std::string &pin,
+                                      unsigned threads) {
+    auto &rec = json.add_record();
+    rec.set("workload", workload);
+    rec.set("structure", structure);
+    rec.set("pin", pin);
+    rec.set("threads", threads);
+    return rec;
+}
 
 /// Human-readable sweep-point label for counter-track names.
 std::string record_label(const std::string &name, const std::string &pin,

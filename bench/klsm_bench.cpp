@@ -34,8 +34,7 @@ int main(int argc, char **argv) {
     registry.register_flags(cli);
     cli.parse(argc, argv);
 
-    const std::string selection = workload_registry::resolve_alias(
-        cli.get("workload"), cli.get("benchmark"));
+    const std::string selection = cli.get("workload");
     std::string resolve_error;
     const auto selected = registry.resolve(selection, &resolve_error);
     if (selected.empty()) {
@@ -56,6 +55,7 @@ int main(int argc, char **argv) {
 
     klsm::json_reporter json(selection);
     annotate_core_meta(cfg, json);
+    json.meta().set_raw("gates", gates_json(selected));
     // A comma selection shares one meta block; per-workload settings
     // would collide there, so each record's "workload" field carries
     // the attribution instead.

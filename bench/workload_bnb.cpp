@@ -82,11 +82,8 @@ int run(const bnb_config &w, const core_config &cfg,
                                    res.time_to_optimum_s * 1000.0,
                                    res.elapsed_s,
                                    match ? "ok" : "FAIL");
-                        auto &rec = json.add_record();
-                        rec.set("workload", "bnb");
-                        rec.set("structure", name);
-                        rec.set("pin", pin);
-                        rec.set("threads", threads);
+                        auto &rec = open_record(json, "bnb", name,
+                                                pin, threads);
                         rec.set("expanded", res.expanded);
                         rec.set("pin_failures", res.pin_failures);
                         rec.set("elapsed_s", res.elapsed_s);
@@ -124,6 +121,25 @@ workload_entry bnb_workload() {
     workload_entry e;
     e.name = "bnb";
     e.summary = "best-first 0/1-knapsack branch-and-bound to optimality";
+    // Relaxed pop order makes the search scalars noisy, hence the loose
+    // search class; smoke instances reach the optimum in microseconds,
+    // hence the 10 ms floor.  Losing the optimum always regresses.
+    e.gates = {
+        {.path = "time_to_optimum_s",
+         .unit = "s",
+         .better = "lower",
+         .tolerance = "search",
+         .floor = 0.01},
+        {.path = "expanded",
+         .unit = "nodes",
+         .better = "lower",
+         .tolerance = "search"},
+        {.path = "bnb.match",
+         .unit = "bool",
+         .better = "higher",
+         .kind = "verdict",
+         .context = {"bnb.best", "bnb.optimum"}},
+    };
     e.register_flags = [](cli_parser &cli) {
         cli.add_flag("bnb-items", "34",
                      "knapsack items in the generated instance "

@@ -67,11 +67,8 @@ int run(const churn_config &w, const core_config &cfg,
                             !tl.rss_reliable ? "n/a"
                             : tl.plateau_ok  ? "ok"
                                              : "FAIL");
-                        auto &rec = json.add_record();
-                        rec.set("workload", "churn");
-                        rec.set("structure", name);
-                        rec.set("pin", pin);
-                        rec.set("threads", threads);
+                        auto &rec = open_record(json, "churn", name,
+                                                pin, threads);
                         rec.set("prefill", cfg.prefill);
                         rec.set("ops", res.total_ops());
                         rec.set("inserts", res.inserts);
@@ -100,6 +97,23 @@ workload_entry churn_workload() {
     workload_entry e;
     e.name = "churn";
     e.summary = "four-phase allocation soak with a memory timeline";
+    // The footprint gates only enforce when both runs sampled RSS
+    // reliably: under sanitizers shadow memory dominates RSS.
+    e.gates = {
+        {.path = "ops_per_sec", .unit = "ops/s", .better = "higher"},
+        {.path = "memory_timeline.rss_high_water_bytes",
+         .unit = "B",
+         .better = "lower",
+         .tolerance = "rss",
+         .require = "memory_timeline.rss_reliable"},
+        {.path = "memory_timeline.plateau_ok",
+         .unit = "bool",
+         .better = "higher",
+         .kind = "verdict",
+         .require = "memory_timeline.rss_reliable",
+         .context = {"memory_timeline.plateau_ratio",
+                     "memory_timeline.plateau_tolerance"}},
+    };
     e.reclaim_soak = true;
     e.register_flags = [](cli_parser &cli) {
         cli.add_flag("churn-ops", "50000",

@@ -104,11 +104,8 @@ int run(const des_config &w, const core_config &cfg,
                                    res.events_per_sec(), res.violations,
                                    res.violation_fraction(), res.max_lag,
                                    budget_ok ? "ok" : "over");
-                        auto &rec = json.add_record();
-                        rec.set("workload", "des");
-                        rec.set("structure", name);
-                        rec.set("pin", pin);
-                        rec.set("threads", threads);
+                        auto &rec = open_record(json, "des", name,
+                                                pin, threads);
                         rec.set("ops", res.committed);
                         rec.set("pin_failures", res.pin_failures);
                         rec.set("elapsed_s", res.elapsed_s);
@@ -137,6 +134,14 @@ workload_entry des_workload() {
     workload_entry e;
     e.name = "des";
     e.summary = "PHOLD discrete-event simulation at a violation budget";
+    e.gates = {
+        {.path = "events_per_sec", .unit = "events/s", .better = "higher"},
+        {.path = "des.budget_ok",
+         .unit = "bool",
+         .better = "higher",
+         .kind = "verdict",
+         .context = {"des.violation_fraction", "des.budget"}},
+    };
     e.register_flags = [](cli_parser &cli) {
         cli.add_flag("des-lps", "256",
                      "logical processes (independent simulated clocks)");

@@ -92,11 +92,8 @@ int run(const quality_config &w, const core_config &cfg,
                         report.row(name, pin, threads, res.deletes,
                                    res.mean_rank(), res.rank_max,
                                    bound_cell);
-                        auto &rec = json.add_record();
-                        rec.set("workload", "quality");
-                        rec.set("structure", name);
-                        rec.set("pin", pin);
-                        rec.set("threads", threads);
+                        auto &rec = open_record(json, "quality", name,
+                                                pin, threads);
                         rec.set("deletes", res.deletes);
                         rec.set("mean_rank", res.mean_rank());
                         rec.set("max_rank", res.rank_max);
@@ -135,6 +132,18 @@ workload_entry quality_workload() {
     workload_entry e;
     e.name = "quality";
     e.summary = "delete-min rank error vs an exact mirror, rho-checked";
+    // Rank error is reported, not gated; rho bounds max_rank.
+    e.gates = {
+        {.path = "mean_rank",
+         .unit = "rank",
+         .better = "lower",
+         .tolerance = "advisory"},
+        {.path = "max_rank",
+         .unit = "rank",
+         .better = "lower",
+         .tolerance = "advisory",
+         .context = {"rho", "buffer_total"}},
+    };
     e.register_flags = [](cli_parser &cli) {
         cli.add_flag("ops", "20000", "operations per thread");
     };

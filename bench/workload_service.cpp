@@ -140,11 +140,8 @@ int run(const service_config &w, const core_config &cfg,
                             verdict.observed_p99_ns / 1000.0,
                             svc_p99 / 1000.0, res.late_ops,
                             verdict.pass ? "pass" : "FAIL");
-                        auto &rec = json.add_record();
-                        rec.set("workload", "service");
-                        rec.set("structure", name);
-                        rec.set("pin", pin);
-                        rec.set("threads", threads);
+                        auto &rec = open_record(json, "service", name,
+                                                pin, threads);
                         rec.set("prefill", cfg.prefill);
                         rec.set("ops", res.completed_ops);
                         rec.set("inserts", res.inserts);
@@ -205,6 +202,28 @@ workload_entry service_workload() {
     workload_entry e;
     e.name = "service";
     e.summary = "open-loop arrival traffic with SLO verdicts";
+    // Only runs under the same arrival process compare.  The
+    // intended-start distribution is the one that sees coordinated
+    // omission, so it is the latency worth gating on.
+    e.gates = {
+        {.path = "service.achieved_rate",
+         .unit = "ops/s",
+         .better = "higher",
+         .match = "service.arrival"},
+        {.path = "service.intended",
+         .unit = "ns",
+         .better = "lower",
+         .kind = "latency",
+         .tolerance = "latency",
+         .match = "service.arrival"},
+        {.path = "slo.pass",
+         .unit = "bool",
+         .better = "higher",
+         .kind = "verdict",
+         .match = "service.arrival",
+         .context = {"slo.observed_p99_ns", "slo.p99_threshold_ns",
+                     "slo.achieved_rate", "slo.offered_rate"}},
+    };
     e.register_flags = [](cli_parser &cli) {
         cli.add_flag("arrival", "poisson",
                      "arrival process: steady | poisson | spike | "

@@ -53,11 +53,7 @@ int run(const sssp_config &w, const core_config &cfg,
             mismatches += (state.dist(u) != ref.dist[u]);
         report.row(name, pin, threads, seconds, stats.expansions,
                    stats.stale_pops, mismatches);
-        auto &rec = json.add_record();
-        rec.set("workload", "sssp");
-        rec.set("structure", name);
-        rec.set("pin", pin);
-        rec.set("threads", threads);
+        auto &rec = open_record(json, "sssp", name, pin, threads);
         rec.set("time_s", seconds);
         rec.set("expansions", stats.expansions);
         // Figure 4's wasted work is expansions - settled.
@@ -112,6 +108,7 @@ workload_entry sssp_workload() {
     workload_entry e;
     e.name = "sssp";
     e.summary = "parallel SSSP vs sequential Dijkstra (Figure 4)";
+    e.gates = {{.path = "time_s", .unit = "s", .better = "lower"}};
     e.register_flags = [](cli_parser &cli) {
         cli.add_flag("nodes", "1000", "graph size");
         cli.add_flag("edge-prob", "0.05", "edge probability");

@@ -54,11 +54,8 @@ int run(const throughput_config &w, const core_config &cfg,
                                    res.ops_per_sec(),
                                    res.ops_per_thread_per_sec(threads),
                                    res.failed_deletes);
-                        auto &rec = json.add_record();
-                        rec.set("workload", "throughput");
-                        rec.set("structure", name);
-                        rec.set("pin", pin);
-                        rec.set("threads", threads);
+                        auto &rec = open_record(json, "throughput", name,
+                                                pin, threads);
                         rec.set("prefill", cfg.prefill);
                         rec.set("ops", res.total_ops);
                         rec.set("inserts", res.inserts);
@@ -89,6 +86,8 @@ workload_entry throughput_workload() {
     workload_entry e;
     e.name = "throughput";
     e.summary = "the paper's 50/50 insert/delete-min mix (Figure 3)";
+    e.gates = {
+        {.path = "ops_per_sec", .unit = "ops/s", .better = "higher"}};
     e.register_flags = [](cli_parser &cli) {
         cli.add_flag("duration", "0.1",
                      "seconds per measurement window (the service "

@@ -6,49 +6,49 @@ The primitive the CI perf lane is built from:
     scripts/compare_bench.py baseline.json candidate.json
 
 compares every record the two reports share — matched on
-(benchmark, structure, pin, threads) — and exits nonzero when the
-candidate regresses beyond the configured thresholds:
+(workload, structure, pin, threads) — and exits nonzero when the
+candidate regresses.
 
-  * throughput workload: ops_per_sec dropping by more than
-    --throughput-tolerance (fraction, default 0.25);
-  * sssp workload: time_s growing by more than the same tolerance;
-  * any workload with a `latency` object: insert / delete_min
-    percentiles (--percentiles, default p50,p99,max) growing by more
-    than --latency-tolerance (default 0.50) AND by more than
-    --latency-floor-ns (default 500ns, so nanosecond jitter on fast
-    paths never trips the gate);
-  * service workload: the `service` object's achieved_rate dropping by
-    more than --throughput-tolerance, intended-start percentiles (the
-    coordinated-omission-correct distribution) growing past the latency
-    thresholds, and the `slo` verdict flipping pass -> fail (a flip is
-    always a regression; both sides already failing only warns);
-  * bnb workload: the search-quality scalars — time_to_optimum_s and
-    the expanded-node count — growing by more than --search-tolerance
-    (default 1.0: search-order noise is large, so only a blowup past
-    2x trips the gate), and the `match` verdict flipping true -> false
-    (always a regression: relaxation may waste work but must never
-    lose the optimum);
-  * des workload: events_per_sec dropping like throughput (enforcing),
-    and the `budget_ok` verdict flipping true -> false (a flip is
-    always a regression; both sides already over budget only warns);
-  * churn workload: ops_per_sec like throughput, plus the
-    `memory_timeline` footprint — rss_high_water_bytes growing by more
-    than --rss-tolerance (default 0.5) is an enforcing regression when
-    BOTH reports sampled RSS reliably (rss_reliable true; sanitizer and
-    non-Linux runs only warn), and a plateau verdict flipping
-    ok -> FAIL regresses like an SLO flip;
-  * any record with a `timeseries` block (--metrics-interval runs):
-    the cumulative `ops` counter is differenced into per-interval
-    rates, bucketed into four run phases, and each phase's mean rate is
-    compared under --phase-tolerance (default 0.40, looser than the
-    whole-run gate because a quarter of the samples is noisier).  This
-    catches phase-localized regressions — a warm-up stall or an
-    end-of-run collapse — that the run-wide ops_per_sec mean averages
-    away.  Records without a timeseries on either side (all baselines
-    predating --metrics-interval) skip this comparison silently.
+What a record is judged on is declared by the workload that wrote it:
+klsm_bench writes each selected workload's gates into the report's
+`gates` meta block (`metric_gate` in src/harness/workload_registry.hpp),
+and one loop here diffs them.  A gate names a dotted record `path`, its
+`unit`, which direction is `better`, and a `kind`:
+
+  * scalar: a number that regresses when it worsens by more than its
+    tolerance class allows and, given a `floor`, by more than the floor
+    in absolute terms.  A negative value means "not measured";
+  * verdict: a bool whose flip from the passing value (true when
+    `better` is "higher") to the failing one regresses; failing on both
+    sides only warns;
+  * latency: a block shaped like a record's `latency` object, compared
+    like one.
+
+`tolerance` names a class of TOLERANCES, or "advisory" (printed, never
+a regression).  `requires` names a bool that must hold on both sides,
+else the finding drops to a warning; `match` names a field that must be
+equal on both sides, else the gate is skipped; `context` lists fields
+printed beside the metric.  The candidate's declarations apply, and a
+baseline that declares different gates warns.  Records without a
+`workload` field take the report's `benchmark` (reports predating the
+field).
+
+Beside the declared gates, every record is diffed on:
+
+  * its `latency` object: insert / delete_min p50, p99 and max growing
+    by more than the latency class AND by more than LATENCY_FLOOR_NS,
+    so nanosecond jitter on fast paths never trips the gate;
+  * its `timeseries` block (--metrics-interval runs): the cumulative
+    `ops` counter is differenced into per-interval rates, bucketed into
+    four run phases, and each phase's mean rate is compared under the
+    phase class (looser than the whole-run gate because a quarter of
+    the samples is noisier).  This catches phase-localized regressions
+    — a warm-up stall or an end-of-run collapse — that the run-wide
+    mean averages away.  Records without a timeseries on either side
+    (all baselines predating --metrics-interval) skip this silently.
 
 `--sweep` additionally bucket-merges every matched record of a
-(benchmark, structure) group — across threads and pin policies — and
+(workload, structure) group — across threads and pin policies — and
 compares percentiles re-derived from the merged buckets, so a whole
 sweep is judged as one distribution.  The merge is exact (the bucket
 layout is shared, identical to the C++ merge), which is what the sparse
@@ -56,33 +56,34 @@ layout is shared, identical to the C++ merge), which is what the sparse
 
 `--warn-only` prints the same comparison but always exits 0 — the
 advisory mode CI uses on pull requests, where runner-to-runner noise
-makes a hard gate unfair.  `--self-test` runs the built-in check suite
-(no input files needed); CTest invokes it so the gate's own logic is
-covered by `ctest -L tier1`.
+makes a hard gate unfair.  `--self-test` runs the built-in check suite;
+given a klsm_bench binary it also runs every registered workload once
+and checks the declarations against the real reports.  CTest invokes
+it, so the gate's own logic is covered by `ctest -L tier1`.
 
-`--head-to-head` takes ONE report and diffs structures against each
-other *within* it instead of diffing a baseline against a candidate:
-records are paired on (pin, threads) between the two structures named
-by --h2h (default klsm,multiqueue — the paper's queue vs the
-engineered-MultiQueue rival), and each pair prints a relative verdict:
-ops_per_sec ratio for throughput/churn/service/des, time_s for sssp,
-expanded nodes for bnb, and mean/max rank error (with each side's rho
-bound when present) for quality.  The mode is informational — it exits nonzero only when the
-report contains no matchable pairs, never on a losing ratio.
-
-The latency schema (README "Latency metrics"): percentiles are
-precomputed by the C++ side, and the sparse `buckets` array plus
-`sub_bucket_bits` fully determine the histogram layout.  This script
-re-derives percentiles from the buckets when asked (--recompute), which
-doubles as a cross-check that the exported buckets are self-consistent.
+`--head-to-head` takes ONE report and diffs klsm against multiqueue
+(the paper's queue vs the engineered-MultiQueue rival) within it:
+records pair on (workload, pin, threads), and each declared gate prints
+a line per pair — a ratio for a scalar, both values for a verdict — plus
+its context fields.  The mode is informational — it exits nonzero only
+when the report contains no matchable pairs, never on a losing ratio.
 """
 
 import argparse
+import copy
 import json
+import re
+import subprocess
 import sys
 
-DEFAULT_PERCENTILES = "p50,p99,max"
+# The tolerance classes a gate names: the allowed fractional worsening.
+# --throughput-tolerance overrides "rate".
+TOLERANCES = {"rate": 0.25, "search": 1.0, "rss": 0.5, "latency": 0.50,
+              "phase": 0.40}
+LATENCY_FLOOR_NS = 500
+PERCENTILES = ("p50", "p99", "max")
 OPS = ("insert", "delete_min")
+HEAD_TO_HEAD = ("klsm", "multiqueue")
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +185,20 @@ def load_report(path):
         return json.load(f)
 
 
+def get_path(record, path):
+    """The value at a dotted record path ("a.b"), or None."""
+    value = record
+    for part in path.split("."):
+        if not isinstance(value, dict):
+            return None
+        value = value.get(part)
+    return value
+
+
 def record_key(report, record):
     # Records carry their own workload name since the registry allowed
-    # comma selections ("bnb,des"); fall back to the report meta for
-    # reports predating the field.
+    # comma selections; fall back to the report meta for reports
+    # predating the field.
     return (
         record.get("workload", report.get("benchmark", "?")),
         record.get("structure", "?"),
@@ -204,47 +215,51 @@ def index_records(report):
 
 
 def fmt_key(key):
-    benchmark, structure, pin, threads = key
-    return f"{benchmark} {structure}/pin={pin}/t={threads}"
+    workload, structure, pin, threads = key
+    return f"{workload} {structure}/pin={pin}/t={threads}"
 
 
 def fmt_value(value, unit):
-    if unit == "ops/s":
-        return f"{value:,.0f} ops/s"
     if unit == "B":
         return f"{value / (1024.0 * 1024.0):,.1f} MB"
-    if unit == "rank":
-        return f"{value:,.1f}"
-    return f"{value:,.0f} ns"
+    if abs(value) >= 1000:
+        return f"{value:,.0f} {unit}"
+    return f"{value:.4g} {unit}"
+
+
+def context_text(record, gate):
+    values = ((p, get_path(record, p)) for p in gate.get("context", []))
+    return " ".join(f"{p}={json.dumps(v)}" for p, v in values
+                    if v is not None)
 
 
 # ---------------------------------------------------------------------------
 # Comparison core.  Each finding is (severity, message) with severity in
 # {"ok", "warn", "regression"}.
 
-def compare_metric(findings, key, metric, base, cand, tolerance,
-                   higher_is_worse, unit, floor=0,
-                   regression_severity="regression"):
+def compare_metric(findings, key, metric, base, cand, tolerance, better,
+                   unit, floor=0, severity="regression"):
+    """Diff one number; `tolerance` None marks an advisory metric."""
     if base is None or cand is None:
         return
-    if higher_is_worse:
+    change = (cand - base) / base if base else 0.0
+    if tolerance is None:
+        degraded, limit = False, "advisory"
+    elif better == "lower":
         degraded = cand > base * (1 + tolerance) and cand - base > floor
-        change = (cand - base) / base if base else 0.0
+        limit = f"tolerance +{tolerance:.0%}"
     else:
-        degraded = cand < base * (1 - tolerance)
-        change = (cand - base) / base if base else 0.0
-    severity = regression_severity if degraded else "ok"
+        degraded = cand < base * (1 - tolerance) and base - cand > floor
+        limit = f"tolerance -{tolerance:.0%}"
     findings.append((
-        severity,
+        severity if degraded else "ok",
         f"{fmt_key(key)} {metric}: {fmt_value(base, unit)} -> "
-        f"{fmt_value(cand, unit)} ({change:+.1%}, tolerance "
-        f"{'+' if higher_is_worse else '-'}{tolerance:.0%})",
+        f"{fmt_value(cand, unit)} ({change:+.1%}, {limit})",
     ))
 
 
-def compare_latency(findings, key, base_lat, cand_lat, percentiles,
-                    tolerance, floor, recompute,
-                    regression_severity="regression", op_prefix=""):
+def compare_latency(findings, key, base_lat, cand_lat, tolerance,
+                    severity, prefix=""):
     for op in OPS:
         base_op = base_lat.get(op)
         cand_op = cand_lat.get(op)
@@ -253,188 +268,67 @@ def compare_latency(findings, key, base_lat, cand_lat, percentiles,
         if base_op["count"] == 0 or cand_op["count"] == 0:
             findings.append((
                 "warn",
-                f"{fmt_key(key)} {op_prefix}{op}: empty latency "
+                f"{fmt_key(key)} {prefix}{op}: empty latency "
                 f"histogram (base count {base_op['count']}, candidate "
                 f"count {cand_op['count']}); skipping",
             ))
             continue
-        for pct in percentiles:
-            if recompute and pct.startswith("p"):
-                p = float(pct[1:].replace("_", "."))
-                if pct == "p999":
-                    p = 99.9
-                base_value = percentile_from_buckets(
-                    base_op, base_lat.get("sub_bucket_bits", 5), p)
-                cand_value = percentile_from_buckets(
-                    cand_op, cand_lat.get("sub_bucket_bits", 5), p)
-            else:
-                base_value = base_op.get(pct)
-                cand_value = cand_op.get(pct)
-            compare_metric(findings, key, f"{op_prefix}{op} {pct}",
-                           base_value, cand_value, tolerance, True, "ns",
-                           floor, regression_severity)
+        for pct in PERCENTILES:
+            compare_metric(findings, key, f"{prefix}{op} {pct}",
+                           base_op.get(pct), cand_op.get(pct), tolerance,
+                           "lower", "ns", LATENCY_FLOOR_NS, severity)
 
 
-def _service_latency_view(svc, which):
-    """Shape a service record's intended/completion block like a
-    `latency` object so compare_latency's machinery (recompute included)
-    applies unchanged."""
-    view = dict(svc.get(which) or {})
-    view["sub_bucket_bits"] = svc.get("sub_bucket_bits", 5)
-    return view
+def latency_severity(args, severity="regression"):
+    """Latency findings demote to warnings under --latency-warn-only —
+    the mode the CI baseline gate uses: every other gate is enforced,
+    but latency percentiles recorded on different hardware stay
+    advisory."""
+    return "warn" if args.latency_warn_only else severity
 
 
-def compare_service(findings, key, base_record, cand_record, args):
-    base_svc = base_record.get("service")
-    cand_svc = cand_record.get("service")
-    if not base_svc or not cand_svc:
-        side = "baseline" if not base_svc else "candidate"
+def compare_gate(findings, key, gate, base, cand, args):
+    """Diff one declared gate of a matched record pair."""
+    path = gate["path"]
+    label = f"{fmt_key(key)} {path}"
+    match = gate.get("match")
+    if match and get_path(base, match) != get_path(cand, match):
         findings.append((
-            "warn", f"{fmt_key(key)}: {side} record has no service "
-            f"object; skipping"))
+            "warn", f"{label}: {match} changed ({get_path(base, match)} "
+            f"-> {get_path(cand, match)}); skipping"))
         return
-    if base_svc.get("arrival") != cand_svc.get("arrival"):
-        findings.append((
-            "warn",
-            f"{fmt_key(key)}: arrival process changed "
-            f"({base_svc.get('arrival')} -> {cand_svc.get('arrival')}); "
-            f"skipping"))
+    b, c = get_path(base, path), get_path(cand, path)
+    if b is None or c is None:
+        side = "baseline" if b is None else "candidate"
+        findings.append(("warn", f"{label}: not in the {side} record; "
+                                 f"skipping"))
         return
-    # Achieved rate is the overload signal (catch-up semantics never
-    # shed load, so a shortfall means the queue fell behind).  Always
-    # enforcing, even under --latency-warn-only.
-    compare_metric(findings, key, "achieved_rate",
-                   base_svc.get("achieved_rate"),
-                   cand_svc.get("achieved_rate"),
-                   args.throughput_tolerance, False, "ops/s")
-    # The intended-start distribution is the one that sees coordinated
-    # omission; it is the distribution worth gating on.  Percentile
-    # findings demote under --latency-warn-only like every other
-    # latency comparison.
-    compare_latency(findings, key,
-                    _service_latency_view(base_svc, "intended"),
-                    _service_latency_view(cand_svc, "intended"),
-                    args.percentile_list, args.latency_tolerance,
-                    args.latency_floor_ns, args.recompute,
-                    latency_severity(args), op_prefix="intended ")
-    base_slo = base_record.get("slo") or {}
-    cand_slo = cand_record.get("slo") or {}
-    if "pass" in base_slo and "pass" in cand_slo:
-        if base_slo["pass"] and not cand_slo["pass"]:
-            detail = []
-            if not cand_slo.get("latency_ok", True):
-                detail.append(
-                    f"p99 {cand_slo.get('observed_p99_ns', 0):,.0f}ns > "
-                    f"{cand_slo.get('p99_threshold_ns', 0):,.0f}ns")
-            if not cand_slo.get("rate_ok", True):
-                detail.append(
-                    f"achieved {cand_slo.get('achieved_rate', 0):,.0f} < "
-                    f"{cand_slo.get('min_achieved_fraction', 0):.0%} of "
-                    f"offered {cand_slo.get('offered_rate', 0):,.0f}")
-            findings.append((
-                "regression",
-                f"{fmt_key(key)} slo: verdict flipped pass -> FAIL "
-                f"({'; '.join(detail) or 'see record'})"))
-        elif not base_slo["pass"] and not cand_slo["pass"]:
-            findings.append((
-                "warn",
-                f"{fmt_key(key)} slo: fails on both sides (baseline "
-                f"was already failing)"))
-
-
-def compare_churn(findings, key, base_record, cand_record, args):
-    """Churn soak comparison: throughput like any closed-loop workload,
-    plus the memory footprint.  The RSS high-water gate is enforcing
-    only when both runs sampled RSS reliably — under sanitizers (shadow
-    memory dominates RSS) or off-Linux the samples are marked
-    unreliable at the source and the comparison demotes to a warning."""
-    compare_metric(findings, key, "ops_per_sec",
-                   base_record.get("ops_per_sec"),
-                   cand_record.get("ops_per_sec"),
-                   args.throughput_tolerance, False, "ops/s")
-    base_tl = base_record.get("memory_timeline")
-    cand_tl = cand_record.get("memory_timeline")
-    if not base_tl or not cand_tl:
-        side = "baseline" if not base_tl else "candidate"
-        findings.append((
-            "warn", f"{fmt_key(key)}: {side} record has no "
-            f"memory_timeline; skipping"))
-        return
-    both_reliable = (base_tl.get("rss_reliable")
-                     and cand_tl.get("rss_reliable"))
-    compare_metric(findings, key, "rss_high_water_bytes",
-                   base_tl.get("rss_high_water_bytes"),
-                   cand_tl.get("rss_high_water_bytes"),
-                   args.rss_tolerance, True, "B",
-                   regression_severity="regression" if both_reliable
-                   else "warn")
-    if not both_reliable:
-        findings.append((
-            "warn",
-            f"{fmt_key(key)}: RSS sampling unreliable on at least one "
-            f"side; footprint comparison is advisory"))
-    if (both_reliable and base_tl.get("plateau_ok")
-            and cand_tl.get("plateau_ok") is False):
-        findings.append((
-            "regression",
-            f"{fmt_key(key)} plateau: verdict flipped ok -> FAIL "
-            f"(ratio {cand_tl.get('plateau_ratio', 0):.2f} over "
-            f"tolerance {cand_tl.get('plateau_tolerance', 0):.2f})"))
-
-
-def compare_bnb(findings, key, base_record, cand_record, args):
-    """Branch-and-bound comparison: the search-quality scalars under
-    the loose --search-tolerance (relaxed pop order makes expansion
-    counts noisy run to run), and the optimum-match verdict, which is
-    binary and always enforcing."""
-    base_t = base_record.get("time_to_optimum_s")
-    cand_t = cand_record.get("time_to_optimum_s")
-    if base_t is not None and cand_t is not None \
-            and base_t >= 0 and cand_t >= 0:
-        # 10ms floor: smoke instances reach the optimum in microseconds
-        # and scheduler jitter alone is a multiple of that.
-        compare_metric(findings, key, "time_to_optimum_s",
-                       base_t * 1e9, cand_t * 1e9,
-                       args.search_tolerance, True, "ns", floor=1e7)
-    base_bnb = base_record.get("bnb") or {}
-    cand_bnb = cand_record.get("bnb") or {}
-    compare_metric(findings, key, "expanded",
-                   base_record.get("expanded", base_bnb.get("expanded")),
-                   cand_record.get("expanded", cand_bnb.get("expanded")),
-                   args.search_tolerance, True, "rank")
-    if base_bnb.get("match") and cand_bnb.get("match") is False:
-        findings.append((
-            "regression",
-            f"{fmt_key(key)} match: verdict flipped true -> FALSE "
-            f"(best {cand_bnb.get('best')} != optimum "
-            f"{cand_bnb.get('optimum')} — the search lost the optimum)"))
-
-
-def compare_des(findings, key, base_record, cand_record, args):
-    """Discrete-event-simulation comparison: commit rate enforces like
-    throughput, and the violation-budget verdict enforces like an SLO
-    flip — the workload's contract is 'events/sec at a fixed
-    causality-violation budget', so losing either side regresses."""
-    compare_metric(findings, key, "events_per_sec",
-                   base_record.get("events_per_sec"),
-                   cand_record.get("events_per_sec"),
-                   args.throughput_tolerance, False, "ops/s")
-    base_des = base_record.get("des") or {}
-    cand_des = cand_record.get("des") or {}
-    if "budget_ok" not in base_des or "budget_ok" not in cand_des:
-        return
-    if base_des["budget_ok"] and not cand_des["budget_ok"]:
-        findings.append((
-            "regression",
-            f"{fmt_key(key)} budget: verdict flipped ok -> OVER "
-            f"(violation fraction "
-            f"{cand_des.get('violation_fraction', 0):.4f} > budget "
-            f"{cand_des.get('budget', 0):.4f})"))
-    elif not base_des["budget_ok"] and not cand_des["budget_ok"]:
-        findings.append((
-            "warn",
-            f"{fmt_key(key)} budget: over on both sides (baseline was "
-            f"already over budget)"))
+    severity = "regression"
+    need = gate.get("requires")
+    if need and not (get_path(base, need) and get_path(cand, need)):
+        severity = "warn"
+        findings.append(("warn", f"{label}: {need} is false on at least "
+                                 f"one side; advisory"))
+    kind = gate.get("kind", "scalar")
+    tolerance = args.tolerance.get(gate.get("tolerance", "rate"))
+    if kind == "verdict":
+        good = gate["better"] == "higher"
+        flip = f"{label}: {json.dumps(b)} -> {json.dumps(c)}"
+        if b == good and c != good:
+            detail = context_text(cand, gate)
+            findings.append((severity, f"{flip}, verdict flipped"
+                                       + (f" ({detail})" if detail else "")))
+        elif b != good and c != good:
+            findings.append(("warn", f"{flip}, fails on both sides "
+                                     f"(baseline was already failing)"))
+        else:
+            findings.append(("ok", flip))
+    elif kind == "latency":
+        compare_latency(findings, key, b, c, tolerance,
+                        latency_severity(args, severity), prefix=f"{path} ")
+    elif b >= 0 and c >= 0:
+        compare_metric(findings, key, path, b, c, tolerance, gate["better"],
+                       gate["unit"], gate.get("floor", 0), severity)
 
 
 def timeseries_phase_rates(ts, column="ops", phases=4):
@@ -474,7 +368,7 @@ def timeseries_phase_rates(ts, column="ops", phases=4):
 
 
 def compare_timeseries(findings, key, base_record, cand_record, args):
-    """Phase-localized throughput comparison over the in-run metrics
+    """Phase-localized ops-rate comparison over the in-run metrics
     series.  Silent when either side lacks a usable series: baselines
     recorded before --metrics-interval existed have none, and that must
     not degrade the gate's verdict."""
@@ -489,15 +383,25 @@ def compare_timeseries(findings, key, base_record, cand_record, args):
             continue
         compare_metric(findings, key,
                        f"ops rate phase {i + 1}/{phases}",
-                       base_rate, cand_rate, args.phase_tolerance,
-                       False, "ops/s")
+                       base_rate, cand_rate, args.tolerance["phase"],
+                       "higher", "ops/s")
 
 
-def latency_severity(args):
-    """Latency findings demote to warnings under --latency-warn-only —
-    the mode the CI baseline gate uses: throughput is enforced, but
-    latency percentiles recorded on different hardware stay advisory."""
-    return "warn" if args.latency_warn_only else "regression"
+def declared_gates(findings, base, cand, workloads):
+    """Each workload's gate list, as the candidate declares it."""
+    base_gates = base.get("gates") or {}
+    cand_gates = cand.get("gates") or {}
+    for workload in workloads:
+        if workload not in cand_gates:
+            findings.append((
+                "warn", f"{workload}: the candidate declares no gates; "
+                f"only latency and timeseries are diffed"))
+        elif base_gates.get(workload, cand_gates[workload]) != \
+                cand_gates[workload]:
+            findings.append((
+                "warn", f"{workload}: the baseline declares different "
+                f"gates; diffing the candidate's"))
+    return cand_gates
 
 
 def compare_reports(base, cand, args):
@@ -512,41 +416,21 @@ def compare_reports(base, cand, args):
         findings.append(
             ("warn", f"{fmt_key(key)}: in candidate but not in baseline"))
 
-    for key in sorted(base_records.keys() & cand_records.keys(),
-                      key=fmt_key):
+    shared = sorted(base_records.keys() & cand_records.keys(), key=fmt_key)
+    gates = declared_gates(findings, base, cand, {key[0] for key in shared})
+    for key in shared:
         base_record = base_records[key]
         cand_record = cand_records[key]
-        benchmark = key[0]
-        if benchmark == "throughput":
-            compare_metric(findings, key, "ops_per_sec",
-                           base_record.get("ops_per_sec"),
-                           cand_record.get("ops_per_sec"),
-                           args.throughput_tolerance, False, "ops/s")
-        elif benchmark == "sssp":
-            base_time = base_record.get("time_s")
-            cand_time = cand_record.get("time_s")
-            if base_time is not None and cand_time is not None:
-                compare_metric(findings, key, "time_s",
-                               base_time * 1e9, cand_time * 1e9,
-                               args.throughput_tolerance, True, "ns")
-        elif benchmark == "service":
-            compare_service(findings, key, base_record, cand_record,
-                            args)
-        elif benchmark == "churn":
-            compare_churn(findings, key, base_record, cand_record,
-                          args)
-        elif benchmark == "bnb":
-            compare_bnb(findings, key, base_record, cand_record, args)
-        elif benchmark == "des":
-            compare_des(findings, key, base_record, cand_record, args)
+        for gate in gates.get(key[0], []):
+            compare_gate(findings, key, gate, base_record, cand_record,
+                         args)
         compare_timeseries(findings, key, base_record, cand_record,
                            args)
         base_lat = base_record.get("latency")
         cand_lat = cand_record.get("latency")
         if base_lat and cand_lat:
             compare_latency(findings, key, base_lat, cand_lat,
-                            args.percentile_list, args.latency_tolerance,
-                            args.latency_floor_ns, args.recompute,
+                            args.tolerance["latency"],
                             latency_severity(args))
         elif base_lat and not cand_lat:
             findings.append((
@@ -562,20 +446,19 @@ def compare_reports(base, cand, args):
 
 def compare_sweeps(findings, base_records, cand_records, args):
     """Whole-sweep latency comparison: bucket-merge every matched record
-    of a (benchmark, structure) group on each side, then compare
+    of a (workload, structure) group on each side, then compare
     percentiles re-derived from the merged buckets.  This is how a sweep
     over threads/pins is judged as one distribution instead of
     record-by-record (where per-point noise dominates)."""
     groups = {}
     for key in base_records.keys() & cand_records.keys():
         groups.setdefault((key[0], key[1]), []).append(key)
-    for (benchmark, structure), keys in sorted(groups.items()):
+    for (workload, structure), keys in sorted(groups.items()):
         base_merged, base_bits = merge_latency(
             [base_records[k] for k in keys])
         cand_merged, cand_bits = merge_latency(
             [cand_records[k] for k in keys])
-        label = (benchmark, structure, "sweep",
-                 f"x{len(keys)}")
+        label = (workload, structure, "sweep", f"x{len(keys)}")
         if base_merged is None or cand_merged is None:
             findings.append((
                 "warn",
@@ -595,10 +478,9 @@ def compare_sweeps(findings, base_records, cand_records, args):
             cand_op = cand_merged[op]
             if base_op["count"] == 0 or cand_op["count"] == 0:
                 continue
-            for pct in args.percentile_list:
+            for pct in PERCENTILES:
                 if pct.startswith("p"):
-                    p = 99.9 if pct == "p999" else float(
-                        pct[1:].replace("_", "."))
+                    p = float(pct[1:])
                     base_value = percentile_from_buckets(
                         base_op, base_bits, p)
                     cand_value = percentile_from_buckets(
@@ -608,17 +490,17 @@ def compare_sweeps(findings, base_records, cand_records, args):
                     cand_value = cand_op.get(pct)
                 compare_metric(findings, label, f"{op} {pct}",
                                base_value, cand_value,
-                               args.latency_tolerance, True, "ns",
-                               args.latency_floor_ns,
-                               latency_severity(args))
+                               args.tolerance["latency"], "lower", "ns",
+                               LATENCY_FLOOR_NS, latency_severity(args))
 
 
-def head_to_head(report, left, right):
+def head_to_head(report, left=HEAD_TO_HEAD[0], right=HEAD_TO_HEAD[1]):
     """Pair `left` vs `right` structure records within one report on
-    (pin, threads) and render a relative verdict per pair.  Returns
-    (pair_count, lines); informational only — callers decide whether an
-    empty pairing is an error."""
+    (workload, pin, threads) and render each declared gate per pair.
+    Returns (pair_count, lines); informational only — callers decide
+    whether an empty pairing is an error."""
     benchmark = report.get("benchmark", "?")
+    declared = report.get("gates") or {}
     by_struct = {}
     for record in report.get("records", []):
         by_struct.setdefault(record.get("structure", "?"), {})[
@@ -626,53 +508,35 @@ def head_to_head(report, left, right):
              record.get("threads", "?"))] = record
     left_recs = by_struct.get(left, {})
     right_recs = by_struct.get(right, {})
+    pairs = sorted(left_recs.keys() & right_recs.keys(),
+                   key=lambda k: tuple(str(part) for part in k))
     lines = []
-
-    def ratio_line(label, metric, a, b, unit, lower_is_better):
-        va, vb = a.get(metric), b.get(metric)
-        if va is None or vb is None or not vb:
-            return
-        ratio = va / vb
-        ahead = left if (ratio <= 1) == lower_is_better else right
-        lines.append(
-            f"{label} {metric}: {left} {fmt_value(va, unit)} vs "
-            f"{right} {fmt_value(vb, unit)} ({ratio:.2f}x, {ahead} "
-            f"ahead)")
-
-    for key in sorted(left_recs.keys() & right_recs.keys(),
-                      key=lambda k: tuple(str(part) for part in k)):
+    for key in pairs:
         a, b = left_recs[key], right_recs[key]
         workload, pin, threads = key
         label = f"{workload} pin={pin}/t={threads}"
-        if workload == "sssp":
-            va, vb = a.get("time_s"), b.get("time_s")
-            if va is not None and vb:
-                ratio_line(label, "time_s",
-                           {"time_s": va * 1e9}, {"time_s": vb * 1e9},
-                           "ns", True)
-        elif workload == "bnb":
-            # Search quality: fewer expansions and a faster route to
-            # the optimum both mean a tighter pop order.
-            ratio_line(label, "expanded", a, b, "rank", True)
-        elif workload == "quality":
-            # Rank error: lower is better; each side's bound (when the
-            # record carries one) contextualizes how much of the
-            # relaxation budget was actually spent.
-            ratio_line(label, "mean_rank", a, b, "rank", True)
-            ratio_line(label, "max_rank", a, b, "rank", True)
-            bounds = []
-            for name, record in ((left, a), (right, b)):
-                if record.get("rho") is not None:
-                    extra = record.get("buffer_total")
-                    bounds.append(
-                        f"{name} rho={record['rho']}" +
-                        (f" (buffer_total={extra})" if extra else ""))
-            if bounds:
-                lines.append(f"{label} bounds: {'; '.join(bounds)}")
-        else:
-            # throughput, churn, service all report ops_per_sec.
-            ratio_line(label, "ops_per_sec", a, b, "ops/s", False)
-    return len(left_recs.keys() & right_recs.keys()), lines
+        for gate in declared.get(workload, []):
+            path, unit = gate["path"], gate["unit"]
+            va, vb = get_path(a, path), get_path(b, path)
+            kind = gate.get("kind", "scalar")
+            if kind == "verdict" and va is not None and vb is not None:
+                lines.append(f"{label} {path}: {left} {json.dumps(va)} vs "
+                             f"{right} {json.dumps(vb)}")
+            elif (kind == "scalar" and va is not None and vb
+                  and va >= 0 and vb > 0):
+                ratio = va / vb
+                ahead = left if (ratio <= 1) == (gate["better"] == "lower") \
+                    else right
+                lines.append(
+                    f"{label} {path}: {left} {fmt_value(va, unit)} vs "
+                    f"{right} {fmt_value(vb, unit)} ({ratio:.2f}x, {ahead} "
+                    f"ahead)")
+            sides = [f"{name} {text}" for name, record in
+                     ((left, a), (right, b))
+                     if (text := context_text(record, gate))]
+            if sides:
+                lines.append(f"{label} {path} context: {'; '.join(sides)}")
+    return len(pairs), lines
 
 
 def print_findings(findings, verbose):
@@ -684,7 +548,56 @@ def print_findings(findings, verbose):
 
 
 # ---------------------------------------------------------------------------
-# Self-test: synthetic reports through the real comparison path.
+# Self-test: synthetic reports through the real comparison path.  The
+# fixtures declare the gates klsm_bench declares for their workloads.
+
+def _gate(path, unit, better, kind="scalar", tolerance="rate", **extra):
+    return dict(path=path, unit=unit, better=better, kind=kind,
+                tolerance=tolerance, **extra)
+
+
+_GATES = {
+    "throughput": [_gate("ops_per_sec", "ops/s", "higher")],
+    "sssp": [_gate("time_s", "s", "lower")],
+    "service": [
+        _gate("service.achieved_rate", "ops/s", "higher",
+              match="service.arrival"),
+        _gate("service.intended", "ns", "lower", "latency", "latency",
+              match="service.arrival"),
+        _gate("slo.pass", "bool", "higher", "verdict",
+              match="service.arrival",
+              context=["slo.observed_p99_ns", "slo.p99_threshold_ns",
+                       "slo.achieved_rate", "slo.offered_rate"])],
+    "churn": [
+        _gate("ops_per_sec", "ops/s", "higher"),
+        _gate("memory_timeline.rss_high_water_bytes", "B", "lower",
+              tolerance="rss", requires="memory_timeline.rss_reliable"),
+        _gate("memory_timeline.plateau_ok", "bool", "higher", "verdict",
+              requires="memory_timeline.rss_reliable",
+              context=["memory_timeline.plateau_ratio",
+                       "memory_timeline.plateau_tolerance"])],
+    "bnb": [
+        _gate("time_to_optimum_s", "s", "lower", tolerance="search",
+              floor=0.01),
+        _gate("expanded", "nodes", "lower", tolerance="search"),
+        _gate("bnb.match", "bool", "higher", "verdict",
+              context=["bnb.best", "bnb.optimum"])],
+    "des": [
+        _gate("events_per_sec", "events/s", "higher"),
+        _gate("des.budget_ok", "bool", "higher", "verdict",
+              context=["des.violation_fraction", "des.budget"])],
+    "quality": [
+        _gate("mean_rank", "rank", "lower", tolerance="advisory"),
+        _gate("max_rank", "rank", "lower", tolerance="advisory",
+              context=["rho", "buffer_total"])],
+}
+
+
+def _fixture(benchmark, records):
+    return {"benchmark": benchmark,
+            "gates": {w: _GATES[w] for w in benchmark.split(",")},
+            "records": records}
+
 
 def _report(benchmark, ops_per_sec=None, latency=None, time_s=None,
             structure="klsm"):
@@ -695,7 +608,7 @@ def _report(benchmark, ops_per_sec=None, latency=None, time_s=None,
         record["time_s"] = time_s
     if latency is not None:
         record["latency"] = latency
-    return {"benchmark": benchmark, "records": [record]}
+    return _fixture(benchmark, [record])
 
 
 def _latency(p50, p99, mx, count=1000):
@@ -705,15 +618,19 @@ def _latency(p50, p99, mx, count=1000):
             "insert": dict(op), "delete_min": dict(op)}
 
 
-def self_test(args_factory):
+def self_test(args_factory, binary=None):
     failures = []
 
-    def check(name, findings, expect_regression):
-        got = any(s == "regression" for s, _ in findings)
-        status = "pass" if got == expect_regression else "FAIL"
-        print(f"self-test {status}: {name}")
-        if got != expect_regression:
+    def verify(name, ok):
+        print(f"self-test {'pass' if ok else 'FAIL'}: {name}")
+        if not ok:
             failures.append(name)
+        return ok
+
+    def check(name, findings, expect_regression, warns=False):
+        verify(name, any(s == "regression" for s, _ in findings)
+               == expect_regression
+               and (not warns or any(s == "warn" for s, _ in findings)))
 
     args = args_factory([])
 
@@ -750,12 +667,9 @@ def self_test(args_factory):
     check("improvement is clean",
           compare_reports(base, faster, args), False)
 
-    missing = {"benchmark": "throughput", "records": []}
-    findings = compare_reports(base, missing, args)
-    check("missing record warns but does not regress", findings, False)
-    if not any(s == "warn" for s, _ in findings):
-        print("self-test FAIL: missing record produced no warning")
-        failures.append("missing-record-warning")
+    missing = _fixture("throughput", [])
+    check("missing record warns but does not regress",
+          compare_reports(base, missing, args), False, warns=True)
 
     sssp_base = _report("sssp", time_s=0.1)
     sssp_slow = _report("sssp", time_s=0.5)
@@ -772,12 +686,9 @@ def self_test(args_factory):
     lat_warn_args = args_factory(["--latency-warn-only"])
     lat_only = _report("throughput", ops_per_sec=1e6,
                        latency=_latency(100, 5000, 10000))
-    findings = compare_reports(base, lat_only, lat_warn_args)
     check("latency-warn-only demotes latency regressions",
-          findings, False)
-    if not any(s == "warn" for s, _ in findings):
-        print("self-test FAIL: latency-warn-only produced no warning")
-        failures.append("latency-warn-only-warning")
+          compare_reports(base, lat_only, lat_warn_args), False,
+          warns=True)
     both = _report("throughput", ops_per_sec=0.4e6,
                    latency=_latency(100, 5000, 10000))
     check("latency-warn-only still enforces throughput",
@@ -814,7 +725,7 @@ def self_test(args_factory):
                     "observed_p99_ns": intended_p99,
                     "latency_ok": latency_ok, "rate_ok": rate_ok,
                     "pass": slo_pass}}
-        return {"benchmark": "service", "records": [record]}
+        return _fixture("service", [record])
 
     svc_base = _service_report(1e6, 5000, True)
     check("service self-comparison is clean",
@@ -829,27 +740,24 @@ def self_test(args_factory):
           compare_reports(svc_base, svc_flip, args), True)
 
     svc_fail_base = _service_report(1e6, 200000, False, latency_ok=False)
-    findings = compare_reports(svc_fail_base, svc_fail_base, args)
-    check("slo failing on both sides does not regress", findings, False)
-    if not any(s == "warn" for s, _ in findings):
-        print("self-test FAIL: both-sides slo failure produced no "
-              "warning")
-        failures.append("slo-both-fail-warning")
+    check("slo failing on both sides does not regress",
+          compare_reports(svc_fail_base, svc_fail_base, args), False,
+          warns=True)
 
     # --latency-warn-only: a 50x intended p99 blowup demotes to a
     # warning, but a halved achieved_rate in the same report still
     # regresses (overload is never advisory).
     svc_lat = _service_report(1e6, 250000, True)
-    findings = compare_reports(svc_base, svc_lat, lat_warn_args)
     check("latency-warn-only demotes intended-p99 regressions",
-          findings, False)
-    if not any(s == "warn" for s, _ in findings):
-        print("self-test FAIL: intended-p99 warn-only produced no "
-              "warning")
-        failures.append("intended-warn-only-warning")
+          compare_reports(svc_base, svc_lat, lat_warn_args), False,
+          warns=True)
     svc_both = _service_report(0.4e6, 250000, True)
     check("latency-warn-only still enforces achieved_rate",
           compare_reports(svc_base, svc_both, lat_warn_args), True)
+    svc_spike = _service_report(0.1e6, 250000, False)
+    svc_spike["records"][0]["service"]["arrival"] = "spike"
+    check("a changed arrival process skips the service gates",
+          compare_reports(svc_base, svc_spike, args), False, warns=True)
 
     # Churn records: throughput enforces, the RSS high-water gate
     # enforces only when both sides sampled RSS reliably, and a
@@ -870,7 +778,7 @@ def self_test(args_factory):
                 "plateau_ratio": 2.0 if not plateau_ok else 0.5,
                 "plateau_ok": plateau_ok,
                 "phases": [], "samples": []}}
-        return {"benchmark": "churn", "records": [record]}
+        return _fixture("churn", [record])
 
     churn_base = _churn_report(1e6, 100 << 20)
     check("churn self-comparison is clean",
@@ -884,12 +792,10 @@ def self_test(args_factory):
     check("RSS growth within tolerance is clean",
           compare_reports(churn_base, _churn_report(1e6, 120 << 20),
                           args), False)
-    findings = compare_reports(
-        churn_base, _churn_report(1e6, 200 << 20, reliable=False), args)
-    check("unreliable RSS demotes the footprint gate", findings, False)
-    if not any(s == "warn" for s, _ in findings):
-        print("self-test FAIL: unreliable RSS produced no warning")
-        failures.append("churn-unreliable-warning")
+    check("unreliable RSS demotes the footprint gate",
+          compare_reports(churn_base,
+                          _churn_report(1e6, 200 << 20, reliable=False),
+                          args), False, warns=True)
     check("plateau ok -> FAIL flip regresses",
           compare_reports(churn_base,
                           _churn_report(1e6, 100 << 20,
@@ -899,7 +805,7 @@ def self_test(args_factory):
     # --search-tolerance, and losing the optimum is always a
     # regression.  Records carry their own `workload` field, so a
     # combined "bnb,des" report keys each record by its workload.
-    def _bnb_report(expanded, t_opt, match=True, benchmark="bnb"):
+    def _bnb_report(expanded, t_opt, match=True):
         record = {"workload": "bnb", "structure": "klsm",
                   "pin": "none", "threads": 2,
                   "expanded": expanded, "time_to_optimum_s": t_opt,
@@ -912,7 +818,7 @@ def self_test(args_factory):
                           "pruned_pops": 100, "pushed": expanded + 100,
                           "failed_pops": 0,
                           "time_to_optimum_s": t_opt}}
-        return {"benchmark": benchmark, "records": [record]}
+        return _fixture("bnb", [record])
 
     bnb_base = _bnb_report(1000, 0.1)
     check("bnb self-comparison is clean",
@@ -924,14 +830,16 @@ def self_test(args_factory):
           False)
     check("3x time-to-optimum regresses",
           compare_reports(bnb_base, _bnb_report(1000, 0.3), args), True)
+    check("5x time-to-optimum under the 10 ms floor is clean",
+          compare_reports(_bnb_report(1000, 0.001),
+                          _bnb_report(1000, 0.005), args), False)
     check("match true -> false flip regresses",
           compare_reports(bnb_base, _bnb_report(1000, 0.1, match=False),
                           args), True)
 
     # des records: commit rate enforces like throughput; the violation
     # budget flipping ok -> over is a regression on its own.
-    def _des_report(events_per_sec, budget_ok=True,
-                    benchmark="des"):
+    def _des_report(events_per_sec, budget_ok=True):
         record = {"workload": "des", "structure": "klsm",
                   "pin": "none", "threads": 2,
                   "ops_per_sec": events_per_sec,
@@ -946,7 +854,7 @@ def self_test(args_factory):
                           "lookahead": 0, "mean_delay": 64,
                           "budget": 0.15, "budget_ok": budget_ok,
                           "max_lag": 100, "virtual_time": 10 ** 7}}
-        return {"benchmark": benchmark, "records": [record]}
+        return _fixture("des", [record])
 
     des_base = _des_report(1e6)
     check("des self-comparison is clean",
@@ -957,22 +865,18 @@ def self_test(args_factory):
           compare_reports(des_base, _des_report(1e6, budget_ok=False),
                           args), True)
     des_fail = _des_report(1e6, budget_ok=False)
-    findings = compare_reports(des_fail, des_fail, args)
-    check("budget over on both sides does not regress", findings, False)
-    if not any(s == "warn" for s, _ in findings):
-        print("self-test FAIL: both-sides budget failure produced no "
-              "warning")
-        failures.append("des-both-over-warning")
+    check("budget over on both sides does not regress",
+          compare_reports(des_fail, des_fail, args), False, warns=True)
 
     # Combined-selection keying: a "bnb,des" report pairs each record
     # with its same-workload twin, so a des rate collapse is found even
     # though the report-level benchmark string matches neither record.
-    combined_base = {"benchmark": "bnb,des",
-                     "records": [_bnb_report(1000, 0.1)["records"][0],
-                                 _des_report(1e6)["records"][0]]}
-    combined_slow = {"benchmark": "bnb,des",
-                     "records": [_bnb_report(1000, 0.1)["records"][0],
-                                 _des_report(0.4e6)["records"][0]]}
+    combined_base = _fixture("bnb,des",
+                             [_bnb_report(1000, 0.1)["records"][0],
+                              _des_report(1e6)["records"][0]])
+    combined_slow = _fixture("bnb,des",
+                             [_bnb_report(1000, 0.1)["records"][0],
+                              _des_report(0.4e6)["records"][0]])
     check("combined bnb,des reports key records by workload",
           compare_reports(combined_base, combined_slow, args), True)
     check("combined bnb,des self-comparison is clean",
@@ -997,17 +901,14 @@ def self_test(args_factory):
                                  "columns": [{"name": "ops",
                                               "kind": "counter"}],
                                  "samples": samples}}
-        return {"benchmark": "throughput", "records": [record]}
+        return _fixture("throughput", [record])
 
     rates = timeseries_phase_rates(
         _ts_report([1e6, 2e6, 3e6, 4e6])["records"][0]["timeseries"])
-    ok = (rates is not None and len(rates) == 4
-          and all(abs(r - e) < 1.0
-                  for r, e in zip(rates, (1e6, 2e6, 3e6, 4e6))))
-    print(f"self-test {'pass' if ok else 'FAIL'}: phase rates re-derive "
-          f"from the cumulative counter")
-    if not ok:
-        failures.append("phase-rates")
+    verify("phase rates re-derive from the cumulative counter",
+           rates is not None and len(rates) == 4
+           and all(abs(r - e) < 1.0
+                   for r, e in zip(rates, (1e6, 2e6, 3e6, 4e6))))
 
     ts_base = _ts_report([1e6, 1e6, 1e6, 1e6])
     check("timeseries self-comparison is clean",
@@ -1071,10 +972,7 @@ def self_test(args_factory):
     if overlap["count"] != 100 or overlap["buckets"] != \
             [(i, 2) for i in range(50)]:
         ok = False
-    print(f"self-test {'pass' if ok else 'FAIL'}: bucket merge matches "
-          f"the all-in-one oracle")
-    if not ok:
-        failures.append("bucket-merge")
+    verify("bucket merge matches the all-in-one oracle", ok)
 
     # Whole-sweep comparison: per-record percentiles are identical (and
     # clean), but the merged distribution shifted an octave — only
@@ -1091,7 +989,7 @@ def self_test(args_factory):
                             "sub_bucket_bits": 5,
                             "insert": dict(rec_op),
                             "delete_min": dict(rec_op)}})
-        return {"benchmark": "throughput", "records": records}
+        return _fixture("throughput", records)
 
     sweep_args = args_factory(["--sweep"])
     sweep_base = _sweep_report(10)     # ~10ns bucket
@@ -1104,53 +1002,138 @@ def self_test(args_factory):
           compare_reports(sweep_base, sweep_slow, args), False)
 
     # Head-to-head: klsm and multiqueue records in ONE report pair on
-    # (pin, threads); every workload renders its metric; a report with
-    # no rival records yields zero pairs.
-    h2h_report = {"benchmark": "throughput", "records": [
+    # (workload, pin, threads); every declared gate renders; a report
+    # with no rival records yields zero pairs.
+    h2h_report = _fixture("throughput", [
         {"structure": "klsm", "pin": "none", "threads": 2,
          "ops_per_sec": 2e6},
         {"structure": "multiqueue", "pin": "none", "threads": 2,
          "ops_per_sec": 1e6},
         {"structure": "klsm", "pin": "none", "threads": 4,
          "ops_per_sec": 3e6},
-    ]}
-    pairs, lines = head_to_head(h2h_report, "klsm", "multiqueue")
-    ok = (pairs == 1 and len(lines) == 1 and "2.00x" in lines[0]
-          and "klsm ahead" in lines[0])
-    print(f"self-test {'pass' if ok else 'FAIL'}: head-to-head "
-          f"throughput pairing")
-    if not ok:
-        failures.append("h2h-throughput")
+    ])
+    pairs, lines = head_to_head(h2h_report)
+    verify("head-to-head throughput pairing",
+           pairs == 1 and len(lines) == 1 and "2.00x" in lines[0]
+           and "klsm ahead" in lines[0])
 
-    h2h_quality = {"benchmark": "quality", "records": [
+    h2h_quality = _fixture("quality", [
         {"structure": "klsm", "pin": "none", "threads": 2,
          "mean_rank": 4.0, "max_rank": 40, "rho": 224,
          "buffer_total": 20},
         {"structure": "multiqueue", "pin": "none", "threads": 2,
          "mean_rank": 8.0, "max_rank": 400},
-    ]}
-    pairs, lines = head_to_head(h2h_quality, "klsm", "multiqueue")
-    ok = (pairs == 1 and len(lines) == 3
-          and any("mean_rank" in l and "klsm ahead" in l for l in lines)
-          and any("rho=224" in l and "buffer_total=20" in l
-                  for l in lines))
-    print(f"self-test {'pass' if ok else 'FAIL'}: head-to-head quality "
-          f"pairing carries bounds")
-    if not ok:
-        failures.append("h2h-quality")
+    ])
+    pairs, lines = head_to_head(h2h_quality)
+    verify("head-to-head quality pairing carries bounds",
+           pairs == 1 and len(lines) == 3
+           and any("mean_rank" in l and "klsm ahead" in l for l in lines)
+           and any("rho=224" in l and "buffer_total=20" in l
+                   for l in lines))
 
     pairs, _ = head_to_head(h2h_quality, "klsm", "linden")
-    ok = pairs == 0
-    print(f"self-test {'pass' if ok else 'FAIL'}: head-to-head with no "
-          f"rival records pairs nothing")
-    if not ok:
-        failures.append("h2h-empty")
+    verify("head-to-head with no rival records pairs nothing", pairs == 0)
+
+    if binary:
+        check_real_reports(binary, args, verify, check)
+
 
     if failures:
         print(f"self-test: {len(failures)} failure(s)")
         return 1
     print("self-test: all checks passed")
     return 0
+
+
+def _set_path(record, path, value):
+    *parents, leaf = path.split(".")
+    for part in parents:
+        record = record[part]
+    record[leaf] = value
+
+
+def _worsen(value, gate, floor):
+    """A value 10x worse than `value`, past the gate's floor."""
+    if gate["better"] == "higher":
+        return value / 10
+    return (value + floor) * 10
+
+
+def check_real_reports(binary, args, verify, check):
+    """Run every workload klsm_bench registers once at smoke scale and
+    check its declarations against the real report: every declared path
+    resolves, the report diffs clean against itself, and a copy with
+    any one enforcing gate worsened 10x (a verdict: flipped) is flagged
+    — as a regression, or as a warning where the gate's `requires`
+    field is false in the run (sanitizer builds sample RSS
+    unreliably)."""
+    probe = subprocess.run([binary, "--workload", "?"],
+                           capture_output=True, text=True)
+    listed = re.search(r"registered: ([^)]*)\)", probe.stderr)
+    if not verify("klsm_bench lists its registered workloads", listed):
+        return
+    workloads = [w.strip() for w in listed.group(1).split(",")]
+    run = subprocess.run(
+        [binary, "--workload", ",".join(workloads), "--structure", "klsm",
+         "--smoke", "--json-out", "-"],
+        capture_output=True, text=True)
+    if not verify("klsm_bench smoke run of every workload succeeds",
+                  run.returncode == 0):
+        print(run.stderr)
+        return
+    report = json.loads(run.stdout)
+    check("real report of every workload diffs clean against itself",
+          compare_reports(report, report, args), False)
+
+    for workload in workloads:
+        gates = (report.get("gates") or {}).get(workload) or []
+        records = [r for r in report["records"]
+                   if r.get("workload") == workload]
+        paths = [p for g in gates for p in
+                 (g["path"], g.get("requires"), g.get("match"),
+                  *g.get("context", [])) if p]
+        if not verify(f"real {workload} report declares resolvable gates",
+                      gates and records
+                      and all(g.get("kind", "scalar") in
+                              ("scalar", "verdict", "latency")
+                              and g["better"] in ("higher", "lower")
+                              and (g.get("tolerance", "rate") in TOLERANCES
+                                   or g.get("tolerance") == "advisory")
+                              for g in gates)
+                      and all(get_path(r, p) is not None
+                              for r in records for p in paths)):
+            continue
+        for gate in gates:
+            if gate.get("tolerance") == "advisory":
+                continue
+            base, cand = copy.deepcopy(report), copy.deepcopy(report)
+            for b, c in zip(base["records"], cand["records"]):
+                if b.get("workload") != workload:
+                    continue
+                value = get_path(b, gate["path"])
+                if gate.get("kind") == "verdict":
+                    good = gate["better"] == "higher"
+                    _set_path(b, gate["path"], good)
+                    _set_path(c, gate["path"], not good)
+                elif gate.get("kind") == "latency":
+                    for op in OPS:
+                        for pct in PERCENTILES:
+                            _set_path(c, f"{gate['path']}.{op}.{pct}",
+                                      _worsen(value[op][pct], gate,
+                                              LATENCY_FLOOR_NS))
+                else:
+                    value = max(value, 0)
+                    _set_path(b, gate["path"], value)
+                    _set_path(c, gate["path"],
+                              _worsen(value, gate, gate.get("floor", 0)))
+            need = gate.get("requires")
+            demoted = bool(need) and not all(get_path(r, need)
+                                             for r in records)
+            check(f"real {workload} report: worsened {gate['path']} "
+                  + (f"warns while {need} is false" if demoted
+                     else "regresses"),
+                  compare_reports(base, cand, args), not demoted,
+                  warns=demoted)
 
 
 # ---------------------------------------------------------------------------
@@ -1163,82 +1146,54 @@ def build_parser():
                         help="baseline klsm_bench JSON report")
     parser.add_argument("candidate", nargs="?",
                         help="candidate klsm_bench JSON report")
-    parser.add_argument("--throughput-tolerance", type=float, default=0.25,
-                        help="allowed fractional ops_per_sec drop "
-                             "(also the sssp time_s growth budget)")
-    parser.add_argument("--latency-tolerance", type=float, default=0.50,
-                        help="allowed fractional latency percentile growth")
-    parser.add_argument("--latency-floor-ns", type=float, default=500,
-                        help="latency growth below this many ns never "
-                             "counts as a regression")
-    parser.add_argument("--phase-tolerance", type=float, default=0.40,
-                        help="allowed fractional per-phase ops-rate "
-                             "drop in the `timeseries` comparison "
-                             "(records lacking a timeseries skip it)")
-    parser.add_argument("--search-tolerance", type=float, default=1.0,
-                        help="allowed fractional growth of the bnb "
-                             "search scalars (time_to_optimum_s and "
-                             "expanded nodes) — loose because relaxed "
-                             "pop order makes them noisy run to run")
-    parser.add_argument("--rss-tolerance", type=float, default=0.5,
-                        help="allowed fractional growth of the churn "
-                             "soak's RSS high-water mark (enforced only "
-                             "when both reports sampled RSS reliably)")
-    parser.add_argument("--percentiles", default=DEFAULT_PERCENTILES,
-                        help="comma-separated latency metrics to compare")
-    parser.add_argument("--recompute", action="store_true",
-                        help="re-derive percentiles from the raw buckets "
-                             "instead of trusting the precomputed fields")
-    parser.add_argument("--sweep", action="store_true",
-                        help="additionally bucket-merge all matched "
-                             "records per (benchmark, structure) and "
-                             "compare whole-sweep percentiles")
-    parser.add_argument("--warn-only", action="store_true",
-                        help="report regressions but always exit 0")
+    parser.add_argument("--throughput-tolerance", type=float,
+                        default=TOLERANCES["rate"],
+                        help="allowed fractional worsening of the gates "
+                             "in the `rate` tolerance class")
     parser.add_argument("--latency-warn-only", action="store_true",
                         help="latency percentile regressions warn "
-                             "instead of failing (throughput and sssp "
-                             "time stay enforcing)")
-    parser.add_argument("--head-to-head", action="store_true",
-                        help="diff two structures against each other "
-                             "within ONE report (informational; pairs "
-                             "records on pin+threads)")
-    parser.add_argument("--h2h", default="klsm,multiqueue",
-                        help="the two structures --head-to-head pairs, "
-                             "as left,right")
+                             "instead of failing (every other gate stays "
+                             "enforcing)")
+    parser.add_argument("--warn-only", action="store_true",
+                        help="report regressions but always exit 0")
+    parser.add_argument("--sweep", action="store_true",
+                        help="additionally bucket-merge all matched "
+                             "records per (workload, structure) and "
+                             "compare whole-sweep percentiles")
     parser.add_argument("--verbose", action="store_true",
                         help="also print non-regressed comparisons")
-    parser.add_argument("--self-test", action="store_true",
-                        help="run the built-in check suite and exit")
+    parser.add_argument("--head-to-head", action="store_true",
+                        help="diff klsm against multiqueue within ONE "
+                             "report (informational; pairs records on "
+                             "workload+pin+threads)")
+    parser.add_argument("--self-test", nargs="?", const="",
+                        metavar="KLSM_BENCH",
+                        help="run the built-in check suite and exit; "
+                             "given a klsm_bench binary, also check every "
+                             "workload's gates against its real report")
     return parser
 
 
 def parse_args(argv):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.percentile_list = [p.strip() for p in args.percentiles.split(",")
-                            if p.strip()]
+    args = build_parser().parse_args(argv)
+    args.tolerance = dict(TOLERANCES, rate=args.throughput_tolerance)
     return args
 
 
 def main(argv):
     args = parse_args(argv)
-    if args.self_test:
-        return self_test(parse_args)
+    if args.self_test is not None:
+        return self_test(parse_args, args.self_test)
     if args.head_to_head:
         if not args.baseline or args.candidate:
             build_parser().error(
                 "--head-to-head takes exactly one report")
-        left, _, right = args.h2h.partition(",")
-        if not left or not right:
-            build_parser().error("--h2h must name two structures")
-        pairs, lines = head_to_head(load_report(args.baseline),
-                                    left.strip(), right.strip())
+        pairs, lines = head_to_head(load_report(args.baseline))
         for line in lines:
             print(f"[h2h]  {line}")
         if not pairs:
-            print(f"compare_bench: no ({left}, {right}) record pairs "
-                  f"in {args.baseline}")
+            print(f"compare_bench: no {HEAD_TO_HEAD} record pairs in "
+                  f"{args.baseline}")
             return 1
         print(f"compare_bench: head-to-head over {pairs} pair(s)")
         return 0

@@ -136,8 +136,8 @@ service_section() {
     check_service "$json"
     check_latency "$json"
     echo "smoke OK: service acceptance shape"
-    # Identity diff through compare_bench's service path: the SLO
-    # verdict and achieved-rate machinery must hold on a self-compare.
+    # Identity diff over the service workload's declared gates (SLO
+    # verdict, achieved rate, intended latency): clean on a self-compare.
     if command -v python3 > /dev/null; then
         python3 "$(dirname "$0")/compare_bench.py" \
             "$json" "$json" > /dev/null
@@ -191,8 +191,8 @@ soak_section() {
             --bench-churn "$BUILD_DIR/bench/klsm_bench" --smoke \
             > /dev/null
         echo "smoke OK: churn acceptance gates"
-        # Identity diff through compare_bench's churn path: the RSS
-        # high-water and plateau machinery must hold on a self-compare.
+        # Identity diff over the churn workload's declared gates (RSS
+        # high-water, plateau verdict): clean on a self-compare.
         python3 "$(dirname "$0")/compare_bench.py" \
             "$REPORT_DIR/churn-full.json" "$REPORT_DIR/churn-full.json" \
             > /dev/null
@@ -239,8 +239,8 @@ workloads_section() {
     check_workloads "$json"
     echo "smoke OK: workload bnb,des combined"
     if command -v python3 > /dev/null; then
-        # Identity diff through compare_bench's bnb/des paths: the
-        # match/budget verdict machinery must hold on a self-compare.
+        # Identity diff over the bnb and des declared gates (match and
+        # budget verdicts among them): clean on a self-compare.
         python3 "$(dirname "$0")/compare_bench.py" \
             "$REPORT_DIR/workload-combined.json" \
             "$REPORT_DIR/workload-combined.json" > /dev/null

@@ -14,10 +14,7 @@
 //     src/stats/ recorder-slot pattern): increments touch only the
 //     owner's line, through relaxed atomics so a concurrent reader is
 //     race-free but pays nothing for coherence on the write path;
-//   * totals() merges all slots at any time; a single sampling thread
-//     may also call sample_window(), which diffs the merge against the
-//     previous one and folds the window's failed-CAS rate and
-//     shared/local delete-hit mix into EWMAs.
+//   * totals() merges all slots at any time, concurrently with count().
 //
 // The monitor is passive: it never touches the queue.  Attachment is a
 // relaxed atomic pointer inside the queue (k_lsm::set_monitor), so the
@@ -57,10 +54,8 @@ enum class event : unsigned {
 };
 inline constexpr unsigned event_kinds = 7;
 
-/// One sampling window's view of the queue: raw per-event deltas since
-/// the previous sample_window() call plus the monitor's EWMAs after
-/// folding this window in.  Plain data so tests can script synthetic
-/// windows without a live queue.
+/// The monitor's event counts and the rates derived from them.  Plain
+/// data so tests can script synthetic counts without a live queue.
 struct contention_window {
     std::uint64_t publishes = 0;
     std::uint64_t publish_retries = 0;
@@ -71,13 +66,6 @@ struct contention_window {
     /// out of fail_rate() and idle().
     std::uint64_t settles = 0;
     std::uint64_t settle_discards = 0;
-
-    /// EWMA of the failed-publish-CAS rate; NaN-free (0 before the
-    /// first window with publish activity).
-    double fail_rate_ewma = 0.0;
-    /// EWMA of the fraction of successful deletes served by the shared
-    /// component.
-    double shared_fraction_ewma = 0.0;
 
     std::uint64_t publish_attempts() const {
         return publishes + publish_retries;
@@ -94,8 +82,7 @@ struct contention_window {
                        static_cast<double>(h)
                  : 0.0;
     }
-    /// True when the window saw no activity at all (idle queue): the
-    /// EWMAs were carried over, not updated.
+    /// True when no publish attempt, delete hit or spy was counted.
     bool idle() const {
         return publish_attempts() == 0 && shared_hits + local_hits == 0 &&
                spies == 0;
@@ -104,11 +91,7 @@ struct contention_window {
 
 class contention_monitor {
 public:
-    /// `ewma_alpha` is the weight of the newest window when folding
-    /// rates into the EWMAs (higher = more reactive).
-    explicit contention_monitor(double ewma_alpha = 0.25)
-        : alpha_(ewma_alpha) {}
-
+    contention_monitor() = default;
     contention_monitor(const contention_monitor &) = delete;
     contention_monitor &operator=(const contention_monitor &) = delete;
 
@@ -121,49 +104,8 @@ public:
                 std::memory_order_relaxed);
     }
 
-    /// Sampler-only: merge all slots, return the deltas since the last
-    /// call, and fold the window into the EWMAs.  Not thread-safe
-    /// against itself — one sampling thread per monitor.
-    contention_window sample_window() {
-        std::uint64_t totals[event_kinds];
-        merge(totals);
-        contention_window w;
-        w.publishes = totals[idx(event::shared_publish)] -
-                      last_[idx(event::shared_publish)];
-        w.publish_retries = totals[idx(event::shared_publish_retry)] -
-                            last_[idx(event::shared_publish_retry)];
-        w.shared_hits = totals[idx(event::delete_hit_shared)] -
-                        last_[idx(event::delete_hit_shared)];
-        w.local_hits = totals[idx(event::delete_hit_local)] -
-                       last_[idx(event::delete_hit_local)];
-        w.spies = totals[idx(event::spy)] - last_[idx(event::spy)];
-        w.settles = totals[idx(event::shared_settle)] -
-                    last_[idx(event::shared_settle)];
-        w.settle_discards = totals[idx(event::shared_settle_discard)] -
-                            last_[idx(event::shared_settle_discard)];
-        for (unsigned i = 0; i < event_kinds; ++i)
-            last_[i] = totals[i];
-
-        // Fold rates into the EWMAs on any active window; a fully idle
-        // window must not decay a real contention reading into a
-        // phantom "all quiet".  An *active* window without publish
-        // attempts counts as fail-rate evidence of 0 — on a
-        // delete-heavy phase publishes stop entirely, and freezing the
-        // EWMA there would show the contended phase's rate forever.
-        if (!w.idle())
-            fail_rate_ewma_ =
-                alpha_ * w.fail_rate() + (1.0 - alpha_) * fail_rate_ewma_;
-        if (w.shared_hits + w.local_hits > 0)
-            shared_fraction_ewma_ = alpha_ * w.shared_fraction() +
-                                    (1.0 - alpha_) * shared_fraction_ewma_;
-        w.fail_rate_ewma = fail_rate_ewma_;
-        w.shared_fraction_ewma = shared_fraction_ewma_;
-        return w;
-    }
-
     /// Cumulative totals since construction (diagnostics / JSON).
-    /// Safe to call concurrently with count(); the EWMA fields carry
-    /// the sampler's latest fold.
+    /// Safe to call concurrently with count().
     contention_window totals() const {
         std::uint64_t t[event_kinds];
         merge(t);
@@ -175,8 +117,6 @@ public:
         w.spies = t[idx(event::spy)];
         w.settles = t[idx(event::shared_settle)];
         w.settle_discards = t[idx(event::shared_settle_discard)];
-        w.fail_rate_ewma = fail_rate_ewma_;
-        w.shared_fraction_ewma = shared_fraction_ewma_;
         return w;
     }
 
@@ -200,11 +140,6 @@ private:
     }
 
     slot slots_[max_registered_threads];
-    const double alpha_;
-    // Sampler-only state: snapshot of the previous merge and the EWMAs.
-    std::uint64_t last_[event_kinds] = {};
-    double fail_rate_ewma_ = 0.0;
-    double shared_fraction_ewma_ = 0.0;
 };
 
 } // namespace adapt

@@ -18,12 +18,15 @@
 //     disambiguates instead);
 //   - `run(core, json)` executes the sweep and appends records,
 //     returning the process exit status (0 ok, 1 soft failure such as
-//     a quality-bound violation, 2 usage/internal error).
+//     a quality-bound violation, 2 usage/internal error);
+//   - `gates` declares which record fields the regression gate
+//     (scripts/compare_bench.py) diffs, in which direction and under
+//     which tolerance.  klsm_bench writes the selected workloads'
+//     declarations into the report's `gates` meta block (`gates_json`),
+//     so the differ holds no per-workload code.
 //
 // `--workload` resolves through the registry: unknown names fail with
-// the full registered list, and the legacy `--benchmark` alias is
-// folded into resolution with one tested precedence rule
-// (`resolve_alias`).
+// the full registered list.
 
 #include <algorithm>
 #include <cstddef>
@@ -39,6 +42,61 @@
 
 namespace klsm::bench {
 
+/// One metric a workload's records are diffed on (README "Regression
+/// gate").  Paths are dotted record paths ("service.achieved_rate").
+/// Every member has a default, so a designated initializer names only
+/// what it sets.
+struct metric_gate {
+    std::string path{};
+    /// Display unit: "ops/s", "s", "B", "ns", "bool", ...
+    std::string unit{};
+    /// "higher" or "lower" is better; for a verdict, "higher" means
+    /// true is the passing value.
+    std::string better{};
+    /// "scalar" (a number; negative means not measured), "verdict" (a
+    /// bool: a pass -> fail flip regresses) or "latency" (a block
+    /// shaped like a record's `latency` object).
+    std::string kind = "scalar";
+    /// The differ's tolerance class ("rate", "search", "rss",
+    /// "latency"), or "advisory": printed, never a regression.
+    std::string tolerance = "rate";
+    /// Absolute worsening, in `unit`, below which a scalar never
+    /// regresses (0 = none).
+    double floor = 0;
+    /// Path of a bool that must hold on both sides; otherwise the
+    /// finding drops to a warning.  Written as "requires".
+    std::string require{};
+    /// Path that must be equal on both sides for the gate to apply.
+    std::string match{};
+    /// Paths printed beside the metric: head-to-head pairs and
+    /// verdict flips.
+    std::vector<std::string> context{};
+
+    std::string json() const {
+        json_record r;
+        r.set("path", path);
+        r.set("unit", unit);
+        r.set("better", better);
+        r.set("kind", kind);
+        r.set("tolerance", tolerance);
+        if (floor > 0)
+            r.set("floor", floor);
+        if (!require.empty())
+            r.set("requires", require);
+        if (!match.empty())
+            r.set("match", match);
+        if (!context.empty()) {
+            std::string list = "[";
+            for (const auto &c : context)
+                list += (list.size() > 1 ? ",\"" : "\"") + c + '"';
+            r.set_raw("context", list + "]");
+        }
+        std::ostringstream out;
+        r.write(out);
+        return out.str();
+    }
+};
+
 struct workload_entry {
     std::string name;
     /// One-line description, shown in `--help` group headings.
@@ -53,7 +111,27 @@ struct workload_entry {
     std::function<bool(const cli_parser &, const core_config &)> configure;
     std::function<void(const core_config &, json_record &)> annotate_meta;
     std::function<int(const core_config &, json_reporter &)> run;
+    std::vector<metric_gate> gates;
 };
+
+/// The report's `gates` meta block: each selected workload's gate
+/// declarations, keyed by workload name.
+inline std::string
+gates_json(const std::vector<const workload_entry *> &selected) {
+    json_record block;
+    for (const auto *e : selected) {
+        std::string list = "[";
+        for (const auto &g : e->gates) {
+            if (list.size() > 1)
+                list += ',';
+            list += g.json();
+        }
+        block.set_raw(e->name, list + "]");
+    }
+    std::ostringstream out;
+    block.write(out);
+    return out.str();
+}
 
 class workload_registry {
 public:
@@ -89,13 +167,6 @@ public:
             out += e.name;
         }
         return out;
-    }
-
-    /// The one precedence rule for the legacy `--benchmark` spelling:
-    /// a non-empty `--benchmark` wins over `--workload`.
-    static std::string resolve_alias(const std::string &workload,
-                                     const std::string &benchmark) {
-        return benchmark.empty() ? workload : benchmark;
     }
 
     /// Resolve a comma-separated selection ("bnb,des") to entries, in

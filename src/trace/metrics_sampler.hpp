@@ -11,13 +11,12 @@
 //     consumers derive per-interval rates from sample deltas, which is
 //     why the sampler stores raw values instead of rates: no precision
 //     is lost to the sampling cadence.
-//   * gauge   — instantaneous level (pool bytes, EWMA).
+//   * gauge   — instantaneous level (pool bytes, rank error).
 //
 // Probe callbacks run on the sampler thread concurrently with the
 // workload, so they must only read relaxed atomics / concurrent-safe
 // accessors (progress_counters totals, contention_monitor::totals(),
-// memory_stats(false)).  Optional tick hooks run before each row is
-// sampled — e.g. folding a contention monitor's EWMA window.
+// memory_stats(false)).
 //
 // The absolute-schedule periodic_ticker (util/ticker.hpp) keeps rows
 // evenly spaced; rows are timestamped with the shared steady clock so
@@ -60,13 +59,6 @@ public:
     void add_gauge(std::string name, std::function<double()> fn)
     {
         columns_.push_back({std::move(name), false, std::move(fn)});
-    }
-
-    /// Runs before each row on the sampler thread (e.g. fold a
-    /// contention window).
-    void add_tick_hook(std::function<void()> fn)
-    {
-        hooks_.push_back(std::move(fn));
     }
 
     /// Begin sampling: records the t=0 row immediately, then one row
@@ -187,8 +179,6 @@ private:
 
     void sample_once()
     {
-        for (const auto &h : hooks_)
-            h();
         row r;
         r.ts_ns = now_ns();
         r.t_s = static_cast<double>(r.ts_ns - base_ns_) * 1e-9;
@@ -203,7 +193,6 @@ private:
     double requested_interval_s_;
     std::uint64_t base_ns_ = 0;
     std::vector<column> columns_;
-    std::vector<std::function<void()>> hooks_;
     /// Appended on the ticker thread; the mutex makes samples()/json()
     /// callable while sampling is live (ticks are milliseconds apart,
     /// so the lock is never contended in any way that matters).

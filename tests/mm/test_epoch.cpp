@@ -112,6 +112,12 @@ TEST(Epoch, ConcurrentChurnNeverUsesAfterFree) {
         });
     }
     std::thread writer([&] {
+        // Wait for a first reader check: on a loaded machine the writer
+        // could otherwise finish every exchange before any reader runs.
+        // The initial node is never retired before this loop, so that
+        // first check always passes.
+        while (checks.load(std::memory_order_relaxed) == 0)
+            std::this_thread::yield();
         for (int i = 0; i < 3000; ++i) {
             epoch_manager::guard g(mgr);
             node *fresh = new node;

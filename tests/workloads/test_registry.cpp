@@ -1,7 +1,7 @@
 // The workload-registry API contract (harness/workload_registry.hpp):
-// duplicate rejection, alias precedence, comma-selection resolution,
-// the unknown-workload error listing every registered name, and flag
-// group isolation through the CLI parser.
+// duplicate rejection, comma-selection resolution, the unknown-workload
+// error listing every registered name, flag group isolation through the
+// CLI parser, and the `gates` meta block the regression gate reads.
 
 #include <gtest/gtest.h>
 
@@ -38,14 +38,6 @@ TEST(WorkloadRegistry, RejectsDuplicateAndEmptyNames) {
     EXPECT_FALSE(reg.add(entry("alpha")));
     EXPECT_FALSE(reg.add(entry("")));
     EXPECT_EQ(reg.names().size(), 1u);
-}
-
-TEST(WorkloadRegistry, AliasPrecedence) {
-    // The one tested precedence rule: a non-empty --benchmark wins.
-    EXPECT_EQ(workload_registry::resolve_alias("bnb", ""), "bnb");
-    EXPECT_EQ(workload_registry::resolve_alias("bnb", "des"), "des");
-    EXPECT_EQ(workload_registry::resolve_alias("", "des"), "des");
-    EXPECT_EQ(workload_registry::resolve_alias("", ""), "");
 }
 
 TEST(WorkloadRegistry, ResolvesCommaListInOrderWithDedup) {
@@ -128,6 +120,34 @@ TEST(WorkloadRegistryDeathTest, DuplicateFlagNameExits) {
             cli.add_flag("shared-name", "2", "second owner");
         },
         ::testing::ExitedWithCode(2), "registered twice");
+}
+
+TEST(WorkloadRegistry, GatesSerializeKeyedByWorkload) {
+    auto a = entry("alpha");
+    a.gates = {
+        {.path = "ops_per_sec", .unit = "ops/s", .better = "higher"},
+        {.path = "x.ok",
+         .unit = "bool",
+         .better = "higher",
+         .kind = "verdict",
+         .tolerance = "search",
+         .floor = 0.5,
+         .require = "x.reliable",
+         .match = "x.mode",
+         .context = {"x.a", "x.b"}},
+    };
+    const auto b = entry("beta");
+    EXPECT_EQ(klsm::bench::gates_json({&a, &b}),
+              "{\"alpha\":["
+              "{\"path\":\"ops_per_sec\",\"unit\":\"ops/s\","
+              "\"better\":\"higher\",\"kind\":\"scalar\","
+              "\"tolerance\":\"rate\"},"
+              "{\"path\":\"x.ok\",\"unit\":\"bool\","
+              "\"better\":\"higher\",\"kind\":\"verdict\","
+              "\"tolerance\":\"search\",\"floor\":0.5,"
+              "\"requires\":\"x.reliable\",\"match\":\"x.mode\","
+              "\"context\":[\"x.a\",\"x.b\"]}],"
+              "\"beta\":[]}");
 }
 
 TEST(WorkloadRegistry, ReclaimSoakDefaultsOff) {
