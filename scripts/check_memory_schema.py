@@ -9,7 +9,7 @@ of a k-LSM-family structure (klsm, dlsm) must carry
       "pools": {
         "items":         {chunks, bytes, reuse_hits, fresh_allocs,
                           reuse_hit_rate, growth_beyond_bound,
-                          prefaulted_chunks, freelist_hits,
+                          page_aligned_chunks, freelist_hits,
                           freelist_drops, freelist_hit_rate,
                           reclaimed_chunks, released_bytes,
                           shrink_events, reactivated_chunks},
@@ -18,9 +18,11 @@ of a k-LSM-family structure (klsm, dlsm) must carry
       }
     }
 
-with internally consistent values (rates in [0, 1], prefaulted and
-reclaimed counts never exceeding chunks, released bytes never exceeding
-chunk bytes).
+with internally consistent values (rates in [0, 1], reclaimed counts
+never exceeding chunks, released bytes never exceeding chunk bytes), and
+page_aligned_chunks equal to chunks when the report's `reclaim` policy
+shrinks (shrink, full) and 0 otherwise: exactly the chunks allocated
+under a shrinking placement are whole pages the shrink tier may release.
 
 Records produced by `--workload churn` additionally carry
 
@@ -49,7 +51,7 @@ Usage:
 
 --bench runs the allocation-telemetry acceptance command end to end
 (--structure klsm --pin compact --smoke --alloc-stats --json-out -)
-and validates its stdout.
+once under each --reclaim policy and validates its stdout.
 
 --bench-churn runs the soak acceptance command (--workload churn
 --alloc-stats --json-out -) and additionally *enforces* the soak
@@ -65,8 +67,9 @@ import sys
 
 FAMILY = ("klsm", "dlsm")
 RECLAIM_POLICIES = ("none", "freelist", "shrink", "full")
+SHRINKING_POLICIES = ("shrink", "full")
 COUNTER_FIELDS = ("chunks", "bytes", "reuse_hits", "fresh_allocs",
-                  "growth_beyond_bound", "prefaulted_chunks",
+                  "growth_beyond_bound", "page_aligned_chunks",
                   "freelist_hits", "freelist_drops",
                   "reclaimed_chunks", "released_bytes", "shrink_events",
                   "reactivated_chunks")
@@ -80,7 +83,7 @@ PHASE_FIELDS = ("index", "insert_percent", "start_t_ns", "end_t_ns",
                 "shrink_ns", "inserts", "deletes", "failed_deletes")
 
 
-def check_pool(where, pool):
+def check_pool(where, pool, shrinking):
     for field in COUNTER_FIELDS:
         assert field in pool, f"{where}.{field} missing"
         value = pool[field]
@@ -90,8 +93,10 @@ def check_pool(where, pool):
         rate = pool.get(rate_field)
         assert isinstance(rate, (int, float)) and 0.0 <= rate <= 1.0, \
             f"{where}.{rate_field} = {rate!r} outside [0, 1]"
-    assert pool["prefaulted_chunks"] <= pool["chunks"], \
-        f"{where}: prefaulted_chunks exceeds chunks"
+    expect_aligned = pool["chunks"] if shrinking else 0
+    assert pool["page_aligned_chunks"] == expect_aligned, \
+        f"{where}: page_aligned_chunks = {pool['page_aligned_chunks']}, " \
+        f"expected {expect_aligned} ({'' if shrinking else 'no '}shrink)"
     # Reclamation invariants: the released gauges can never exceed what
     # exists (reclaimed chunks are a subset of chunks, released bytes a
     # subset of chunk bytes).
@@ -187,7 +192,8 @@ def check_report(report, path, require_timeline=False):
         for name in ("items", "dist_blocks", "shared_blocks"):
             assert name in pools, f"{path}: memory.pools.{name} missing"
             check_pool(f"{path}:{structure}.memory.pools.{name}",
-                       pools[name])
+                       pools[name],
+                       report["reclaim"] in SHRINKING_POLICIES)
         # The paper's four-blocks-per-level bound is structural for the
         # DistLSM pools; the shared pools' safety valve is exempt.
         assert pools["dist_blocks"]["growth_beyond_bound"] == 0, \
@@ -222,11 +228,17 @@ def check_soak_verdicts(report, path, enforce_plateau):
 
 def main(argv):
     if len(argv) >= 2 and argv[0] == "--bench":
-        cmd = [argv[1], "--structure", "klsm", "--pin", "compact",
-               "--smoke", "--alloc-stats", "--json-out", "-"]
-        out = subprocess.run(cmd, stdout=subprocess.PIPE, check=True)
-        checked = check_report(json.loads(out.stdout), "<bench stdout>")
-        print(f"memory schema OK: acceptance run, {checked} record(s)")
+        for policy in RECLAIM_POLICIES:
+            cmd = [argv[1], "--structure", "klsm", "--pin", "compact",
+                   "--smoke", "--alloc-stats", "--reclaim", policy,
+                   "--json-out", "-"]
+            out = subprocess.run(cmd, stdout=subprocess.PIPE, check=True)
+            report = json.loads(out.stdout)
+            assert report.get("reclaim") == policy, \
+                f"--reclaim {policy}: report says {report.get('reclaim')!r}"
+            checked = check_report(report, f"<bench stdout, {policy}>")
+            print(f"memory schema OK: acceptance run, --reclaim {policy}, "
+                  f"{checked} record(s)")
         return 0
     if len(argv) >= 2 and argv[0] == "--bench-churn":
         smoke = "--smoke" in argv[2:]

@@ -31,9 +31,10 @@
 //                             by design and merely counted.  Always 0
 //                             for item pools (the paper bounds blocks,
 //                             not items);
-//   * prefaulted_chunks     — chunks allocated as page-aligned,
-//                             pre-faulted storage (the shrink tier's
-//                             precondition, mm/placement.hpp).
+//   * page_aligned_chunks   — chunks allocated under a shrinking
+//                             placement, as whole pages of their own
+//                             (the shrink tier's precondition,
+//                             mm/placement.hpp).
 
 #include <atomic>
 #include <cstddef>
@@ -57,7 +58,7 @@ struct pool_alloc_snapshot {
     std::uint64_t reuse_hits = 0;
     std::uint64_t fresh_allocs = 0;
     std::uint64_t growth_beyond_bound = 0;
-    std::uint64_t prefaulted_chunks = 0;
+    std::uint64_t page_aligned_chunks = 0;
     // Reclamation tier (src/mm/reclaim/):
     std::uint64_t freelist_hits = 0;  ///< allocations from freelist pops
     std::uint64_t freelist_drops = 0; ///< popped nodes discarded (ghosts)
@@ -91,7 +92,7 @@ struct pool_alloc_snapshot {
         reuse_hits += o.reuse_hits;
         fresh_allocs += o.fresh_allocs;
         growth_beyond_bound += o.growth_beyond_bound;
-        prefaulted_chunks += o.prefaulted_chunks;
+        page_aligned_chunks += o.page_aligned_chunks;
         freelist_hits += o.freelist_hits;
         freelist_drops += o.freelist_drops;
         reclaimed_chunks += o.reclaimed_chunks;
@@ -110,7 +111,7 @@ struct alignas(cache_line_size) alloc_counters {
     std::atomic<std::uint64_t> reuse_hits{0};
     std::atomic<std::uint64_t> fresh_allocs{0};
     std::atomic<std::uint64_t> growth_beyond_bound{0};
-    std::atomic<std::uint64_t> prefaulted_chunks{0};
+    std::atomic<std::uint64_t> page_aligned_chunks{0};
     std::atomic<std::uint64_t> freelist_hits{0};
     std::atomic<std::uint64_t> freelist_drops{0};
     std::atomic<std::uint64_t> reclaimed_chunks{0};
@@ -118,11 +119,11 @@ struct alignas(cache_line_size) alloc_counters {
     std::atomic<std::uint64_t> shrink_events{0};
     std::atomic<std::uint64_t> reactivated_chunks{0};
 
-    void count_chunk(std::size_t chunk_bytes, bool prefaulted) {
+    void count_chunk(std::size_t chunk_bytes, bool page_aligned) {
         chunks.fetch_add(1, std::memory_order_relaxed);
         bytes.fetch_add(chunk_bytes, std::memory_order_relaxed);
-        if (prefaulted)
-            prefaulted_chunks.fetch_add(1, std::memory_order_relaxed);
+        if (page_aligned)
+            page_aligned_chunks.fetch_add(1, std::memory_order_relaxed);
     }
     void count_reuse_hit() {
         reuse_hits.fetch_add(1, std::memory_order_relaxed);
@@ -163,8 +164,8 @@ struct alignas(cache_line_size) alloc_counters {
         s.fresh_allocs = fresh_allocs.load(std::memory_order_relaxed);
         s.growth_beyond_bound =
             growth_beyond_bound.load(std::memory_order_relaxed);
-        s.prefaulted_chunks =
-            prefaulted_chunks.load(std::memory_order_relaxed);
+        s.page_aligned_chunks =
+            page_aligned_chunks.load(std::memory_order_relaxed);
         s.freelist_hits = freelist_hits.load(std::memory_order_relaxed);
         s.freelist_drops = freelist_drops.load(std::memory_order_relaxed);
         s.reclaimed_chunks =
@@ -203,7 +204,7 @@ inline void pool_json(std::ostringstream &os, const char *name,
        << ",\"fresh_allocs\":" << p.fresh_allocs << ",\"reuse_hit_rate\":"
        << std::setprecision(6) << p.reuse_hit_rate()
        << ",\"growth_beyond_bound\":" << p.growth_beyond_bound
-       << ",\"prefaulted_chunks\":" << p.prefaulted_chunks
+       << ",\"page_aligned_chunks\":" << p.page_aligned_chunks
        << ",\"freelist_hits\":" << p.freelist_hits
        << ",\"freelist_drops\":" << p.freelist_drops
        << ",\"freelist_hit_rate\":" << std::setprecision(6)

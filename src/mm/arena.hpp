@@ -12,8 +12,9 @@
 // reuse sweep).
 //
 // Each chunk's storage follows the arena's `mem_placement`
-// (mm/placement.hpp): a plain heap array, or page-aligned pre-faulted
-// storage when the shrink tier may release it.  Chunk allocations are
+// (mm/placement.hpp): a large chunk commits its pages only as its
+// objects are handed out, and under shrinking every chunk is whole
+// pages the shrink tier may release.  Chunk allocations are
 // reported to an optional `alloc_counters` block so the allocation
 // telemetry can show where the bytes went.
 

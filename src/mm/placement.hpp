@@ -1,18 +1,27 @@
 #pragma once
 
-// Page-granular storage for the type-stable pools.
+// Storage for the type-stable pools.
 //
 // The paper's manual memory scheme (Section 4.4) makes blocks and items
-// type-stable: their storage is never freed while the queue lives.  The
-// reclamation tier (src/mm/reclaim/) may still hand a cold chunk's
-// physical pages back to the OS, which is only safe for whole,
-// page-aligned regions.  This header provides:
+// type-stable: their storage is never freed while the queue lives.  This
+// header provides:
 //
 //   * a `mem_placement` value threaded through every pool constructor,
 //     carrying the pools' reclamation settings,
-//   * `placed_array`, a default-constructed T[n] that is a plain heap
-//     array unless shrinking is on, in which case it is page-aligned and
-//     pre-faulted so the shrink tier can madvise it away.
+//   * `placed_array`, a T[n] whose elements start in T's default state.
+//
+// A block's entry array has a power-of-two capacity, of which a run
+// fills between half and all; an arena's newest chunk fills up over
+// time.  So an array of at least `mapped_array_bytes` is an anonymous
+// private mapping that nothing writes at allocation: the kernel
+// zero-fills each page when the pool first writes it, and pages the
+// pool never writes cost no memory.  That is sound only because every
+// pooled type's default state is all-zero bytes (block entries: null
+// item, version 0, key 0; items: version 0, which means free), the
+// state a madvise'd page already reads back as.  Smaller arrays are a
+// plain `new T[n]()`, or page-aligned, zeroed heap storage when
+// shrinking is on.  Under shrinking every array is page-aligned, so the
+// reclamation tier (src/mm/reclaim/) may hand its pages back.
 
 #include <cstddef>
 #include <cstring>
@@ -21,6 +30,7 @@
 #include <utility>
 
 #if defined(__linux__)
+#include <sys/mman.h>
 #include <unistd.h>
 #endif
 
@@ -52,17 +62,20 @@ inline std::size_t page_size() {
 #endif
 }
 
-/// A default-constructed T[n] whose storage follows a mem_placement.
-/// With shrinking off it is one operator new[] (same allocator, same
-/// touch pattern as a plain array); with shrinking on the array
-/// allocates page-aligned raw storage, pre-faults it, then constructs
-/// the elements in place, because only whole page-aligned regions can
-/// be madvise'd away without touching neighboring heap objects.
-/// Move-only; elements never move after allocation (type stability).
+/// Arrays of at least this many bytes are mapped zero pages that the
+/// kernel commits one at a time, on first write.
+inline constexpr std::size_t mapped_array_bytes = std::size_t{64} << 10;
+
+/// A T[n] in T's default state whose storage follows a mem_placement
+/// and its size (see the header comment).  Move-only; elements never
+/// move after allocation (type stability).
 template <typename T>
 class placed_array {
     static_assert(std::is_nothrow_default_constructible_v<T>,
                   "placed_array elements are constructed in bulk");
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "placed_array frees its storage without running "
+                  "element destructors");
 
 public:
     placed_array() = default;
@@ -71,17 +84,19 @@ public:
 
     placed_array(placed_array &&o) noexcept
         : data_(std::exchange(o.data_, nullptr)),
-          raw_(std::exchange(o.raw_, nullptr)),
           count_(std::exchange(o.count_, 0)),
-          bytes_(std::exchange(o.bytes_, 0)) {}
+          bytes_(std::exchange(o.bytes_, 0)),
+          kind_(std::exchange(o.kind_, storage::heap)),
+          page_managed_(std::exchange(o.page_managed_, false)) {}
 
     placed_array &operator=(placed_array &&o) noexcept {
         if (this != &o) {
             destroy();
             data_ = std::exchange(o.data_, nullptr);
-            raw_ = std::exchange(o.raw_, nullptr);
             count_ = std::exchange(o.count_, 0);
             bytes_ = std::exchange(o.bytes_, 0);
+            kind_ = std::exchange(o.kind_, storage::heap);
+            page_managed_ = std::exchange(o.page_managed_, false);
         }
         return *this;
     }
@@ -94,20 +109,35 @@ public:
         out.count_ = n;
         if (n == 0)
             return out;
-        if (!place.reclaim.shrink_enabled()) {
+        out.page_managed_ = place.reclaim.shrink_enabled();
+        const std::size_t ps = page_size();
+        const std::size_t paged = ((n * sizeof(T) + ps - 1) / ps) * ps;
+#if defined(__linux__)
+        if (n * sizeof(T) >= mapped_array_bytes) {
+            void *p = ::mmap(nullptr, paged, PROT_READ | PROT_WRITE,
+                             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+            if (p == MAP_FAILED)
+                throw std::bad_alloc();
+            // Every element is already in its (all-zero) default state.
+            out.data_ = static_cast<T *>(p);
+            out.bytes_ = paged;
+            out.kind_ = storage::mapped;
+            return out;
+        }
+#endif
+        if (!out.page_managed_) {
             out.data_ = new T[n]();
             out.bytes_ = n * sizeof(T);
             return out;
         }
-        const std::size_t ps = page_size();
-        out.bytes_ = ((n * sizeof(T) + ps - 1) / ps) * ps;
-        out.raw_ = ::operator new(out.bytes_, std::align_val_t{ps});
-        // Fault every page in now, from the allocating thread.
-        std::memset(out.raw_, 0, out.bytes_);
-        T *d = static_cast<T *>(out.raw_);
+        void *raw = ::operator new(paged, std::align_val_t{ps});
+        std::memset(raw, 0, paged);
+        T *d = static_cast<T *>(raw);
         for (std::size_t i = 0; i < n; ++i)
             new (d + i) T();
         out.data_ = d;
+        out.bytes_ = paged;
+        out.kind_ = storage::aligned;
         return out;
     }
 
@@ -116,35 +146,50 @@ public:
     std::size_t size() const { return count_; }
     bool empty() const { return count_ == 0; }
 
-    /// Byte footprint of the allocation (page-rounded for placed
-    /// storage), the unit the telemetry counts.
+    /// Byte footprint of the allocation (page-rounded unless a plain
+    /// heap array), the unit the telemetry counts.
     std::size_t bytes() const { return bytes_; }
-    /// Start of the region (page-aligned for placed storage).
-    const void *region() const { return raw_ ? raw_ : data_; }
-    /// True iff the storage is page-aligned and pre-faulted.  Only such
-    /// regions may have their pages released: a plain `new T[]` shares
-    /// heap pages with unrelated objects.
-    bool page_managed() const { return raw_ != nullptr; }
+    /// Start of the region (page-aligned unless a plain heap array).
+    const void *region() const { return data_; }
+    /// True iff the array was allocated under a shrinking placement:
+    /// its storage is whole pages of its own, so the shrink tier may
+    /// release them.  A plain `new T[]` shares heap pages with
+    /// unrelated objects.
+    bool page_managed() const { return page_managed_; }
 
 private:
+    enum class storage : unsigned char {
+        heap,    ///< new T[n]()
+        aligned, ///< page-aligned operator new, zeroed and constructed
+        mapped,  ///< anonymous mapping, untouched until written
+    };
+
     void destroy() {
-        if (raw_ != nullptr) {
-            for (std::size_t i = count_; i-- > 0;)
-                data_[i].~T();
-            ::operator delete(raw_, std::align_val_t{page_size()});
-        } else {
+        switch (kind_) {
+        case storage::heap:
             delete[] data_;
+            break;
+        case storage::aligned:
+            ::operator delete(data_, std::align_val_t{page_size()});
+            break;
+        case storage::mapped:
+#if defined(__linux__)
+            ::munmap(data_, bytes_);
+#endif
+            break;
         }
         data_ = nullptr;
-        raw_ = nullptr;
         count_ = 0;
         bytes_ = 0;
+        kind_ = storage::heap;
+        page_managed_ = false;
     }
 
     T *data_ = nullptr;
-    void *raw_ = nullptr; ///< non-null iff page-aligned placed storage
     std::size_t count_ = 0;
     std::size_t bytes_ = 0;
+    storage kind_ = storage::heap;
+    bool page_managed_ = false;
 };
 
 } // namespace klsm::mm

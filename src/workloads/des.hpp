@@ -23,6 +23,7 @@
 // queue's rank error bounds how far behind the global frontier a
 // popped event can be.
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <cstddef>
@@ -41,13 +42,17 @@
 
 namespace klsm::workloads {
 
+/// Events a worker claims from the shared commit counter at once: one
+/// shared write per batch instead of one per event.
+inline constexpr std::uint64_t des_claim_batch = 64;
+
 struct des_params {
     /// Logical processes (each carries one atomic virtual clock).
     std::uint32_t lps = 256;
     /// In-flight event population, seeded before the run and kept
     /// constant by self-messaging.
     std::uint32_t population = 4096;
-    /// Stop after this many committed events (total across threads).
+    /// Commit exactly this many events (total across threads).
     std::uint64_t target_events = 200000;
     /// Model lookahead in virtual time: the minimum increment every
     /// scheduled successor adds, and symmetrically the commit-lag an
@@ -107,7 +112,10 @@ des_result run_des(PQ &q, const des_params &params) {
         h.flush();
     }
 
-    std::atomic<bool> stop{false};
+    // Workers claim their commits in batches from `claimed`, so the run
+    // commits exactly target_events and each commit schedules exactly
+    // one successor.
+    std::atomic<std::uint64_t> claimed{0};
     std::atomic<std::uint64_t> committed{0}, scheduled{0}, violations{0};
     std::atomic<std::uint64_t> max_lag{0}, virtual_time{0};
     std::atomic<std::uint64_t> failed{0}, pin_failures{0};
@@ -127,9 +135,18 @@ des_result run_des(PQ &q, const des_params &params) {
             std::uint64_t my_committed = 0, my_scheduled = 0;
             std::uint64_t my_violations = 0, my_failed = 0;
             std::uint64_t my_max_lag = 0, my_vt = 0;
+            std::uint64_t budget = 0; // claimed, not yet committed
             sync.arrive_and_wait();
             std::uint64_t ts, lp;
-            while (!stop.load(std::memory_order_relaxed)) {
+            for (;;) {
+                if (budget == 0) {
+                    const std::uint64_t first = claimed.fetch_add(
+                        des_claim_batch, std::memory_order_relaxed);
+                    if (first >= params.target_events)
+                        break;
+                    budget = std::min(des_claim_batch,
+                                      params.target_events - first);
+                }
                 bool ok;
                 {
                     stats::op_sample sample{params.latency, t,
@@ -162,13 +179,8 @@ des_result run_des(PQ &q, const des_params &params) {
                     ;
                 my_vt = std::max(my_vt, ts);
                 ++my_committed;
+                --budget;
                 KLSM_TRACE_EVENT(trace::kind::des_commit, lp, lag);
-                const std::uint64_t done =
-                    committed.fetch_add(1, std::memory_order_relaxed) + 1;
-                if (done >= params.target_events) {
-                    stop.store(true, std::memory_order_relaxed);
-                    break;
-                }
                 // Self-message: one successor keeps the population
                 // constant.  Every increment is at least lookahead+1,
                 // which is what makes `lookahead` the model's true
@@ -188,8 +200,7 @@ des_result run_des(PQ &q, const des_params &params) {
                                   my_failed);
             }
             h.flush();
-            // `committed` is already global (the stop check needs it
-            // live); merge the rest of the thread-local tallies.
+            committed.fetch_add(my_committed);
             scheduled.fetch_add(my_scheduled);
             violations.fetch_add(my_violations);
             failed.fetch_add(my_failed);

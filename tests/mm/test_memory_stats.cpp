@@ -132,12 +132,12 @@ TEST(PoolStats, ConcurrentRunStaysWithinPaperBlockBound) {
         EXPECT_GT(m.dist_blocks.chunks, 0u);
         EXPECT_GT(m.items.chunks, 0u);
         if (policy == mm::reclaim_policy::none) {
-            EXPECT_EQ(m.dist_blocks.prefaulted_chunks, 0u);
-            EXPECT_EQ(m.items.prefaulted_chunks, 0u);
+            EXPECT_EQ(m.dist_blocks.page_aligned_chunks, 0u);
+            EXPECT_EQ(m.items.page_aligned_chunks, 0u);
         } else {
-            EXPECT_EQ(m.dist_blocks.prefaulted_chunks,
+            EXPECT_EQ(m.dist_blocks.page_aligned_chunks,
                       m.dist_blocks.chunks);
-            EXPECT_EQ(m.items.prefaulted_chunks, m.items.chunks);
+            EXPECT_EQ(m.items.page_aligned_chunks, m.items.chunks);
         }
     }
 }

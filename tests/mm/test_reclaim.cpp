@@ -356,6 +356,44 @@ TEST(Reclaim, ShrinkThenRegrowRefaultsTheReleasedChunk) {
     }
 }
 
+TEST(Reclaim, MappedChunkReleasesAndRevives) {
+    if (!mm::reclaim::release_pages_supported())
+        GTEST_SKIP() << "madvise(MADV_DONTNEED) unavailable";
+    pool_t pool{with_policy(mm::reclaim_policy::full)};
+    // Chunks of 256, 512, 1024 and 2048 items fill exactly; the last
+    // (64 KiB) is mapped storage (mm/placement.hpp).
+    constexpr std::uint32_t n = 256 + 512 + 1024 + 2048;
+    static_assert(2048 * sizeof(item<std::uint32_t, std::uint64_t>) >=
+                  mm::mapped_array_bytes);
+    std::vector<ref_t> refs;
+    for (std::uint32_t i = 0; i < n; ++i)
+        refs.push_back(pool.allocate(i, i));
+    const ref_t stale = refs[n - 1]; // in the mapped chunk
+    for (auto &r : refs)
+        ASSERT_TRUE(r.take());
+    ASSERT_EQ(pool.quiescent_shrink(), 4u);
+    EXPECT_EQ(pool.census().released, 4u);
+    EXPECT_EQ(stale.it->version(), 0u) << "released pages read as zero";
+    EXPECT_FALSE(stale.take());
+    // Demand returns: every chunk revives above its version floor.
+    std::vector<ref_t> regrown;
+    for (std::uint32_t i = 0; i < n; ++i)
+        regrown.push_back(pool.allocate(i, i));
+    EXPECT_EQ(pool.census().released, 0u);
+    const auto snap = pool.stats().snapshot();
+    EXPECT_EQ(snap.chunks, 4u) << "regrowth revives, it does not allocate";
+    EXPECT_EQ(snap.reactivated_chunks, 4u);
+    bool found = false;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        EXPECT_EQ(regrown[i].it->value(), i) << "refaulted page lost a write";
+        if (regrown[i].it == stale.it) {
+            found = true;
+            EXPECT_GT(regrown[i].version, stale.version);
+        }
+    }
+    EXPECT_TRUE(found) << "the mapped chunk must serve its items again";
+}
+
 TEST(Reclaim, ConcurrentChurnThroughKlsmWithFullReclaim) {
     // The sanitizer witness: hammer a k_lsm whose pools run the full
     // reclamation tier from several threads, with maintenance forced
