@@ -93,21 +93,12 @@ void register_core_flags(cli_parser &cli,
                  "(full for churn, none otherwise) | none | freelist "
                  "(cross-thread recycling) | shrink (return cold "
                  "chunks to the OS) | full (both)");
-    cli.add_flag("reclaim-period", "512",
-                 "reclaim: allocations between pool maintenance steps");
-    cli.add_flag("reclaim-grace", "2",
-                 "reclaim: maintenance inspections a chunk must stay "
-                 "cold before its pages are released");
     cli.add_bool_flag("trace", false,
                       "arm the runtime tracer (src/trace/): per-thread "
                       "event rings drained at exit to --trace-out as "
                       "Chrome-trace JSON (chrome://tracing / Perfetto)");
     cli.add_flag("trace-out", "trace.json",
                  "where --trace writes the Chrome-trace JSON");
-    cli.add_flag("trace-ring", "65536",
-                 "trace: per-thread ring capacity in events (rounded "
-                 "up to a power of two; on overflow the oldest events "
-                 "are overwritten and counted as dropped)");
     cli.add_flag("metrics-interval", "",
                  "in-run metrics sampling period, e.g. 50ms, 0.5s "
                  "(bare numbers are milliseconds; empty or 0 = off): "
@@ -117,7 +108,6 @@ void register_core_flags(cli_parser &cli,
                       "tiny parameters, all checks on: the CI smoke mode");
     cli.add_flag("json-out", "",
                  "write the JSON report here ('-' for stdout)");
-    cli.add_bool_flag("csv", false, "emit CSV instead of a table");
 }
 
 bool parse_core_config(const cli_parser &cli,
@@ -126,7 +116,7 @@ bool parse_core_config(const cli_parser &cli,
     cfg.structures = cli.get_list("structure");
     cfg.pins = cli.get_list("pin");
     cfg.threads_list = cli.get_int_list("threads");
-    cfg.k = static_cast<std::size_t>(cli.get_int("k"));
+    cfg.k = static_cast<std::size_t>(cli.get_uint64("k"));
     cfg.mq_stickiness =
         static_cast<std::size_t>(cli.get_uint64("mq-stickiness"));
     cfg.mq_buffer = static_cast<std::size_t>(cli.get_uint64("mq-buffer"));
@@ -136,7 +126,7 @@ bool parse_core_config(const cli_parser &cli,
         std::cerr << "--mq-stickiness must be positive\n";
         return false;
     }
-    cfg.prefill = static_cast<std::size_t>(cli.get_int("prefill"));
+    cfg.prefill = static_cast<std::size_t>(cli.get_uint64("prefill"));
     cfg.seed = cli.get_uint64("seed");
     cfg.latency_sample = cli.get_uint64("latency-sample");
     cfg.alloc_stats = cli.get_bool("alloc-stats");
@@ -164,27 +154,12 @@ bool parse_core_config(const cli_parser &cli,
         }
         cfg.reclaim.policy = rp;
     }
-    cfg.reclaim.maintenance_period =
-        static_cast<std::uint32_t>(cli.get_uint64("reclaim-period"));
-    cfg.reclaim.grace_inspections =
-        static_cast<std::uint32_t>(cli.get_uint64("reclaim-grace"));
-    if (cfg.reclaim.maintenance_period == 0) {
-        std::cerr << "--reclaim-period must be positive\n";
-        return false;
-    }
     cfg.smoke = cli.get_bool("smoke");
-    cfg.csv = cli.get_bool("csv");
     cfg.json_to_stdout = cli.get("json-out") == "-";
     cfg.trace = cli.get_bool("trace");
     cfg.trace_out = cli.get("trace-out");
-    cfg.trace_ring =
-        static_cast<std::size_t>(cli.get_uint64("trace-ring"));
     if (cfg.trace && cfg.trace_out.empty()) {
         std::cerr << "--trace-out must name a file when --trace is on\n";
-        return false;
-    }
-    if (cfg.trace_ring == 0) {
-        std::cerr << "--trace-ring must be positive\n";
         return false;
     }
     const auto metrics_ms =

@@ -51,7 +51,7 @@ int main(int argc, char **argv) {
             return 2;
 
     if (cfg.trace)
-        klsm::trace::tracer::instance().enable(cfg.trace_ring);
+        klsm::trace::tracer::instance().enable();
 
     klsm::json_reporter json(selection);
     annotate_core_meta(cfg, json);

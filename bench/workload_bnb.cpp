@@ -18,7 +18,10 @@ namespace {
 
 struct bnb_config {
     std::uint32_t items = 34;
-    std::uint32_t seed_depth = 13;
+    /// The tree is pre-enumerated to this depth and the queue seeded
+    /// with the whole frontier (~2^13 nodes): above log2(k) for every
+    /// k the sweeps use, so pops exercise the relaxed shared ordering.
+    static constexpr std::uint32_t seed_depth = 13;
 };
 
 std::string bnb_json(const klsm::workloads::knapsack_instance &ks,
@@ -47,7 +50,7 @@ int run(const bnb_config &w, const core_config &cfg,
     klsm::table_reporter report({"structure", "pin", "threads",
                                  "expanded", "wasted", "t_opt_ms",
                                  "time_s", "match"},
-                                cfg.csv, table_stream(cfg));
+                                table_stream(cfg));
     int status = 0;
     for (const auto &pin : cfg.pins) {
         const auto cpus = pin_order(pin);
@@ -144,11 +147,6 @@ workload_entry bnb_workload() {
         cli.add_flag("bnb-items", "34",
                      "knapsack items in the generated instance "
                      "(uncorrelated weights and values)");
-        cli.add_flag("bnb-seed-depth", "13",
-                     "pre-enumerate the tree to this depth and seed "
-                     "the queue with the whole frontier (~2^depth "
-                     "nodes); keep it above log2(k) so pops exercise "
-                     "the relaxed shared ordering");
     };
     e.configure = [w](const cli_parser &cli, const core_config &core) {
         const auto items = cli.get_int("bnb-items");
@@ -157,14 +155,7 @@ workload_entry bnb_workload() {
                       << " must be in [4, 2000]\n";
             return false;
         }
-        const auto depth = cli.get_int("bnb-seed-depth");
-        if (depth < 0 || depth > 20) {
-            std::cerr << "--bnb-seed-depth " << depth
-                      << " must be in [0, 20]\n";
-            return false;
-        }
         w->items = static_cast<std::uint32_t>(items);
-        w->seed_depth = static_cast<std::uint32_t>(depth);
         if (core.smoke)
             w->items = std::min<std::uint32_t>(w->items, 30);
         return true;

@@ -18,6 +18,8 @@ namespace {
 
 struct churn_config {
     std::uint64_t churn_ops = 50000;
+    /// Memory-timeline sampling period; --smoke samples every 10 ms so
+    /// its short phases still yield a timeline.
     double sample_interval_ms = 50.0;
 };
 
@@ -26,7 +28,7 @@ int run(const churn_config &w, const core_config &cfg,
     klsm::table_reporter report({"structure", "pin", "threads", "ops",
                                  "ops/s", "shrinks", "rss_hw_mb",
                                  "plateau"},
-                                cfg.csv, table_stream(cfg));
+                                table_stream(cfg));
     for (const auto &pin : cfg.pins) {
         const auto cpus = pin_order(pin);
         for (const auto threads_i : cfg.threads_list) {
@@ -118,24 +120,16 @@ workload_entry churn_workload() {
     e.register_flags = [](cli_parser &cli) {
         cli.add_flag("churn-ops", "50000",
                      "operations per thread per phase");
-        cli.add_flag("sample-interval-ms", "50",
-                     "memory-timeline sampling period in milliseconds");
     };
     e.configure = [w](const cli_parser &cli, const core_config &core) {
         w->churn_ops = cli.get_uint64("churn-ops");
-        w->sample_interval_ms = cli.get_double("sample-interval-ms");
         if (w->churn_ops == 0) {
             std::cerr << "--churn-ops must be positive\n";
             return false;
         }
-        if (w->sample_interval_ms <= 0) {
-            std::cerr << "--sample-interval-ms must be positive\n";
-            return false;
-        }
         if (core.smoke) {
             w->churn_ops = std::min<std::uint64_t>(w->churn_ops, 5000);
-            w->sample_interval_ms =
-                std::min(w->sample_interval_ms, 10.0);
+            w->sample_interval_ms = 10.0;
         }
         return true;
     };

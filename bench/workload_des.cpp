@@ -18,19 +18,21 @@ namespace klsm::bench {
 namespace {
 
 struct des_config {
-    std::uint32_t lps = 256;
+    static constexpr std::uint32_t lps = 256; ///< simulated clocks
     // Above the largest k the sweeps use (4096): a population the local
     // components can absorb whole never exercises the shared ordering,
     // which flattens the k-vs-violations curve the workload exists to
-    // measure.
-    std::uint64_t population = 8192;
+    // measure.  Seeding 8192 events is cheap even under --smoke.
+    static constexpr std::uint64_t population = 8192;
     std::uint64_t target_events = 200000;
-    std::uint64_t lookahead = 0;
-    std::uint64_t mean_delay = 64;
+    /// Timestamp slack tolerated before a pop counts as a causality
+    /// violation, and the mean virtual-time increment per event.
+    static constexpr std::uint64_t lookahead = 0;
+    static constexpr std::uint64_t mean_delay = 64;
     // Sized so the k-LSM's default operating point (k=256) passes with
     // margin while the heavily relaxed regimes (k >= 1024) flip the
     // verdict — see the k sweep in tests/workloads.
-    double budget = 0.15;
+    static constexpr double budget = 0.15;
 };
 
 std::string des_json(const des_config &w,
@@ -59,7 +61,7 @@ int run(const des_config &w, const core_config &cfg,
     klsm::table_reporter report({"structure", "pin", "threads", "events/s",
                                  "violations", "viol_frac", "max_lag",
                                  "budget"},
-                                cfg.csv, table_stream(cfg));
+                                table_stream(cfg));
     for (const auto &pin : cfg.pins) {
         const auto cpus = pin_order(pin);
         for (const auto threads_i : cfg.threads_list) {
@@ -143,56 +145,18 @@ workload_entry des_workload() {
          .context = {"des.violation_fraction", "des.budget"}},
     };
     e.register_flags = [](cli_parser &cli) {
-        cli.add_flag("des-lps", "256",
-                     "logical processes (independent simulated clocks)");
-        cli.add_flag("des-population", "8192",
-                     "event population kept in flight (keep above k so "
-                     "relaxation is actually exercised)");
         cli.add_flag("des-events", "200000",
                      "committed events before the run stops");
-        cli.add_flag("des-lookahead", "0",
-                     "timestamp slack tolerated before a pop counts as "
-                     "a causality violation");
-        cli.add_flag("des-mean-delay", "64",
-                     "mean virtual-time increment per scheduled event");
-        cli.add_flag("des-budget", "0.15",
-                     "violation fraction at or under which the record "
-                     "reports budget_ok");
     };
     e.configure = [w](const cli_parser &cli, const core_config &core) {
-        const auto lps = cli.get_int("des-lps");
-        if (lps < 1 || lps > 65535) {
-            std::cerr << "--des-lps " << lps
-                      << " must be in [1, 65535]\n";
-            return false;
-        }
-        w->lps = static_cast<std::uint32_t>(lps);
-        w->population = cli.get_uint64("des-population");
         w->target_events = cli.get_uint64("des-events");
-        w->lookahead = cli.get_uint64("des-lookahead");
-        w->mean_delay = cli.get_uint64("des-mean-delay");
-        w->budget = cli.get_double("des-budget");
-        if (w->population == 0 || w->target_events == 0) {
-            std::cerr << "--des-population and --des-events must be "
-                         "positive\n";
+        if (w->target_events == 0) {
+            std::cerr << "--des-events must be positive\n";
             return false;
         }
-        if (w->mean_delay == 0) {
-            std::cerr << "--des-mean-delay must be positive\n";
-            return false;
-        }
-        if (w->budget < 0.0 || w->budget > 1.0) {
-            std::cerr << "--des-budget must be in [0, 1]\n";
-            return false;
-        }
-        if (core.smoke) {
+        if (core.smoke)
             w->target_events =
                 std::min<std::uint64_t>(w->target_events, 20000);
-            // Not shrunk below the k ceiling: a sub-k population makes
-            // every k look perfect (nothing spills to the shared
-            // component), and seeding 8192 events is cheap anyway.
-            w->population = std::min<std::uint64_t>(w->population, 8192);
-        }
         return true;
     };
     e.annotate_meta = [w](const core_config &core,

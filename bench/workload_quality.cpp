@@ -19,7 +19,7 @@ int run(const quality_config &w, const core_config &cfg,
         klsm::json_reporter &json) {
     klsm::table_reporter report({"structure", "pin", "threads", "deletes",
                                  "mean_rank", "max_rank", "bound"},
-                                cfg.csv, table_stream(cfg));
+                                table_stream(cfg));
     int status = 0;
     for (const auto &pin : cfg.pins) {
         const auto cpus = pin_order(pin);
@@ -148,9 +148,7 @@ workload_entry quality_workload() {
         cli.add_flag("ops", "20000", "operations per thread");
     };
     e.configure = [w](const cli_parser &cli, const core_config &core) {
-        w->ops_per_thread =
-            core.smoke ? 2000
-                       : static_cast<std::uint64_t>(cli.get_int("ops"));
+        w->ops_per_thread = core.smoke ? 2000 : cli.get_uint64("ops");
         return true;
     };
     e.annotate_meta = [w](const core_config &core,

@@ -33,7 +33,7 @@ int run(const sssp_config &w, const core_config &cfg,
     klsm::table_reporter report({"structure", "pin", "threads", "time_s",
                                  "expansions", "stale_pops",
                                  "mismatches"},
-                                cfg.csv, table_stream(cfg));
+                                table_stream(cfg));
     int status = 0;
     // Runs one (structure, pin, threads) point on a caller-created state;
     // the k-LSM needs the state before queue construction to wire in
@@ -118,7 +118,14 @@ workload_entry sssp_workload() {
             w->nodes = 200;
             w->edge_prob = 0.1;
         } else {
-            w->nodes = static_cast<std::uint32_t>(cli.get_int("nodes"));
+            const std::uint64_t nodes = cli.get_uint64("nodes");
+            if (nodes == 0 || nodes > 0xffffffffu) {
+                // Node 0 is the source; node ids are 32-bit.
+                std::cerr << "--nodes " << nodes
+                          << " must be in [1, 2^32 - 1]\n";
+                return false;
+            }
+            w->nodes = static_cast<std::uint32_t>(nodes);
             w->edge_prob = cli.get_double("edge-prob");
         }
         return true;

@@ -13,14 +13,14 @@ namespace {
 
 struct throughput_config {
     double duration_s = 0.1;
-    unsigned insert_percent = 50;
+    static constexpr unsigned insert_percent = 50; ///< the paper's mix
 };
 
 int run(const throughput_config &w, const core_config &cfg,
         klsm::json_reporter &json) {
     klsm::table_reporter report({"structure", "pin", "threads", "prefill",
                                  "ops/s", "ops/thread/s", "failed_dels"},
-                                cfg.csv, table_stream(cfg));
+                                table_stream(cfg));
     for (const auto &pin : cfg.pins) {
         const auto cpus = pin_order(pin);
         for (const auto threads_i : cfg.threads_list) {
@@ -92,20 +92,10 @@ workload_entry throughput_workload() {
         cli.add_flag("duration", "0.1",
                      "seconds per measurement window (the service "
                      "workload reads this too)");
-        cli.add_flag("insert-pct", "50",
-                     "percent inserts (the service workload reads this "
-                     "too)");
     };
     e.configure = [w](const cli_parser &cli, const core_config &core) {
         w->duration_s =
             core.smoke ? 0.05 : cli.get_double("duration");
-        const auto pct = cli.get_int("insert-pct");
-        if (pct < 0 || pct > 100) {
-            std::cerr << "--insert-pct " << pct
-                      << " must be in [0, 100]\n";
-            return false;
-        }
-        w->insert_percent = static_cast<unsigned>(pct);
         return true;
     };
     e.annotate_meta = [w](const core_config &core,

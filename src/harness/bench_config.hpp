@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "mm/reclaim/config.hpp"
-#include "trace/tracer.hpp"
 
 namespace klsm::bench {
 
@@ -49,12 +48,10 @@ struct core_config {
     // Observability.
     bool trace = false;
     std::string trace_out = "trace.json";
-    std::size_t trace_ring = trace::tracer::default_ring_capacity;
     double metrics_interval_ms = 0.0;
 
     // Output routing.
     bool smoke = false;
-    bool csv = false;
     bool json_to_stdout = false;
 };
 

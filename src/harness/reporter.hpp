@@ -1,9 +1,9 @@
 #pragma once
 
-// Fixed-width table / CSV output for the benchmark binaries, so every
-// figure's data can be read off the terminal or piped into a plotting
-// script, plus a JSON reporter so one benchmark invocation emits one
-// machine-readable report for CI and regression tracking.
+// Fixed-width table output for the benchmark binaries, so every
+// figure's data can be read off the terminal, plus a JSON reporter so
+// one benchmark invocation emits one machine-readable report for CI,
+// regression tracking and plotting.
 
 #include <cmath>
 #include <cstdint>
@@ -21,8 +21,8 @@ namespace klsm {
 class table_reporter {
 public:
     explicit table_reporter(std::vector<std::string> columns,
-                            bool csv = false, std::ostream &os = std::cout)
-        : columns_(std::move(columns)), csv_(csv), os_(os) {
+                            std::ostream &os = std::cout)
+        : columns_(std::move(columns)), os_(os) {
         print_row_impl(columns_, true);
     }
 
@@ -50,12 +50,6 @@ private:
     }
 
     void print_row_impl(const std::vector<std::string> &cells, bool header) {
-        if (csv_) {
-            for (std::size_t i = 0; i < cells.size(); ++i)
-                os_ << (i ? "," : "") << cells[i];
-            os_ << "\n";
-            return;
-        }
         for (std::size_t i = 0; i < cells.size(); ++i)
             os_ << std::left << std::setw(i == 0 ? 16 : 14) << cells[i];
         os_ << "\n";
@@ -68,7 +62,6 @@ private:
     }
 
     std::vector<std::string> columns_;
-    bool csv_;
     std::ostream &os_;
 };
 

@@ -174,14 +174,13 @@ TEST(EngineeredMultiQueue, EmpiricalRankErrorStaysOrderTC) {
     //
     // How the scheduler interleaves the four threads moves one run's
     // mean between ~80 and ~260, and a single run exceeds 200 with
-    // probability p <= 0.11.  So the test takes a fixed sample of five
+    // probability p <= 0.11.  So the test takes a fixed sample of nine
     // independent runs and bounds the medians: it fails spuriously only
-    // when >= 3 of 5 runs exceed, P = sum_{i>=3} C(5,i) p^i (1-p)^(5-i)
-    // ~ 1.1% at p = 0.11.  Every run counts; none is retried.  The runs
-    // are independent only because thread_rng seeds differ between
-    // thread generations (rng.hpp).  Measured over 400 five-run samples
-    // on a 4-CPU host: 1 failed; with the old address-only seeds, 15.
-    constexpr int runs = 5;
+    // when >= 5 of 9 runs exceed, P = sum_{i>=5} C(9,i) p^i (1-p)^(9-i)
+    // ~ 0.14% at p = 0.11.  Every run counts; none is retried.  The
+    // runs are independent only because thread_rng seeds differ
+    // between thread generations (rng.hpp).
+    constexpr int runs = 9;
     std::vector<double> means;
     std::vector<std::uint64_t> maxes;
     for (int r = 0; r < runs; ++r) {

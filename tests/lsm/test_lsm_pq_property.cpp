@@ -1,16 +1,51 @@
-// Property tests: the sequential LSM against a std::multiset oracle over
-// randomized operation sequences, parameterized over seeds and op mixes.
+// Property tests: the sequential LSM at one thread against a
+// std::multiset oracle over randomized operation sequences,
+// parameterized over seeds and op mixes.  Both faces of it run the same
+// sequences: the standalone distributed LSM (`dist_pq`) and one
+// thread's `dist_lsm_local` driven directly (find_min + take).
 
-#include "lsm/lsm_pq.hpp"
+#include "klsm/dist_lsm.hpp"
+#include "klsm/k_lsm.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
+#include <utility>
 
 namespace klsm {
 namespace {
+
+using key_t = std::uint32_t;
+using val_t = std::uint64_t;
+
+struct via_dist_pq {
+    dist_pq<key_t, val_t> q;
+
+    void insert(key_t k, val_t v) { q.insert(k, v); }
+    bool delete_min(key_t &k, val_t &v) { return q.try_delete_min(k, v); }
+    /// dist_pq's size is a hint; at one thread it never undercounts.
+    std::size_t size_bound() const { return q.size_hint(); }
+};
+
+struct via_dist_lsm_local {
+    using dist_t = dist_lsm_local<key_t, val_t>;
+    dist_t d;
+
+    void insert(key_t k, val_t v) {
+        d.insert(k, v, /*tid=*/0, dist_t::unbounded, no_lazy{},
+                 [](block<key_t, val_t> *, std::uint32_t) {});
+    }
+    bool delete_min(key_t &k, val_t &v) {
+        item_ref<key_t, val_t> ref = d.find_min();
+        if (ref.empty())
+            return false;
+        k = ref.key;
+        v = ref.it->value();
+        return ref.take();
+    }
+    std::size_t size_bound() const { return d.item_count_estimate(); }
+};
 
 struct mix_param {
     std::uint64_t seed;
@@ -19,41 +54,57 @@ struct mix_param {
     std::uint32_t key_range;
 };
 
-class LsmPqOracle : public ::testing::TestWithParam<mix_param> {};
-
-TEST_P(LsmPqOracle, MatchesMultisetOracle) {
-    const mix_param p = GetParam();
+/// Every delete returns the oracle's smallest key together with a value
+/// that was inserted under it; the drain then returns exactly what the
+/// oracle still holds.
+template <typename Queue>
+void check_against_oracle(const mix_param &p) {
     xoroshiro128 rng{p.seed};
-    lsm_pq<std::uint32_t, std::uint64_t> q;
-    std::multiset<std::uint32_t> oracle;
+    Queue q;
+    std::multiset<std::pair<key_t, val_t>> oracle;
+    val_t next_value = 0;
+
+    const auto delete_and_check = [&] {
+        key_t k;
+        val_t v;
+        ASSERT_TRUE(q.delete_min(k, v));
+        ASSERT_EQ(k, oracle.begin()->first);
+        const auto it = oracle.find({k, v});
+        ASSERT_NE(it, oracle.end()) << "value " << v << " under key " << k;
+        oracle.erase(it);
+    };
 
     for (int i = 0; i < p.ops; ++i) {
         if (static_cast<int>(rng.bounded(100)) < p.insert_percent ||
             oracle.empty()) {
-            const auto key =
-                static_cast<std::uint32_t>(rng.bounded(p.key_range));
-            q.insert(key, key);
-            oracle.insert(key);
+            const auto key = static_cast<key_t>(rng.bounded(p.key_range));
+            q.insert(key, next_value);
+            oracle.insert({key, next_value++});
         } else {
-            std::uint32_t k;
-            std::uint64_t v;
-            ASSERT_TRUE(q.try_delete_min(k, v));
-            ASSERT_FALSE(oracle.empty());
-            ASSERT_EQ(k, *oracle.begin());
-            oracle.erase(oracle.begin());
+            delete_and_check();
+            if (::testing::Test::HasFatalFailure())
+                return;
         }
-        ASSERT_EQ(q.size(), oracle.size());
+        ASSERT_GE(q.size_bound(), oracle.size());
     }
-    ASSERT_TRUE(q.check_invariants());
-    // Drain and compare the complete remaining contents.
     while (!oracle.empty()) {
-        std::uint32_t k;
-        std::uint64_t v;
-        ASSERT_TRUE(q.try_delete_min(k, v));
-        ASSERT_EQ(k, *oracle.begin());
-        oracle.erase(oracle.begin());
+        delete_and_check();
+        if (::testing::Test::HasFatalFailure())
+            return;
     }
-    EXPECT_TRUE(q.empty());
+    key_t k;
+    val_t v;
+    EXPECT_FALSE(q.delete_min(k, v));
+}
+
+class LsmPqOracle : public ::testing::TestWithParam<mix_param> {};
+
+TEST_P(LsmPqOracle, DistPqMatchesMultisetOracle) {
+    check_against_oracle<via_dist_pq>(GetParam());
+}
+
+TEST_P(LsmPqOracle, DistLsmLocalMatchesMultisetOracle) {
+    check_against_oracle<via_dist_lsm_local>(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -69,61 +120,6 @@ INSTANTIATE_TEST_SUITE_P(
         return "seed" + std::to_string(info.param.seed) + "_ins" +
                std::to_string(info.param.insert_percent) + "_range" +
                std::to_string(info.param.key_range);
-    });
-
-struct relaxed_param {
-    std::uint64_t seed;
-    std::size_t k;
-};
-
-class LsmPqRelaxed : public ::testing::TestWithParam<relaxed_param> {};
-
-// Mixed workload where every relaxed deletion must respect the k+1 bound
-// against a value-count oracle.
-TEST_P(LsmPqRelaxed, RelaxedDeletionBoundHolds) {
-    const auto [seed, k] = GetParam();
-    xoroshiro128 rng{seed};
-    lsm_pq<std::uint32_t, std::uint64_t> q;
-    std::map<std::uint32_t, int> oracle; // key -> multiplicity
-
-    auto rank_of = [&](std::uint32_t key) {
-        std::size_t rank = 0;
-        for (const auto &[ok, cnt] : oracle) {
-            if (ok >= key)
-                break;
-            rank += static_cast<std::size_t>(cnt);
-        }
-        return rank;
-    };
-
-    for (int i = 0; i < 3000; ++i) {
-        if (rng.bounded(100) < 55 || oracle.empty()) {
-            const auto key = static_cast<std::uint32_t>(rng.bounded(500));
-            q.insert(key, key);
-            ++oracle[key];
-        } else {
-            std::uint32_t key;
-            std::uint64_t v;
-            ASSERT_TRUE(q.try_delete_relaxed(key, v, k, rng));
-            auto it = oracle.find(key);
-            ASSERT_NE(it, oracle.end()) << "deleted a non-existent key";
-            ASSERT_LE(rank_of(key), k) << "relaxation bound violated";
-            if (--it->second == 0)
-                oracle.erase(it);
-        }
-    }
-    ASSERT_TRUE(q.check_invariants());
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Ks, LsmPqRelaxed,
-    ::testing::Values(relaxed_param{11, 0}, relaxed_param{12, 1},
-                      relaxed_param{13, 4}, relaxed_param{14, 16},
-                      relaxed_param{15, 64}, relaxed_param{16, 256},
-                      relaxed_param{17, 100000}),
-    [](const auto &info) {
-        return "seed" + std::to_string(info.param.seed) + "_k" +
-               std::to_string(info.param.k);
     });
 
 } // namespace
