@@ -3,6 +3,7 @@
 
 #include "bench_common.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 #include "topo/pinning.hpp"
@@ -90,9 +91,8 @@ void register_core_flags(cli_parser &cli,
                       "record (chunks/bytes/reuse per pool)");
     cli.add_flag("reclaim", "auto",
                  "pool reclamation tier for the k-LSM family: auto "
-                 "(full for churn, none otherwise) | none | freelist "
-                 "(cross-thread recycling) | shrink (return cold "
-                 "chunks to the OS) | full (both)");
+                 "(full for churn, none otherwise) | none | full "
+                 "(return cold chunks to the OS)");
     cli.add_bool_flag("trace", false,
                       "arm the runtime tracer (src/trace/): per-thread "
                       "event rings drained at exit to --trace-out as "
@@ -117,6 +117,10 @@ bool parse_core_config(const cli_parser &cli,
     cfg.pins = cli.get_list("pin");
     cfg.threads_list = cli.get_int_list("threads");
     cfg.k = static_cast<std::size_t>(cli.get_uint64("k"));
+    if (cfg.k > std::numeric_limits<std::uint32_t>::max()) {
+        std::cerr << "--k must be at most 2^32 - 1, got " << cfg.k << "\n";
+        return false;
+    }
     cfg.mq_stickiness =
         static_cast<std::size_t>(cli.get_uint64("mq-stickiness"));
     cfg.mq_buffer = static_cast<std::size_t>(cli.get_uint64("mq-buffer"));
@@ -148,8 +152,7 @@ bool parse_core_config(const cli_parser &cli,
         if (!klsm::mm::reclaim::parse_reclaim_policy(
                 cli.get("reclaim").c_str(), rp)) {
             std::cerr << "unknown --reclaim policy: " << cli.get("reclaim")
-                      << " (expected auto, none, freelist, shrink, or "
-                         "full)\n";
+                      << " (expected auto, none or full)\n";
             return false;
         }
         cfg.reclaim.policy = rp;

@@ -42,10 +42,11 @@ void BM_item_pool_alloc_take(benchmark::State &state) {
 BENCHMARK(BM_item_pool_alloc_take);
 
 // One quiescent_shrink of a `full`-policy pool: ten full chunks (about
-// 2.6 x 10^5 items) plus a part-filled eleventh, every item dead on
-// the freelist except one live item in each even chunk.  The five odd
-// chunks go cold and release; the freelist keeps the even chunks' and
-// the last chunk's nodes.  Set-up and teardown are untimed.
+// 2.6 x 10^5 items) plus a part-filled eleventh, every item dead except
+// one live item in each even chunk.  The shrink scans each chunk for its
+// dead items: the five odd chunks go cold, leave the sweep array and
+// release; the even chunks and the last one stay in service.  Set-up
+// and teardown are untimed.
 void BM_item_pool_quiescent_shrink(benchmark::State &state) {
     using pool_t = item_pool<bench_key, bench_val>;
     // Chunks double from 256 items, so chunk c starts at item first(c).

@@ -6,6 +6,8 @@ offending flag on stderr:
 
   * negative values of the unsigned count flags (--k, --prefill, --ops,
     --nodes), which must not wrap to 2^64 - 1;
+  * out-of-range values: --k above 2^32 - 1, and --reclaim policies
+    other than auto, none and full;
   * the flags klsm_bench no longer has.  Their settings are fixed
     constants now (README "Application workloads", "Service mode &
     SLOs", "Reclamation" and "Observability" give the values), and
@@ -33,6 +35,13 @@ NEGATIVE_COUNTS = [
                "1000", "--ops", "-1"]),
     ("--nodes", ["--workload", "sssp", "--threads", "1", "--nodes",
                  "-1"]),
+]
+
+# (flag the error must name, arguments) for values past a flag's range.
+OUT_OF_RANGE = [
+    ("--k", ["--smoke", "--k", str(2**32)]),
+    ("--reclaim", ["--smoke", "--reclaim", "freelist"]),
+    ("--reclaim", ["--smoke", "--reclaim", "shrink"]),
 ]
 
 # Retired flags with the value each one took by default.
@@ -73,7 +82,7 @@ def main(argv):
         print(__doc__)
         return 2
     binary = argv[0]
-    for flag, args in NEGATIVE_COUNTS:
+    for flag, args in NEGATIVE_COUNTS + OUT_OF_RANGE:
         expect_usage_error(binary, flag, args)
     for flag, value in RETIRED:
         expect_usage_error(binary, flag,
@@ -85,7 +94,8 @@ def main(argv):
               if line.startswith("  --")}
     still = sorted(flag for flag, _ in RETIRED if flag in listed)
     assert not still, f"--help still lists {still}"
-    print(f"bench CLI OK: {len(NEGATIVE_COUNTS)} negative counts and "
+    print(f"bench CLI OK: {len(NEGATIVE_COUNTS)} negative counts, "
+          f"{len(OUT_OF_RANGE)} out-of-range values and "
           f"{len(RETIRED)} retired flags rejected; --help lists "
           f"{len(listed)} flags")
     return 0

@@ -9,10 +9,9 @@ of a k-LSM-family structure (klsm, dlsm) must carry
       "pools": {
         "items":         {chunks, bytes, reuse_hits, fresh_allocs,
                           reuse_hit_rate, growth_beyond_bound,
-                          page_aligned_chunks, freelist_hits,
-                          freelist_drops, freelist_hit_rate,
-                          reclaimed_chunks, released_bytes,
-                          shrink_events, reactivated_chunks},
+                          page_aligned_chunks, reclaimed_chunks,
+                          released_bytes, shrink_events,
+                          reactivated_chunks},
         "dist_blocks":   {same fields},
         "shared_blocks": {same fields}
       }
@@ -21,7 +20,7 @@ of a k-LSM-family structure (klsm, dlsm) must carry
 with internally consistent values (rates in [0, 1], reclaimed counts
 never exceeding chunks, released bytes never exceeding chunk bytes), and
 page_aligned_chunks equal to chunks when the report's `reclaim` policy
-shrinks (shrink, full) and 0 otherwise: exactly the chunks allocated
+shrinks (full) and 0 otherwise: exactly the chunks allocated
 under a shrinking placement are whole pages the shrink tier may release.
 
 Records produced by `--workload churn` additionally carry
@@ -35,8 +34,7 @@ Records produced by `--workload churn` additionally carry
                    end_t_ns, shrink_ns, inserts, deletes,
                    failed_deletes}, ...],
       "samples": [{t_ns, rss_bytes, pool_bytes, released_bytes,
-                   reclaimed_chunks, shrink_events, freelist_hits,
-                   phase}, ...]
+                   reclaimed_chunks, shrink_events, phase}, ...]
     }
 
 with monotone sample timestamps, monotone cumulative shrink_events,
@@ -66,19 +64,17 @@ import subprocess
 import sys
 
 FAMILY = ("klsm", "dlsm")
-RECLAIM_POLICIES = ("none", "freelist", "shrink", "full")
-SHRINKING_POLICIES = ("shrink", "full")
+RECLAIM_POLICIES = ("none", "full")
+SHRINKING_POLICIES = ("full",)
 COUNTER_FIELDS = ("chunks", "bytes", "reuse_hits", "fresh_allocs",
                   "growth_beyond_bound", "page_aligned_chunks",
-                  "freelist_hits", "freelist_drops",
                   "reclaimed_chunks", "released_bytes", "shrink_events",
                   "reactivated_chunks")
 TIMELINE_SCALARS = ("shrink_events", "rss_high_water_bytes",
                     "steady_rss_high_water_bytes", "final_rss_bytes",
                     "pool_high_water_bytes")
 SAMPLE_FIELDS = ("t_ns", "rss_bytes", "pool_bytes", "released_bytes",
-                 "reclaimed_chunks", "shrink_events", "freelist_hits",
-                 "phase")
+                 "reclaimed_chunks", "shrink_events", "phase")
 PHASE_FIELDS = ("index", "insert_percent", "start_t_ns", "end_t_ns",
                 "shrink_ns", "inserts", "deletes", "failed_deletes")
 
@@ -89,10 +85,9 @@ def check_pool(where, pool, shrinking):
         value = pool[field]
         assert isinstance(value, int) and value >= 0, \
             f"{where}.{field} = {value!r} is not a non-negative integer"
-    for rate_field in ("reuse_hit_rate", "freelist_hit_rate"):
-        rate = pool.get(rate_field)
-        assert isinstance(rate, (int, float)) and 0.0 <= rate <= 1.0, \
-            f"{where}.{rate_field} = {rate!r} outside [0, 1]"
+    rate = pool.get("reuse_hit_rate")
+    assert isinstance(rate, (int, float)) and 0.0 <= rate <= 1.0, \
+        f"{where}.reuse_hit_rate = {rate!r} outside [0, 1]"
     expect_aligned = pool["chunks"] if shrinking else 0
     assert pool["page_aligned_chunks"] == expect_aligned, \
         f"{where}: page_aligned_chunks = {pool['page_aligned_chunks']}, " \

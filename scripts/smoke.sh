@@ -77,9 +77,9 @@ memory_section() {
     check_json "$json"
     check_memory "$json"
     echo "smoke OK: memory telemetry, all structures"
-    # Plain heap storage and page-managed (shrink-enabled) storage
-    # through the pool-backed structures.
-    for rp in none shrink; do
+    # Plain heap storage and page-managed (`full`, shrink-enabled)
+    # storage through the pool-backed structures.
+    for rp in none full; do
         json="$REPORT_DIR/memory-$rp.json"
         "$BUILD_DIR/bench/klsm_bench" --smoke --workload throughput \
             --structure klsm,dlsm --threads 2 \
@@ -163,11 +163,11 @@ service_section() {
 # plateau enforcement lives in the nightly soak.
 soak_section() {
     echo "== churn soak: reclamation policies x structures =="
-    # Every reclamation policy through the k-LSM family.  `none` must
-    # keep the seed behavior (no freelist, no shrink); the schema
-    # checker verifies the counters stay zero-consistent either way.
+    # Both reclamation policies through the k-LSM family.  `none` must
+    # keep the seed behavior (no shrink); the schema checker verifies
+    # the counters stay zero-consistent either way.
     local json
-    for rp in none freelist shrink full; do
+    for rp in none full; do
         json="$REPORT_DIR/churn-$rp.json"
         "$BUILD_DIR/bench/klsm_bench" --smoke --workload churn \
             --structure klsm,dlsm --threads 2 \

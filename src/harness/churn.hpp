@@ -117,7 +117,6 @@ void fill_pool_fields(PQ &q, mm::reclaim::timeline_sample &s) {
         s.released_bytes = all.released_bytes;
         s.reclaimed_chunks = all.reclaimed_chunks;
         s.shrink_events = all.shrink_events;
-        s.freelist_hits = all.freelist_hits;
     }
 }
 

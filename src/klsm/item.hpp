@@ -39,13 +39,17 @@
 // CAS.  CAS success proves the version was still `expected` at that point,
 // hence no reuse intervened, hence the payload read was the one published
 // together with `expected`.
+//
+// An item is exactly its version and payload (16 bytes for
+// item<u32, u32>, 24 for item<u64, u64>).  Its owning pool's sweep finds
+// it again once a take turns its version even (mm/item_pool.hpp), so a
+// take is the CAS alone.
 
 #include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <type_traits>
 
-#include "mm/reclaim/freelist.hpp"
 #include "util/thread_id.hpp"
 
 namespace klsm {
@@ -95,21 +99,11 @@ public:
     }
 
     /// Logically delete: succeeds iff the version still equals `expected`.
-    /// This is the linearization point of a successful delete-min.  The
-    /// winning deleter — whichever thread it is — donates the dead item
-    /// to the owning pool's freelist when the reclamation tier attached
-    /// a sink (mm/reclaim/freelist.hpp); with the tier off the word is
-    /// 0 and the only cost is one relaxed load and a branch.
+    /// This is the linearization point of a successful delete-min.
     bool take(std::uint64_t expected) {
-        if (!version_.compare_exchange_strong(expected, expected + 1,
-                                              std::memory_order_acq_rel,
-                                              std::memory_order_relaxed))
-            return false;
-        const std::uintptr_t w = reclaim_.load(std::memory_order_acquire);
-        if ((w & 1) != 0)
-            reinterpret_cast<mm::reclaim::tagged_freelist<item> *>(w & ~std::uintptr_t{1})
-                ->push(this);
-        return true;
+        return version_.compare_exchange_strong(expected, expected + 1,
+                                                std::memory_order_acq_rel,
+                                                std::memory_order_relaxed);
     }
 
     /// True if the item still carries version `expected` (i.e. the payload
@@ -130,39 +124,19 @@ public:
     K key() const { return key_.load(std::memory_order_relaxed); }
     V value() const { return value_.load(std::memory_order_relaxed); }
 
-    /// The reclamation word (see mm/reclaim/freelist.hpp for the value
-    /// space).  Exposed for the freelist's linkage protocol.
-    std::atomic<std::uintptr_t> &reclaim_word() { return reclaim_; }
-
-    /// Attach (or clear, with 0) the owning pool's freelist sink.
-    /// Owner-only, and only while the item is not freelist-linked.
-    void attach_reclaim_sink(std::uintptr_t sink_word) {
-        reclaim_.store(sink_word, std::memory_order_release);
-    }
-
-    /// True if the item is currently linked into its freelist — the
-    /// sweep must skip such items (the freelist pop will hand them out).
-    bool freelist_linked() const {
-        return mm::reclaim::tagged_freelist<item>::is_linked_word(
-            reclaim_.load(std::memory_order_relaxed));
-    }
-
     /// Owner-only, quiescent-only: reinitialize an item whose chunk was
     /// madvise'd away (storage zeroed).  `even_floor` must be even, carry
     /// the item's owner byte and be >= every version the item ever held,
     /// so global version monotonicity — the ABA defense — survives the
     /// zeroing.
-    void reset_after_reclaim(std::uint64_t even_floor,
-                             std::uintptr_t sink_word) {
+    void reset_after_reclaim(std::uint64_t even_floor) {
         version_.store(even_floor, std::memory_order_release);
-        reclaim_.store(sink_word, std::memory_order_release);
     }
 
 private:
     std::atomic<std::uint64_t> version_{0};
     std::atomic<K> key_{};
     std::atomic<V> value_{};
-    std::atomic<std::uintptr_t> reclaim_{0};
 };
 
 /// A (pointer, expected-version) pair — what blocks actually store.  The

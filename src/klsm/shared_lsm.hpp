@@ -108,6 +108,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -137,7 +138,7 @@ public:
     /// `place` carries the reclamation settings of every thread's
     /// shared-pool blocks (mm/placement.hpp).
     explicit shared_lsm(std::size_t k, mm::mem_placement place = {})
-        : k_(k), big_(16 * (k + 1)), settle_pool_(place) {
+        : k_(k), big_(big_threshold(k)), settle_pool_(place) {
         for (auto &s : threads_)
             s = std::make_unique<thread_state>(place);
     }
@@ -146,6 +147,13 @@ public:
     shared_lsm &operator=(const shared_lsm &) = delete;
 
     std::size_t relaxation() const { return k_; }
+
+    /// Entries above which a merge is big and left to settle: 16(k+1),
+    /// saturating at SIZE_MAX instead of wrapping for huge k.
+    static constexpr std::size_t big_threshold(std::size_t k) {
+        constexpr std::size_t max = std::numeric_limits<std::size_t>::max();
+        return k >= max / 16 ? max : 16 * (k + 1);
+    }
 
     /// Attach (or detach, with nullptr) a contention monitor; the
     /// publish CAS loop reports publishes and retries to it.
@@ -971,7 +979,7 @@ private:
     }
 
     const std::size_t k_;
-    /// Entries above which a merge is big: 16(k+1).
+    /// Merges above this many entries are big: big_threshold(k_).
     const std::size_t big_;
     /// Contention telemetry sink; null when no monitor is attached.
     std::atomic<adapt::contention_monitor *> monitor_{nullptr};

@@ -14,8 +14,8 @@
 //   * chunks / bytes        — arena chunks or blocks actually allocated
 //                             from the OS, and their byte footprint;
 //   * reuse_hits            — allocations satisfied by recycling
-//                             (item-pool sweep hit, block-pool bucket
-//                             hit);
+//                             (item-pool sweep hit or revived cold
+//                             chunk, block-pool bucket hit);
 //   * fresh_allocs          — allocations that had to create storage
 //                             (block pools allocate one block per
 //                             fresh acquire, so there it equals
@@ -51,37 +51,22 @@ namespace klsm::mm {
 struct pool_alloc_snapshot {
     std::uint64_t chunks = 0;
     std::uint64_t bytes = 0;
-    /// Sweep hits only — allocations satisfied by the owner's linear
-    /// scan over its own dead items (or a block-pool bucket hit).  The
-    /// freelist tier counts separately so its hit rate is observable
-    /// per pool (ISSUE 7 satellite: the two used to be conflated).
+    /// Allocations satisfied by the owner's sweep over its own dead
+    /// items (or a block-pool bucket hit).
     std::uint64_t reuse_hits = 0;
     std::uint64_t fresh_allocs = 0;
     std::uint64_t growth_beyond_bound = 0;
     std::uint64_t page_aligned_chunks = 0;
     // Reclamation tier (src/mm/reclaim/):
-    std::uint64_t freelist_hits = 0;  ///< allocations from freelist pops
-    std::uint64_t freelist_drops = 0; ///< popped nodes discarded (ghosts)
     std::uint64_t reclaimed_chunks = 0; ///< currently-released (gauge)
     std::uint64_t released_bytes = 0;   ///< currently-released (gauge)
     std::uint64_t shrink_events = 0;    ///< cumulative page releases
     std::uint64_t reactivated_chunks = 0; ///< released chunks regrown
 
-    /// Fraction of allocations satisfied by recycling of either kind
-    /// (the historical meaning of this rate, now counting both tiers).
+    /// Fraction of allocations satisfied by recycling.
     double reuse_hit_rate() const {
-        const std::uint64_t total =
-            reuse_hits + freelist_hits + fresh_allocs;
-        return total ? static_cast<double>(reuse_hits + freelist_hits) /
-                           static_cast<double>(total)
-                     : 0.0;
-    }
-
-    /// Fraction of allocations satisfied by the freelist tier alone.
-    double freelist_hit_rate() const {
-        const std::uint64_t total =
-            reuse_hits + freelist_hits + fresh_allocs;
-        return total ? static_cast<double>(freelist_hits) /
+        const std::uint64_t total = reuse_hits + fresh_allocs;
+        return total ? static_cast<double>(reuse_hits) /
                            static_cast<double>(total)
                      : 0.0;
     }
@@ -93,8 +78,6 @@ struct pool_alloc_snapshot {
         fresh_allocs += o.fresh_allocs;
         growth_beyond_bound += o.growth_beyond_bound;
         page_aligned_chunks += o.page_aligned_chunks;
-        freelist_hits += o.freelist_hits;
-        freelist_drops += o.freelist_drops;
         reclaimed_chunks += o.reclaimed_chunks;
         released_bytes += o.released_bytes;
         shrink_events += o.shrink_events;
@@ -112,8 +95,6 @@ struct alignas(cache_line_size) alloc_counters {
     std::atomic<std::uint64_t> fresh_allocs{0};
     std::atomic<std::uint64_t> growth_beyond_bound{0};
     std::atomic<std::uint64_t> page_aligned_chunks{0};
-    std::atomic<std::uint64_t> freelist_hits{0};
-    std::atomic<std::uint64_t> freelist_drops{0};
     std::atomic<std::uint64_t> reclaimed_chunks{0};
     std::atomic<std::uint64_t> released_bytes{0};
     std::atomic<std::uint64_t> shrink_events{0};
@@ -133,12 +114,6 @@ struct alignas(cache_line_size) alloc_counters {
     }
     void count_growth() {
         growth_beyond_bound.fetch_add(1, std::memory_order_relaxed);
-    }
-    void count_freelist_hit() {
-        freelist_hits.fetch_add(1, std::memory_order_relaxed);
-    }
-    void count_freelist_drop() {
-        freelist_drops.fetch_add(1, std::memory_order_relaxed);
     }
     /// One chunk's pages returned to the OS.  `reclaimed_chunks` /
     /// `released_bytes` are gauges (current state, so the schema
@@ -166,8 +141,6 @@ struct alignas(cache_line_size) alloc_counters {
             growth_beyond_bound.load(std::memory_order_relaxed);
         s.page_aligned_chunks =
             page_aligned_chunks.load(std::memory_order_relaxed);
-        s.freelist_hits = freelist_hits.load(std::memory_order_relaxed);
-        s.freelist_drops = freelist_drops.load(std::memory_order_relaxed);
         s.reclaimed_chunks =
             reclaimed_chunks.load(std::memory_order_relaxed);
         s.released_bytes = released_bytes.load(std::memory_order_relaxed);
@@ -205,10 +178,6 @@ inline void pool_json(std::ostringstream &os, const char *name,
        << std::setprecision(6) << p.reuse_hit_rate()
        << ",\"growth_beyond_bound\":" << p.growth_beyond_bound
        << ",\"page_aligned_chunks\":" << p.page_aligned_chunks
-       << ",\"freelist_hits\":" << p.freelist_hits
-       << ",\"freelist_drops\":" << p.freelist_drops
-       << ",\"freelist_hit_rate\":" << std::setprecision(6)
-       << p.freelist_hit_rate()
        << ",\"reclaimed_chunks\":" << p.reclaimed_chunks
        << ",\"released_bytes\":" << p.released_bytes
        << ",\"shrink_events\":" << p.shrink_events

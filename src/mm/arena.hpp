@@ -97,12 +97,6 @@ public:
                 used_in_last_ == chunks_[c].size());
     }
 
-    /// True if `p` points into chunk `c`.
-    bool chunk_contains(std::size_t c, const T *p) const {
-        const T *base = chunks_[c].get();
-        return p >= base && p < base + chunks_[c].size();
-    }
-
     std::size_t chunk_bytes(std::size_t c) const {
         return chunks_[c].bytes();
     }

@@ -18,37 +18,20 @@
 // behaviour of other threads (wait-free).
 //
 // The reclamation tier (src/mm/reclaim/, opt-in via
-// mem_placement::reclaim) layers two mechanisms on top:
-//
-//   * freelist — every item carries the pool's freelist sink; whichever
-//     thread wins an item's take CAS pushes the dead item onto the
-//     owner's tagged-pointer freelist (freelist.hpp).  The owner pops
-//     from it before sweeping, so hot churn recycles in O(1) without
-//     scanning and without the epoch path.
-//
-//   * shrink — chunk lifecycle bookkeeping (`chunk_rec`): a periodic
-//     maintenance step inspects one full arena chunk at a time; a chunk
-//     whose items are all dead is *quarantined* (its items leave the
-//     sweep array and the freelist, so recycling cannot re-warm it),
-//     and after a grace period of further inspections its pages are
-//     returned to the OS (arena::release_chunk_pages).  The virtual
-//     range stays mapped — type stability holds, stragglers read zero
-//     pages (version 0 = even = dead, every stale take fails).  When
-//     demand returns, quarantined chunks are revived for free and
-//     released chunks refault with every item's version restored to the
-//     chunk's recorded *version floor* (an even value >= every version
-//     the chunk ever held), preserving the monotone-version ABA
-//     defense across the zeroing.
-//
-//     One helper, filter_freelist(), takes cold items off the freelist:
-//     it walks the chain once and drops every node of any non-active
-//     chunk.  Each lifecycle step orders its state change around it —
-//     a quarantine marks the chunk inactive first, a release filters
-//     before madvise, a revival filters while its chunk is still
-//     inactive.  quiescent_shrink() decides every chunk first, then
-//     filters the freelist and compacts the sweep array once for all
-//     of them, so its cost grows with the pool's items, not with
-//     chunks x freelist length.
+// mem_placement::reclaim) adds chunk lifecycle bookkeeping
+// (`chunk_rec`) on top of the sweep: a periodic maintenance step
+// inspects one full arena chunk at a time; a chunk whose items are all
+// dead is *quarantined* (its items leave the sweep array, so recycling
+// cannot re-warm it), and after a grace period of further inspections
+// its pages are returned to the OS (arena::release_chunk_pages).  The
+// virtual range stays mapped — type stability holds, stragglers read
+// zero pages (version 0 = even = dead, every stale take fails).  When
+// demand returns, quarantined chunks are revived for free and released
+// chunks refault with every item's version restored to the chunk's
+// recorded *version floor* (an even value >= every version the chunk
+// ever held), preserving the monotone-version ABA defense across the
+// zeroing.  quiescent_shrink() decides every chunk first, then compacts
+// the sweep array once for all of them.
 
 #include <algorithm>
 #include <cassert>
@@ -60,7 +43,6 @@
 #include "mm/arena.hpp"
 #include "mm/placement.hpp"
 #include "mm/reclaim/config.hpp"
-#include "mm/reclaim/freelist.hpp"
 #include "trace/tracer.hpp"
 
 namespace klsm {
@@ -74,9 +56,7 @@ public:
     /// logically deleted).
     static constexpr std::size_t sweep_budget = 32;
 
-    using freelist_type = mm::reclaim::tagged_freelist<item<K, V>>;
-
-    /// `place` says which reclamation mechanisms are on, and with them
+    /// `place` says whether the reclamation tier is on, and with it
     /// how the arena's chunks are allocated (mm/placement.hpp); the
     /// default is plain heap allocation with reclamation off.
     /// `owner` is the thread slot stamped into every item's version.
@@ -91,22 +71,15 @@ public:
     /// Allocate an item carrying (key, value); returns the reference
     /// (pointer + expected version + cached key) to store in blocks.
     item_ref<K, V> allocate(const K &key, const V &value) {
-        item<K, V> *it = nullptr;
-        if (reclaim_.freelist_enabled())
-            it = pop_recycled();
-        if (it == nullptr) {
-            it = find_reusable();
-            if (it != nullptr)
-                stats_.count_reuse_hit();
-        }
+        item<K, V> *it = find_reusable();
         if (it == nullptr && reclaim_.shrink_enabled())
             it = revive_cold_chunk();
-        if (it == nullptr) {
+        if (it != nullptr) {
+            stats_.count_reuse_hit();
+        } else {
             stats_.count_fresh();
             it = arena_.allocate();
             it->set_owner(owner_);
-            if (reclaim_.freelist_enabled())
-                it->attach_reclaim_sink(freelist_.sink_word());
             all_.push_back(it);
         }
         // Publish BEFORE maintenance: the inspection must see this item
@@ -125,10 +98,9 @@ public:
 
     /// Shrink every cold chunk right now, bypassing the grace period.
     /// PRECONDITION: no concurrent operations on the owning queue.
-    /// Without in-flight deleters there are no ghost freelist pushers,
-    /// so the grace period protects nothing, and one freelist filter
-    /// ahead of every release suffices.  Returns the number of chunks
-    /// whose pages were released.
+    /// Without in-flight takers no stale CAS can touch a released page,
+    /// so the grace period protects nothing.  Returns the number of
+    /// chunks whose pages were released.
     std::size_t quiescent_shrink() {
         if (!reclaim_.shrink_enabled())
             return 0;
@@ -150,7 +122,6 @@ public:
         }
         if (cold.empty())
             return 0;
-        filter_freelist();
         compact_sweep(newly_cold);
         std::size_t released = 0;
         for (std::size_t c : cold)
@@ -171,10 +142,6 @@ public:
     /// snapshot; see mm/alloc_stats.hpp).
     const mm::alloc_counters &stats() const { return stats_; }
     const mm::reclaim_config &reclaim_config() const { return reclaim_; }
-    const freelist_type &freelist() const { return freelist_; }
-    /// Mutable freelist access for deleters acting on behalf of this
-    /// pool (and for tests emulating ghost pushers).
-    freelist_type &freelist() { return freelist_; }
 
     /// Chunk-lifecycle census (test/diagnostic helper; owner-only).
     struct chunk_census {
@@ -211,23 +178,6 @@ private:
         const item<K, V> *hi;
     };
 
-    item<K, V> *pop_recycled() {
-        for (std::size_t i = 0; i < sweep_budget; ++i) {
-            item<K, V> *it = freelist_.pop();
-            if (it == nullptr)
-                return nullptr;
-            // Ghost pushes can deliver items from chunks that went
-            // cold, or items a sweep already republished: discard.
-            if (!it->reusable() || item_in_inactive_chunk(it)) {
-                stats_.count_freelist_drop();
-                continue;
-            }
-            stats_.count_freelist_hit();
-            return it;
-        }
-        return nullptr;
-    }
-
     item<K, V> *find_reusable() {
         const std::size_t n = all_.size();
         if (n == 0)
@@ -237,20 +187,10 @@ private:
             if (cursor_ >= n)
                 cursor_ = 0;
             item<K, V> *it = all_[cursor_++];
-            // Skip items a deleter already parked on the freelist —
-            // republishing one here would leave a live item linked.
-            if (it->reusable() && !it->freelist_linked())
+            if (it->reusable())
                 return it;
         }
         return nullptr;
-    }
-
-    bool item_in_inactive_chunk(const item<K, V> *it) const {
-        for (std::size_t c = 0; c < chunk_state_.size(); ++c)
-            if (chunk_state_[c].st != chunk_rec::active &&
-                arena_.chunk_contains(c, it))
-                return true;
-        return false;
     }
 
     /// Extend the lifecycle vector to cover newly-filled chunks (the
@@ -284,13 +224,8 @@ private:
             break;
         }
         case chunk_rec::quarantined:
-            // Re-filter before the release: ghosts may have linked
-            // chunk items since quarantine, and madvise must never zero
-            // a node the live chain routes through.
-            if (++rec.cold_inspections >= reclaim_.grace_inspections) {
-                filter_freelist();
+            if (++rec.cold_inspections >= reclaim_.grace_inspections)
                 release_chunk(c);
-            }
             break;
         case chunk_rec::released:
             break;
@@ -318,8 +253,7 @@ private:
     }
 
     /// Flip chunk `c` to quarantined with its version floor.  Its
-    /// items stay on the freelist and in the sweep array until the
-    /// caller filters both.
+    /// items stay in the sweep array until the caller compacts it.
     void mark_quarantined(std::size_t c, std::uint64_t floor) {
         chunk_rec &rec = chunk_state_[c];
         rec.st = chunk_rec::quarantined;
@@ -329,20 +263,14 @@ private:
                          arena_.chunk_bytes(c));
     }
 
-    /// Take chunk `c` out of circulation: mark it inactive, then filter
-    /// its items out of the freelist chain and the sweep array.  Ghost
-    /// pushers may re-link individual items afterwards; those ghosts
-    /// land in released pages at worst (benign refault) and are
-    /// discarded by pop validation.
+    /// Take chunk `c` out of circulation: mark it inactive, then drop
+    /// its items from the sweep array.
     void quarantine_chunk(std::size_t c, std::uint64_t floor) {
         mark_quarantined(c, floor);
-        filter_freelist();
         compact_sweep({span_of(c)});
     }
 
-    /// Release a quarantined chunk's pages.  The caller must have
-    /// filtered the freelist since the last moment a ghost could link
-    /// one of the chunk's items.
+    /// Release a quarantined chunk's pages.
     bool release_chunk(std::size_t c) {
         if (!arena_.release_chunk_pages(c))
             return false; // platform refused; stays quarantined
@@ -350,28 +278,6 @@ private:
         KLSM_TRACE_EVENT(trace::kind::reclaim_release, c,
                          arena_.chunk_bytes(c));
         return true;
-    }
-
-    /// Swap-drain the freelist in one pass and push back every node
-    /// that is not in a non-active chunk, in chain order.  Each dropped
-    /// node goes back to the attached-unlinked state.  Owner-only.
-    void filter_freelist() {
-        if (!reclaim_.freelist_enabled())
-            return;
-        const std::vector<chunk_span> cold = cold_spans();
-        item<K, V> *x = freelist_.detach_all();
-        std::vector<item<K, V> *> keep;
-        while (x != nullptr) {
-            item<K, V> *next = freelist_type::linked_next(x);
-            // Unlink: back to attached-unlinked state either way; kept
-            // nodes are re-pushed below.
-            x->attach_reclaim_sink(freelist_.sink_word());
-            if (!in_spans(cold, x))
-                keep.push_back(x);
-            x = next;
-        }
-        for (std::size_t i = keep.size(); i-- > 0;)
-            freelist_.push(keep[i]);
     }
 
     /// Drop the items of the just-quarantined chunks `drop` from the
@@ -390,15 +296,6 @@ private:
     chunk_span span_of(std::size_t c) {
         const item<K, V> *base = arena_.chunk_data(c);
         return {base, base + arena_.chunk_used(c)};
-    }
-
-    /// The item ranges of every chunk not in the active state.
-    std::vector<chunk_span> cold_spans() {
-        std::vector<chunk_span> out;
-        for (std::size_t c = 0; c < chunk_state_.size(); ++c)
-            if (chunk_state_[c].st != chunk_rec::active)
-                out.push_back(span_of(c));
-        return out;
     }
 
     static bool in_spans(const std::vector<chunk_span> &spans,
@@ -431,16 +328,9 @@ private:
     }
 
     item<K, V> *reactivate_chunk(std::size_t c) {
-        // Filter any ghost-linked items of this chunk out of the chain
-        // before rewriting their words (severing a chain mid-node would
-        // strand its tail).  The chunk is still inactive here, so the
-        // filter drops its nodes.
-        filter_freelist();
         chunk_rec &rec = chunk_state_[c];
         item<K, V> *base = arena_.chunk_data(c);
         const std::size_t n = arena_.chunk_used(c);
-        const std::uintptr_t sink =
-            reclaim_.freelist_enabled() ? freelist_.sink_word() : 0;
         const bool was_released = rec.st == chunk_rec::released;
         // Every item of a full chunk was stamped before its first
         // publish, so the floor (a max over their versions) carries the
@@ -448,9 +338,7 @@ private:
         assert((item<K, V>::owner_of(rec.version_floor) == owner_));
         for (std::size_t i = 0; i < n; ++i) {
             if (was_released)
-                base[i].reset_after_reclaim(rec.version_floor, sink);
-            else
-                base[i].attach_reclaim_sink(sink);
+                base[i].reset_after_reclaim(rec.version_floor);
             all_.push_back(&base[i]);
         }
         if (was_released)
@@ -467,7 +355,6 @@ private:
     std::vector<item<K, V> *> all_;
     std::size_t cursor_ = 0;
     mm::reclaim_config reclaim_;
-    freelist_type freelist_;
     std::vector<chunk_rec> chunk_state_;
     std::size_t maintenance_cursor_ = 0;
     std::uint32_t allocs_since_maintenance_ = 0;

@@ -15,7 +15,9 @@
 // time.  So an array of at least `mapped_array_bytes` is an anonymous
 // private mapping that nothing writes at allocation: the kernel
 // zero-fills each page when the pool first writes it, and pages the
-// pool never writes cost no memory.  That is sound only because every
+// pool never writes cost no memory.  Item arenas double from 256 items
+// a chunk, so with 16- and 24-byte items the first mapped chunk is the
+// fifth (4096 items).  That is sound only because every
 // pooled type's default state is all-zero bytes (block entries: null
 // item, version 0, key 0; items: version 0, which means free), the
 // state a madvise'd page already reads back as.  Smaller arrays are a

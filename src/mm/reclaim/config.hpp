@@ -7,23 +7,16 @@
 // travel with the placement through every pool constructor without
 // touching a single queue-layer signature.
 //
-// Two orthogonal mechanisms, combinable:
-//
-//   * freelist — a tagged-pointer freelist tier (freelist.hpp) between
-//     the pools and their arenas: any thread that takes (deletes) an
-//     item pushes it onto the owner's freelist, and the owner pops from
-//     it on allocation before falling back to the O(1)-amortized sweep.
-//     Hot churn recycles without touching the epoch path.
-//
-//   * shrink — epoch-style chunk reclamation: when every item in a full
-//     arena chunk is observed dead, the chunk is quarantined (removed
-//     from circulation), and after a grace period of further
-//     maintenance inspections its pages are returned to the OS with
-//     madvise(MADV_DONTNEED).  The virtual range stays mapped, so the
-//     type-stability invariant the versioned items rely on (paper
-//     Section 4.4) is preserved: a straggler reading a reclaimed item
-//     faults in a zero page, sees version 0 (even = dead), and fails
-//     its CAS exactly as it would against any other freed item.
+// One mechanism on top of the pools' sweep recycling (paper Section
+// 4.4): epoch-style chunk reclamation.  When every item in a full arena
+// chunk is observed dead, the chunk is quarantined (removed from
+// circulation), and after a grace period of further maintenance
+// inspections its pages are returned to the OS with
+// madvise(MADV_DONTNEED).  The virtual range stays mapped, so the
+// type-stability invariant the versioned items rely on is preserved: a
+// straggler reading a reclaimed item faults in a zero page, sees
+// version 0 (even = dead), and fails its CAS exactly as it would
+// against any other freed item.
 
 #include <cstddef>
 #include <cstdint>
@@ -31,17 +24,13 @@
 namespace klsm::mm::reclaim {
 
 enum class reclaim_policy : std::uint8_t {
-    none,     ///< seed behavior: pools only grow, sweep-only recycling
-    freelist, ///< tagged-pointer freelist tier only
-    shrink,   ///< chunk quarantine + madvise shrink only
-    full,     ///< freelist + shrink
+    none, ///< seed behavior: pools only grow, sweep-only recycling
+    full, ///< sweep recycling + chunk quarantine and madvise shrink
 };
 
 inline const char *reclaim_policy_name(reclaim_policy p) {
     switch (p) {
     case reclaim_policy::none: return "none";
-    case reclaim_policy::freelist: return "freelist";
-    case reclaim_policy::shrink: return "shrink";
     case reclaim_policy::full: return "full";
     }
     return "?";
@@ -57,8 +46,6 @@ inline bool parse_reclaim_policy(const char *s, reclaim_policy &out) {
         return *a == '\0' && *t == '\0';
     };
     if (eq("none")) { out = reclaim_policy::none; return true; }
-    if (eq("freelist")) { out = reclaim_policy::freelist; return true; }
-    if (eq("shrink")) { out = reclaim_policy::shrink; return true; }
     if (eq("full")) { out = reclaim_policy::full; return true; }
     return false;
 }
@@ -70,20 +57,15 @@ struct reclaim_config {
     std::uint32_t maintenance_period = 512;
     /// Consecutive maintenance inspections a quarantined chunk must
     /// survive before its pages are released.  The grace period lets
-    /// in-flight deleters (ghost freelist pushers) finish touching the
-    /// chunk under normal operation; quiescent_shrink() bypasses it
-    /// because its precondition (no concurrent operations) makes
-    /// ghosts impossible.
+    /// stale takers still holding a reference into the chunk finish:
+    /// their take CAS fails, but a CAS faults its page in for writing,
+    /// so on a released page it would commit again the memory the
+    /// shrink just returned.
+    /// quiescent_shrink() bypasses it because its precondition (no
+    /// concurrent operations) rules such takers out.
     std::uint32_t grace_inspections = 2;
 
-    bool freelist_enabled() const {
-        return policy == reclaim_policy::freelist ||
-               policy == reclaim_policy::full;
-    }
-    bool shrink_enabled() const {
-        return policy == reclaim_policy::shrink ||
-               policy == reclaim_policy::full;
-    }
+    bool shrink_enabled() const { return policy == reclaim_policy::full; }
 
     friend bool operator==(const reclaim_config &,
                            const reclaim_config &) = default;

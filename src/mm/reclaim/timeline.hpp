@@ -79,7 +79,6 @@ struct timeline_sample {
     std::uint64_t released_bytes = 0;   ///< currently madvised-away
     std::uint64_t reclaimed_chunks = 0; ///< currently-released chunks
     std::uint64_t shrink_events = 0;    ///< cumulative releases
-    std::uint64_t freelist_hits = 0;    ///< cumulative freelist recycles
     std::uint32_t phase = 0; ///< workload phase index at sample time
 };
 
@@ -182,7 +181,6 @@ struct memory_timeline {
                << ",\"released_bytes\":" << s.released_bytes
                << ",\"reclaimed_chunks\":" << s.reclaimed_chunks
                << ",\"shrink_events\":" << s.shrink_events
-               << ",\"freelist_hits\":" << s.freelist_hits
                << ",\"phase\":" << s.phase << '}';
         }
         os << "]}";

@@ -3,7 +3,7 @@
 // the exact owner slot kept in the top byte of every item's version
 // (item::owner_of).  These tests pin down where that byte comes from and
 // that it survives every path an item or a block entry takes: fresh
-// allocation, sweep reuse, freelist recycling, shrink revival, and
+// allocation, sweep reuse, shrink revival, and
 // block append / copy / merge / spy copy.
 
 #include "klsm/block.hpp"
@@ -57,16 +57,6 @@ TEST(OwnerByte, SweepReusedItemKeepsItsOwner) {
     EXPECT_GT(b.version, a.version);
     expect_owner(b, 200);
     EXPECT_EQ(pool.stats().snapshot().reuse_hits, 1u);
-}
-
-TEST(OwnerByte, FreelistRecycledItemKeepsItsOwner) {
-    pool_t pool{with_policy(mm::reclaim_policy::freelist), 99};
-    const ref_t a = pool.allocate(1, 1);
-    ASSERT_TRUE(a.take()); // the winning take pushes onto the freelist
-    const ref_t b = pool.allocate(2, 2);
-    ASSERT_EQ(b.it, a.it);
-    EXPECT_EQ(pool.stats().snapshot().freelist_hits, 1u);
-    expect_owner(b, 99);
 }
 
 TEST(OwnerByte, ShrinkRevivedItemKeepsItsOwner) {

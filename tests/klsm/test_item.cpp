@@ -11,6 +11,16 @@ namespace {
 
 using item_t = item<std::uint32_t, std::uint64_t>;
 
+// An item is its version word and its payload, nothing else.
+static_assert(sizeof(item<std::uint32_t, std::uint32_t>) == 16);
+static_assert(sizeof(item<std::uint64_t, std::uint64_t>) == 24);
+
+TEST(Item, HoldsOnlyVersionAndPayload) {
+    EXPECT_EQ((sizeof(item<std::uint32_t, std::uint32_t>)), 16u);
+    EXPECT_EQ((sizeof(item<std::uint64_t, std::uint64_t>)), 24u);
+    EXPECT_EQ(sizeof(item_t), 24u) << "a u32 key pads to the u64 value";
+}
+
 TEST(Item, FreshItemIsFreeAndReusable) {
     item_t it;
     EXPECT_TRUE(it.reusable());

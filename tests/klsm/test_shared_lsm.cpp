@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <map>
 #include <set>
 #include <thread>
@@ -113,6 +114,27 @@ TEST(SharedLsm, EmptyFindMin) {
     shared_t s{4};
     EXPECT_TRUE(s.find_min(0).empty());
     EXPECT_EQ(s.item_count_estimate(), 0u);
+}
+
+TEST(SharedLsm, BigThresholdSaturatesForHugeK) {
+    constexpr std::size_t max = std::numeric_limits<std::size_t>::max();
+    static_assert(shared_t::big_threshold(0) == 16);
+    static_assert(shared_t::big_threshold(255) == 4096);
+    static_assert(shared_t::big_threshold(max / 16 - 1) == max / 16 * 16);
+    // 16(k+1) wraps to 0 at k = 2^60 - 1 on 64-bit size_t.
+    static_assert(shared_t::big_threshold(max / 16) == max);
+    static_assert(shared_t::big_threshold(max) == max);
+    // At the old wrap point every merge used to count as big.
+    pool_t items;
+    shared_t s{max / 16};
+    source_block a{items, {3, 1}};
+    source_block b{items, {0, 2}};
+    s.insert(&a.blk, a.blk.filled());
+    s.insert(&b.blk, b.blk.filled());
+    std::vector<bool> deleted(4, false);
+    for (int step = 0; step < 4; ++step)
+        take_one(s, deleted);
+    EXPECT_TRUE(s.find_min(0).empty());
 }
 
 TEST(SharedLsm, InsertThenFindSingleBlock) {

@@ -1,143 +1,153 @@
-#include "mm/reclaim/freelist.hpp"
+// Sweep recycling under concurrent takers.  An item pool has one
+// recycling path: its owner's sweep finds items whose version turned
+// even (taken by any thread) and republishes them.  Here several threads
+// take one pool's items while the owner keeps allocating, so the sweep
+// races the takers' CAS on every item it inspects.  The checks: the
+// sweep never hands out a live item, every published reference is taken
+// exactly once, and a stale reference's take fails after its item is
+// reused.  The `full` run adds chunk quarantine and release to the
+// race.  A CONCURRENT test, so it also runs under TSan.
+
+#include "mm/item_pool.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <memory>
-#include <set>
+#include <cstdint>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
-#include "klsm/item.hpp"
+#include "mm/reclaim/shrink.hpp"
 
 namespace klsm {
 namespace {
 
-using node = item<std::uint32_t, std::uint64_t>;
-using list = mm::reclaim::tagged_freelist<node>;
+using pool_t = item_pool<std::uint32_t, std::uint64_t>;
+using item_t = item<std::uint32_t, std::uint64_t>;
+using ref_t = item_ref<std::uint32_t, std::uint64_t>;
 
-// Fresh default-constructed items: version 0 (even, dead), reclaim
-// word 0 (no sink).
-std::unique_ptr<node[]> make_nodes(std::size_t n) {
-    return std::unique_ptr<node[]>(new node[n]);
-}
+struct race_result {
+    std::uint64_t taken = 0;
+    std::uint64_t failed_takes = 0;
+    std::uint64_t stale_wins = 0;
+    std::uint64_t reused = 0;
+    std::uint64_t bad_versions = 0;
+    mm::pool_alloc_snapshot stats;
+};
 
-TEST(Freelist, PushPopRoundTripLifo) {
-    list fl;
-    auto nodes = make_nodes(3);
-    for (int i = 0; i < 3; ++i) {
-        nodes[i].attach_reclaim_sink(fl.sink_word());
-        EXPECT_TRUE(fl.push(&nodes[i]));
-    }
-    EXPECT_EQ(fl.pushes(), 3u);
-    // Treiber stack: LIFO order.
-    EXPECT_EQ(fl.pop(), &nodes[2]);
-    EXPECT_EQ(fl.pop(), &nodes[1]);
-    EXPECT_EQ(fl.pop(), &nodes[0]);
-    EXPECT_EQ(fl.pop(), nullptr);
-    EXPECT_TRUE(fl.empty());
-}
+/// The owner allocates `total` items.  The takers start once the first
+/// `surge` are published, so the pool grows to `surge` items; from then
+/// on the owner stays at most `lead` items ahead of the takers, so the
+/// sweep recycles most allocations.
+race_result race(mm::reclaim_policy policy, unsigned takers,
+                 std::uint32_t total, std::uint32_t surge,
+                 std::uint32_t lead) {
+    mm::mem_placement place;
+    place.reclaim.policy = policy;
+    place.reclaim.maintenance_period = 8;
+    place.reclaim.grace_inspections = 1;
+    pool_t pool{place, 3};
 
-TEST(Freelist, PopRestoresAttachedUnlinkedWord) {
-    list fl;
-    auto nodes = make_nodes(1);
-    nodes[0].attach_reclaim_sink(fl.sink_word());
-    ASSERT_TRUE(fl.push(&nodes[0]));
-    EXPECT_TRUE(nodes[0].freelist_linked());
-    ASSERT_EQ(fl.pop(), &nodes[0]);
-    EXPECT_FALSE(nodes[0].freelist_linked());
-    EXPECT_EQ(nodes[0].reclaim_word().load(), fl.sink_word());
-}
+    // refs[i] is written once by the owner before `published` covers i.
+    std::vector<ref_t> refs(total);
+    std::atomic<std::uint32_t> published{0};
+    std::atomic<std::uint32_t> claimed{0};
+    std::atomic<std::uint32_t> done{0};
+    std::atomic<std::uint64_t> taken{0}, failed{0}, stale_wins{0};
 
-TEST(Freelist, PushWithoutSinkIsSkipped) {
-    list fl;
-    auto nodes = make_nodes(1);
-    // Word is 0 (no sink attached): the claim CAS must fail and the
-    // list must stay empty — list integrity over completeness.
-    EXPECT_FALSE(fl.push(&nodes[0]));
-    EXPECT_EQ(fl.push_skips(), 1u);
-    EXPECT_TRUE(fl.empty());
-}
-
-TEST(Freelist, SecondPushOfLinkedNodeIsSkipped) {
-    list fl;
-    auto nodes = make_nodes(1);
-    nodes[0].attach_reclaim_sink(fl.sink_word());
-    ASSERT_TRUE(fl.push(&nodes[0]));
-    // A ghost pusher arriving late finds the word already in linked
-    // state and must lose the claim — this is what prevents a node
-    // from appearing twice in the chain.
-    EXPECT_FALSE(fl.push(&nodes[0]));
-    EXPECT_EQ(fl.pushes(), 1u);
-    EXPECT_EQ(fl.push_skips(), 1u);
-    EXPECT_EQ(fl.pop(), &nodes[0]);
-    EXPECT_EQ(fl.pop(), nullptr);
-}
-
-TEST(Freelist, DetachAllWalksWholeChain) {
-    list fl;
-    auto nodes = make_nodes(4);
-    for (int i = 0; i < 4; ++i) {
-        nodes[i].attach_reclaim_sink(fl.sink_word());
-        ASSERT_TRUE(fl.push(&nodes[i]));
-    }
-    node *head = fl.detach_all();
-    EXPECT_TRUE(fl.empty());
-    std::vector<node *> seen;
-    for (node *x = head; x != nullptr; x = list::linked_next(x))
-        seen.push_back(x);
-    ASSERT_EQ(seen.size(), 4u);
-    for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(seen[i], &nodes[3 - i]) << "LIFO walk order";
-    // Detached nodes keep linked-state words until re-pointed; after
-    // re-attaching they are pushable again.
-    for (node *x : seen)
-        x->attach_reclaim_sink(fl.sink_word());
-    for (node *x : seen)
-        EXPECT_TRUE(fl.push(x));
-}
-
-TEST(Freelist, ConcurrentProducersSingleConsumer) {
-    constexpr int producers = 4;
-    constexpr int per_producer = 5000;
-    list fl;
-    auto nodes = make_nodes(producers * per_producer);
-    for (int i = 0; i < producers * per_producer; ++i)
-        nodes[i].attach_reclaim_sink(fl.sink_word());
-
-    std::atomic<bool> go{false};
-    std::vector<std::thread> workers;
-    for (int p = 0; p < producers; ++p) {
-        workers.emplace_back([&, p] {
-            while (!go.load(std::memory_order_acquire))
-                std::this_thread::yield();
-            for (int i = 0; i < per_producer; ++i)
-                ASSERT_TRUE(fl.push(&nodes[p * per_producer + i]));
+    std::vector<std::thread> ts;
+    for (unsigned t = 0; t < takers; ++t) {
+        ts.emplace_back([&] {
+            for (;;) {
+                const std::uint32_t i =
+                    claimed.fetch_add(1, std::memory_order_relaxed);
+                if (i >= total)
+                    return;
+                while (published.load(std::memory_order_acquire) <=
+                       std::max(i, surge - 1))
+                    std::this_thread::yield();
+                const ref_t ref = refs[i];
+                if (ref.take()) {
+                    taken.fetch_add(1, std::memory_order_relaxed);
+                    // The reference is stale from here on.
+                    if (ref.take())
+                        stale_wins.fetch_add(1, std::memory_order_relaxed);
+                } else {
+                    failed.fetch_add(1, std::memory_order_relaxed);
+                }
+                done.fetch_add(1, std::memory_order_release);
+            }
         });
     }
-    std::set<node *> received;
-    std::thread consumer([&] {
-        while (received.size() <
-               static_cast<std::size_t>(producers * per_producer)) {
-            node *x = fl.pop();
-            if (x == nullptr) {
-                std::this_thread::yield();
-                continue;
-            }
-            ASSERT_TRUE(received.insert(x).second)
-                << "node popped twice";
+
+    race_result out;
+    // Owner-side history: the last version handed out per item.
+    std::unordered_map<const item_t *, std::uint64_t> last;
+    for (std::uint32_t i = 0; i < total; ++i) {
+        while (i >= surge &&
+               i - done.load(std::memory_order_acquire) >= lead)
+            std::this_thread::yield();
+        const ref_t ref = pool.allocate(i, i);
+        // A live item republished would carry an even version, or one
+        // that does not exceed what the item held before.
+        const auto it = last.find(ref.it);
+        if ((ref.version & 1) == 0 ||
+            (it != last.end() && ref.version <= it->second))
+            ++out.bad_versions;
+        if (it != last.end()) {
+            ++out.reused;
+            // The previous life's reference is stale: its take must
+            // fail and leave the new life alone.
+            if (ref.it->take(it->second))
+                ++out.stale_wins;
         }
-    });
-    go.store(true, std::memory_order_release);
-    for (auto &w : workers)
-        w.join();
-    consumer.join();
-    EXPECT_EQ(received.size(),
-              static_cast<std::size_t>(producers * per_producer));
-    EXPECT_EQ(fl.pushes(),
-              static_cast<std::uint64_t>(producers * per_producer));
-    EXPECT_EQ(fl.push_skips(), 0u);
-    EXPECT_TRUE(fl.empty());
+        last[ref.it] = ref.version;
+        refs[i] = ref;
+        published.store(i + 1, std::memory_order_release);
+    }
+    for (auto &t : ts)
+        t.join();
+    out.taken = taken.load();
+    out.failed_takes = failed.load();
+    out.stale_wins += stale_wins.load();
+    out.stats = pool.stats().snapshot();
+    return out;
+}
+
+void expect_clean(const race_result &r, std::uint32_t total) {
+    EXPECT_EQ(r.bad_versions, 0u) << "the sweep handed out a live item";
+    EXPECT_EQ(r.failed_takes, 0u)
+        << "a published reference lost its item before anyone took it";
+    EXPECT_EQ(r.taken, total) << "every reference is taken exactly once";
+    EXPECT_EQ(r.stale_wins, 0u) << "a stale reference took a reused item";
+    EXPECT_GT(r.reused, total / 2) << "most allocations must recycle";
+    EXPECT_GT(r.stats.reuse_hits, 0u);
+}
+
+TEST(SweepRecycling, ConcurrentTakersNeverSeeALiveItemReused) {
+    constexpr std::uint32_t total = 20000;
+    const race_result r = race(mm::reclaim_policy::none, 3, total, 1, 64);
+    expect_clean(r, total);
+    EXPECT_EQ(r.stats.reuse_hits + r.stats.fresh_allocs, total);
+}
+
+TEST(SweepRecycling, ConcurrentTakersWithChunkShrink) {
+    // The surge fills four chunks and opens a fifth; afterwards at most
+    // a few dozen items live, so whole chunks die and maintenance
+    // quarantines and releases them while takers still hold references
+    // into them.
+    constexpr std::uint32_t total = 20000;
+    const race_result r =
+        race(mm::reclaim_policy::full, 3, total, 4096, 64);
+    expect_clean(r, total);
+    // A revived chunk's item counts as a reuse hit.
+    EXPECT_EQ(r.stats.reuse_hits + r.stats.fresh_allocs, total);
+    EXPECT_LE(r.stats.reclaimed_chunks, r.stats.chunks);
+    if (mm::reclaim::release_pages_supported()) {
+        EXPECT_GT(r.stats.shrink_events, 0u) << "no chunk was released";
+    }
 }
 
 } // namespace

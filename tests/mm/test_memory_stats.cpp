@@ -97,7 +97,7 @@ TEST(PoolStats, SharedBlockFootprintStaysNearItemCount) {
 // the reasoning allows.
 TEST(PoolStats, ConcurrentRunStaysWithinPaperBlockBound) {
     for (const auto policy :
-         {mm::reclaim_policy::none, mm::reclaim_policy::shrink}) {
+         {mm::reclaim_policy::none, mm::reclaim_policy::full}) {
         mm::mem_placement place;
         place.reclaim.policy = policy;
         k_lsm<std::uint32_t, std::uint32_t> q{16, {}, place};

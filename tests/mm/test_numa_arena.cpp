@@ -30,7 +30,7 @@ namespace {
 
 mm::mem_placement shrinking() {
     mm::mem_placement place;
-    place.reclaim.policy = mm::reclaim_policy::shrink;
+    place.reclaim.policy = mm::reclaim_policy::full;
     return place;
 }
 
@@ -61,41 +61,33 @@ std::size_t count_resident(const void *p, std::size_t bytes) {
 #endif
 
 TEST(PlacedArray, ShrinkOffIsPlainAllocation) {
-    for (const auto policy :
-         {mm::reclaim_policy::none, mm::reclaim_policy::freelist}) {
-        mm::mem_placement place;
-        place.reclaim.policy = policy;
-        auto a = mm::placed_array<int>::allocate(100, place);
-        ASSERT_NE(a.get(), nullptr);
-        EXPECT_EQ(a.size(), 100u);
-        EXPECT_EQ(a.bytes(), 100 * sizeof(int)) << "no page rounding";
-        EXPECT_FALSE(a.page_managed());
-        EXPECT_EQ(a.region(), a.get());
-        for (std::size_t i = 0; i < 100; ++i)
-            EXPECT_EQ(a[i], 0) << "value-initialized like make_unique<T[]>";
-    }
+    mm::mem_placement place;
+    place.reclaim.policy = mm::reclaim_policy::none;
+    auto a = mm::placed_array<int>::allocate(100, place);
+    ASSERT_NE(a.get(), nullptr);
+    EXPECT_EQ(a.size(), 100u);
+    EXPECT_EQ(a.bytes(), 100 * sizeof(int)) << "no page rounding";
+    EXPECT_FALSE(a.page_managed());
+    EXPECT_EQ(a.region(), a.get());
+    for (std::size_t i = 0; i < 100; ++i)
+        EXPECT_EQ(a[i], 0) << "value-initialized like make_unique<T[]>";
 }
 
 TEST(PlacedArray, ShrinkOnIsPageAligned) {
-    for (const auto policy :
-         {mm::reclaim_policy::shrink, mm::reclaim_policy::full}) {
-        mm::mem_placement place;
-        place.reclaim.policy = policy;
-        auto a = mm::placed_array<int>::allocate(100, place);
-        ASSERT_NE(a.get(), nullptr);
-        EXPECT_EQ(a.size(), 100u);
-        EXPECT_TRUE(a.page_managed());
-        EXPECT_EQ(a.bytes(), page_rounded(100 * sizeof(int)));
-        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a.region()) %
-                      mm::page_size(),
-                  0u);
-        for (std::size_t i = 0; i < 100; ++i) {
-            EXPECT_EQ(a[i], 0);
-            a[i] = static_cast<int>(i);
-        }
-        for (std::size_t i = 0; i < 100; ++i)
-            EXPECT_EQ(a[i], static_cast<int>(i));
+    auto a = mm::placed_array<int>::allocate(100, shrinking());
+    ASSERT_NE(a.get(), nullptr);
+    EXPECT_EQ(a.size(), 100u);
+    EXPECT_TRUE(a.page_managed());
+    EXPECT_EQ(a.bytes(), page_rounded(100 * sizeof(int)));
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a.region()) %
+                  mm::page_size(),
+              0u);
+    for (std::size_t i = 0; i < 100; ++i) {
+        EXPECT_EQ(a[i], 0);
+        a[i] = static_cast<int>(i);
     }
+    for (std::size_t i = 0; i < 100; ++i)
+        EXPECT_EQ(a[i], static_cast<int>(i));
 }
 
 TEST(PlacedArray, EmptyAllocationOwnsNothing) {
@@ -227,14 +219,14 @@ TEST(PlacedArray, LargeArrayCommitsOnlyWrittenPages) {
     constexpr std::size_t n = 32768;
     static_assert(n * sizeof(std::uint64_t) >= mm::mapped_array_bytes);
     for (const auto policy :
-         {mm::reclaim_policy::none, mm::reclaim_policy::shrink}) {
+         {mm::reclaim_policy::none, mm::reclaim_policy::full}) {
         SCOPED_TRACE(mm::reclaim::reclaim_policy_name(policy));
         mm::mem_placement place;
         place.reclaim.policy = policy;
         auto a = mm::placed_array<std::uint64_t>::allocate(n, place);
         ASSERT_NE(a.get(), nullptr);
         EXPECT_EQ(a.bytes(), n * sizeof(std::uint64_t));
-        EXPECT_EQ(a.page_managed(), policy == mm::reclaim_policy::shrink)
+        EXPECT_EQ(a.page_managed(), policy == mm::reclaim_policy::full)
             << "page_managed means allocated under a shrink placement";
         EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a.region()) %
                       mm::page_size(),
@@ -312,7 +304,6 @@ TYPED_TEST(ZeroDefault, ItemIsAllZeroBytes) {
     EXPECT_TRUE(it->reusable()) << "version 0 means free";
     EXPECT_EQ(it->key(), 0u);
     EXPECT_EQ(it->value(), 0u);
-    EXPECT_EQ(it->reclaim_word().load(), 0u);
 }
 
 TYPED_TEST(ZeroDefault, MappedPoolArraysReadTheDefaultState) {
@@ -333,7 +324,6 @@ TYPED_TEST(ZeroDefault, MappedPoolArraysReadTheDefaultState) {
             EXPECT_EQ(entries[i].key.load(), 0u);
             EXPECT_EQ(items[i].version(), 0u);
             EXPECT_TRUE(items[i].reusable());
-            EXPECT_EQ(items[i].reclaim_word().load(), 0u);
         }
     }
 }
@@ -401,13 +391,13 @@ TEST(MemoryJson, CarriesTheDocumentedSchema) {
           "\"chunks\":2", "\"bytes\":8192", "\"reuse_hits\":10",
           "\"fresh_allocs\":30", "\"reuse_hit_rate\":0.25",
           "\"growth_beyond_bound\":1", "\"page_aligned_chunks\":2",
-          "\"freelist_hits\":", "\"freelist_drops\":",
-          "\"freelist_hit_rate\":", "\"reclaimed_chunks\":",
+          "\"reclaimed_chunks\":",
           "\"released_bytes\":4096", "\"shrink_events\":",
           "\"reactivated_chunks\":"})
         EXPECT_NE(json.find(needle), std::string::npos)
             << "missing " << needle << " in " << json;
-    for (const char *gone : {"policy", "resident", "bound_chunks"})
+    for (const char *gone :
+         {"policy", "resident", "bound_chunks", "freelist"})
         EXPECT_EQ(json.find(gone), std::string::npos)
             << "unexpected " << gone << " in " << json;
 }

@@ -1,8 +1,7 @@
 // The reclamation tier end to end at the item_pool level: chunk
-// lifecycle (active -> quarantined -> released -> revived), split
-// reuse counters, ghost-push discarding, version monotonicity across a
-// release/regrow cycle, and the none-policy "byte-identical to seed"
-// contract.  The concurrent churn test at the bottom is the
+// lifecycle (active -> quarantined -> released -> revived), version
+// monotonicity across a release/regrow cycle, and the none-policy
+// "byte-identical to seed" contract.  The concurrent churn test at the bottom is the
 // ASan/TSan/UBSan no-use-after-reclaim witness for the whole stack.
 
 #include "mm/item_pool.hpp"
@@ -33,51 +32,19 @@ mm::mem_placement with_policy(mm::reclaim_policy p,
     return place;
 }
 
-TEST(Reclaim, FreelistHitCountedSeparatelyFromSweepAndFresh) {
-    pool_t pool{with_policy(mm::reclaim_policy::freelist)};
-    auto a = pool.allocate(1, 1);
-    ASSERT_TRUE(a.take()); // winner's take pushes onto the freelist
-    auto b = pool.allocate(2, 2);
-    EXPECT_EQ(b.it, a.it) << "freelist pop must recycle the dead item";
-    const auto snap = pool.stats().snapshot();
-    EXPECT_EQ(snap.fresh_allocs, 1u);
-    EXPECT_EQ(snap.freelist_hits, 1u);
-    EXPECT_EQ(snap.reuse_hits, 0u)
-        << "a freelist recycle must not masquerade as a sweep hit";
-    EXPECT_EQ(pool.freelist().pushes(), 1u);
-}
-
-TEST(Reclaim, SweepStillCountsWhenFreelistMisses) {
-    // Freelist off: the same churn pattern must route through the
-    // sweep counter instead.
-    pool_t pool{with_policy(mm::reclaim_policy::shrink)};
-    auto a = pool.allocate(1, 1);
-    ASSERT_TRUE(a.take());
-    auto b = pool.allocate(2, 2);
-    EXPECT_EQ(b.it, a.it);
-    const auto snap = pool.stats().snapshot();
-    EXPECT_EQ(snap.freelist_hits, 0u);
-    EXPECT_EQ(snap.reuse_hits, 1u);
-}
-
 TEST(Reclaim, NonePolicyBehavesExactlyLikeSeed) {
     pool_t pool; // default placement: reclamation off
     std::vector<ref_t> refs;
     for (std::uint32_t i = 0; i < 100; ++i) {
         auto r = pool.allocate(i, i);
-        // With no tier attached the reclaim word must stay 0 — the
-        // take path's only overhead is one relaxed load and a branch.
-        EXPECT_EQ(r.it->reclaim_word().load(), 0u);
         ASSERT_TRUE(r.take());
     }
     const auto snap = pool.stats().snapshot();
-    EXPECT_EQ(snap.freelist_hits, 0u);
-    EXPECT_EQ(snap.freelist_drops, 0u);
+    EXPECT_EQ(snap.fresh_allocs, 1u) << "one item serves every life";
+    EXPECT_EQ(snap.reuse_hits, 99u);
     EXPECT_EQ(snap.shrink_events, 0u);
     EXPECT_EQ(snap.reclaimed_chunks, 0u);
     EXPECT_EQ(snap.released_bytes, 0u);
-    EXPECT_GT(snap.reuse_hits, 0u) << "sweep recycling is seed behavior";
-    EXPECT_TRUE(pool.freelist().empty());
     EXPECT_EQ(pool.quiescent_shrink(), 0u)
         << "shrink is a no-op when the policy does not enable it";
 }
@@ -107,39 +74,6 @@ TEST(Reclaim, QuiescentShrinkReleasesFullyDeadChunks) {
     EXPECT_LE(snap.released_bytes, snap.bytes);
 }
 
-TEST(Reclaim, QuiescentShrinkFiltersFreelistOnce) {
-    // Maintenance off: only the shrink below touches chunk state.
-    pool_t pool{with_policy(mm::reclaim_policy::full, 1u << 30)};
-    // Chunks 0-3 (256 + 512 + 1024 + 2048 items) fill; 100 more open
-    // chunk 4, which is never tracked.
-    std::vector<ref_t> refs;
-    for (std::uint32_t i = 0; i < 3840 + 100; ++i)
-        refs.push_back(pool.allocate(i, i));
-    // refs[0] pins chunk 0; every other item dies onto the freelist.
-    for (std::size_t i = 1; i < refs.size(); ++i)
-        ASSERT_TRUE(refs[i].take());
-    const std::uint64_t pushes_before = pool.freelist().pushes();
-    pool.quiescent_shrink();
-    EXPECT_EQ(pool.census().active, 1u);
-    EXPECT_EQ(pool.census().active + pool.census().quarantined +
-                  pool.census().released,
-              4u);
-    std::size_t linked = 0;
-    for (const ref_t &r : refs)
-        linked += r.it->freelist_linked() ? 1 : 0;
-    EXPECT_EQ(linked, 255u + 100u)
-        << "the dead items of chunk 0 and chunk 4 stay linked";
-    EXPECT_EQ(pool.freelist().pushes() - pushes_before, linked)
-        << "one filter pass re-pushes each kept node exactly once";
-    const auto before = pool.stats().snapshot();
-    for (std::size_t i = 0; i < linked; ++i)
-        pool.allocate(10000, 0);
-    const auto after = pool.stats().snapshot();
-    EXPECT_EQ(after.freelist_hits - before.freelist_hits, linked);
-    EXPECT_EQ(after.freelist_drops - before.freelist_drops, 0u)
-        << "no node of a cold chunk may be left on the freelist";
-}
-
 TEST(Reclaim, QuiescentShrinkReleasesMaintenanceAndBoundaryChunksTogether) {
     if (!mm::reclaim::release_pages_supported())
         GTEST_SKIP() << "madvise(MADV_DONTNEED) unavailable";
@@ -151,21 +85,16 @@ TEST(Reclaim, QuiescentShrinkReleasesMaintenanceAndBoundaryChunksTogether) {
     std::vector<ref_t> refs;
     for (std::uint32_t i = 0; i < 1792 + 2; ++i)
         refs.push_back(pool.allocate(i, i));
-    // Chunk 3 is one allocation of 2048 items starting at refs[1792].
-    const auto in_chunk3 = [chunk3 = refs[1792].it](const void *p) {
-        const auto a = reinterpret_cast<std::uintptr_t>(p);
-        const auto lo = reinterpret_cast<std::uintptr_t>(chunk3);
-        return a >= lo && a < lo + 2048 * sizeof(*chunk3);
-    };
-    // Chunk 1 dies first; chunk 3's items die last, so they head the
-    // freelist and every allocation below recycles one of them.
+    // Chunk 1 dies.  Churn recycles dead items (chunk 1's among them)
+    // or takes fresh ones from chunk 3, and the maintenance that follows
+    // each allocation inspects chunks 0-2 in turn: chunk 1 goes cold at
+    // the first inspection that finds none of its items republished.
     for (std::size_t i = 256; i < 768; ++i)
         ASSERT_TRUE(refs[i].take());
     ASSERT_TRUE(refs[1792].take());
     ASSERT_TRUE(refs[1793].take());
-    for (int i = 0; i < 8 && pool.census().quarantined == 0; ++i) {
+    for (int i = 0; i < 1000 && pool.census().quarantined == 0; ++i) {
         auto r = pool.allocate(5000, 0);
-        ASSERT_TRUE(in_chunk3(r.it)) << "recycled outside chunk 3";
         ASSERT_TRUE(r.take());
     }
     ASSERT_EQ(pool.census().quarantined, 1u)
@@ -194,14 +123,9 @@ TEST(Reclaim, QuiescentShrinkReleasesMaintenanceAndBoundaryChunksTogether) {
     EXPECT_EQ(snap.reclaimed_chunks, census.released);
     EXPECT_EQ(snap.shrink_events, census.released);
     EXPECT_EQ(snap.released_bytes, chunk_bytes(512) + chunk_bytes(1024));
-    // Pop the whole chain: it must hold exactly chunk 3's two dead
-    // items, and no node of a released chunk.
-    std::size_t popped = 0;
-    while (auto *x = pool.freelist().pop()) {
-        ++popped;
-        EXPECT_TRUE(in_chunk3(x)) << "a released chunk's node is linked";
-    }
-    EXPECT_EQ(popped, 2u);
+    // The sweep keeps chunk 0 and the used part of chunk 3, and no item
+    // of a released chunk.
+    EXPECT_EQ(pool.capacity(), 256 + (snap.fresh_allocs - 1792));
 }
 
 TEST(Reclaim, StaleTakeAgainstReleasedChunkFailsSafely) {
@@ -261,38 +185,13 @@ TEST(Reclaim, RevivedChunkRestoresVersionFloor) {
         << "the reclaimed gauge must fall back on reactivation";
 }
 
-TEST(Reclaim, GhostPushOntoColdChunkIsDiscarded) {
-    if (!mm::reclaim::release_pages_supported())
-        GTEST_SKIP() << "madvise(MADV_DONTNEED) unavailable";
-    pool_t pool{with_policy(mm::reclaim_policy::full)};
-    std::vector<ref_t> refs;
-    for (std::uint32_t i = 0; i < 256; ++i)
-        refs.push_back(pool.allocate(i, i));
-    item<std::uint32_t, std::uint64_t> *ghost_target = refs[3].it;
-    for (auto &r : refs)
-        ASSERT_TRUE(r.take());
-    ASSERT_GE(pool.quiescent_shrink(), 1u);
-    // A delayed deleter ("ghost") re-links an item of the now-cold
-    // chunk.  The write refaults a zero page — benign — and the link
-    // succeeds; pop-side validation must discard it rather than hand
-    // out an item from an out-of-circulation chunk.
-    ghost_target->attach_reclaim_sink(pool.freelist().sink_word());
-    ASSERT_TRUE(pool.freelist().push(ghost_target));
-    auto r = pool.allocate(42, 42);
-    ASSERT_NE(r.it, nullptr);
-    const auto snap = pool.stats().snapshot();
-    EXPECT_GE(snap.freelist_drops, 1u)
-        << "the ghost-linked cold item must be dropped, not recycled";
-}
-
 TEST(Reclaim, MaintenanceQuarantinesBeforeReleasing) {
-    // Shrink-only policy (no freelist recycling to re-warm the chunk):
-    // with maintenance every allocation and a 3-inspection grace, a
+    // With maintenance every allocation and a 3-inspection grace, a
     // fully dead chunk must pass through quarantine before release.
     // Chunks 0 (256 items) and 1 (512) both fill; keeping one live item
     // in chunk 0 pins it active, so the round-robin inspection can only
     // ever take chunk 1 through the lifecycle.
-    pool_t pool{with_policy(mm::reclaim_policy::shrink, 1, 3)};
+    pool_t pool{with_policy(mm::reclaim_policy::full, 1, 3)};
     std::vector<ref_t> refs;
     for (std::uint32_t i = 0; i < 768; ++i)
         refs.push_back(pool.allocate(i, i));
@@ -360,10 +259,12 @@ TEST(Reclaim, MappedChunkReleasesAndRevives) {
     if (!mm::reclaim::release_pages_supported())
         GTEST_SKIP() << "madvise(MADV_DONTNEED) unavailable";
     pool_t pool{with_policy(mm::reclaim_policy::full)};
-    // Chunks of 256, 512, 1024 and 2048 items fill exactly; the last
-    // (64 KiB) is mapped storage (mm/placement.hpp).
-    constexpr std::uint32_t n = 256 + 512 + 1024 + 2048;
-    static_assert(2048 * sizeof(item<std::uint32_t, std::uint64_t>) >=
+    // Chunks of 256 to 4096 items fill exactly; the last (96 KiB of
+    // 24-byte items) is the first mapped storage (mm/placement.hpp).
+    constexpr std::uint32_t n = 256 + 512 + 1024 + 2048 + 4096;
+    static_assert(2048 * sizeof(item<std::uint32_t, std::uint64_t>) <
+                  mm::mapped_array_bytes);
+    static_assert(4096 * sizeof(item<std::uint32_t, std::uint64_t>) >=
                   mm::mapped_array_bytes);
     std::vector<ref_t> refs;
     for (std::uint32_t i = 0; i < n; ++i)
@@ -371,8 +272,8 @@ TEST(Reclaim, MappedChunkReleasesAndRevives) {
     const ref_t stale = refs[n - 1]; // in the mapped chunk
     for (auto &r : refs)
         ASSERT_TRUE(r.take());
-    ASSERT_EQ(pool.quiescent_shrink(), 4u);
-    EXPECT_EQ(pool.census().released, 4u);
+    ASSERT_EQ(pool.quiescent_shrink(), 5u);
+    EXPECT_EQ(pool.census().released, 5u);
     EXPECT_EQ(stale.it->version(), 0u) << "released pages read as zero";
     EXPECT_FALSE(stale.take());
     // Demand returns: every chunk revives above its version floor.
@@ -381,8 +282,8 @@ TEST(Reclaim, MappedChunkReleasesAndRevives) {
         regrown.push_back(pool.allocate(i, i));
     EXPECT_EQ(pool.census().released, 0u);
     const auto snap = pool.stats().snapshot();
-    EXPECT_EQ(snap.chunks, 4u) << "regrowth revives, it does not allocate";
-    EXPECT_EQ(snap.reactivated_chunks, 4u);
+    EXPECT_EQ(snap.chunks, 5u) << "regrowth revives, it does not allocate";
+    EXPECT_EQ(snap.reactivated_chunks, 5u);
     bool found = false;
     for (std::uint32_t i = 0; i < n; ++i) {
         EXPECT_EQ(regrown[i].it->value(), i) << "refaulted page lost a write";
@@ -399,7 +300,7 @@ TEST(Reclaim, ConcurrentChurnThroughKlsmWithFullReclaim) {
     // reclamation tier from several threads, with maintenance forced
     // often, then verify counter coherence and that the queue still
     // drains correctly.  Under ASan/TSan this is the no-use-after-
-    // reclaim / no-race proof for the freelist + shrink machinery.
+    // reclaim / no-race proof for the sweep + shrink machinery.
     mm::mem_placement place = with_policy(mm::reclaim_policy::full,
                                           /*period=*/64, /*grace=*/1);
     k_lsm<std::uint32_t, std::uint32_t> q{64, {}, place};
@@ -434,7 +335,7 @@ TEST(Reclaim, ConcurrentChurnThroughKlsmWithFullReclaim) {
     EXPECT_LE(s.reclaimed_chunks, s.chunks);
     EXPECT_LE(s.released_bytes, s.bytes);
     EXPECT_GT(s.fresh_allocs, 0u);
-    EXPECT_GT(s.freelist_hits + s.reuse_hits, 0u)
+    EXPECT_GT(s.reuse_hits, 0u)
         << "sustained churn must recycle, not only grow";
     // Drain: keys must still come out plausibly (no duplicates beyond
     // what relaxation allows, no crash, no sanitizer report).
