@@ -124,6 +124,22 @@ bool with_structure(const std::string &name, unsigned threads,
 /// empty order means "do not pin".
 std::vector<std::uint32_t> pin_order(const std::string &policy);
 
+/// The fields of the `memory` object attach_memory writes
+/// (mm::memory_json).
+inline std::string memory_schema() {
+    std::string s;
+    for (const char *pool : {"items", "dist_blocks", "shared_blocks"})
+        s += prefixed(
+            std::string("pools.") + pool + ".",
+            "chunks:count:chunks bytes:count:B reuse_hits:count:allocs "
+            "fresh_allocs:count:allocs reuse_hit_rate:ratio "
+            "growth_beyond_bound:count:chunks "
+            "page_aligned_chunks:count:chunks reclaimed_chunks:count:chunks "
+            "released_bytes:count:B shrink_events:count:shrinks "
+            "reactivated_chunks:count:chunks");
+    return s;
+}
+
 /// Attach the `memory` telemetry object to a record when --alloc-stats
 /// is on and the structure exposes pool telemetry (the k-LSM family).
 template <typename PQ>
@@ -271,6 +287,16 @@ inline klsm::json_record &open_record(klsm::json_reporter &json,
     return rec;
 }
 
+/// The fields the op-mix workloads (throughput, churn, service) write.
+inline constexpr const char *op_mix_schema =
+    "prefill:count:items ops:count:ops inserts:count:ops deletes:count:ops "
+    "failed_deletes:count:ops pin_failures:count:threads elapsed_s:number:s "
+    "ops_per_sec:number:ops/s ";
+
+/// The fields open_record writes.
+inline constexpr const char *record_header_schema =
+    "workload:string structure:string pin:string threads:count:threads ";
+
 /// Human-readable sweep-point label for counter-track names.
 std::string record_label(const std::string &name, const std::string &pin,
                          unsigned threads);
@@ -301,6 +327,15 @@ bool parse_core_config(const cli_parser &cli,
 
 /// Write the core meta block (knobs + discovered machine topology).
 void annotate_core_meta(const core_config &cfg, json_reporter &json);
+
+/// The fields annotate_core_meta writes.
+inline constexpr const char *core_meta_schema =
+    "benchmark:string k:count:items trace:bool metrics_interval_ms:number:ms "
+    "mq_stickiness:count:ops mq_buffer:count:items insert_buffer:count:items "
+    "seed:count smoke:bool latency_sample:count:ops alloc_stats:bool "
+    "reclaim:enum=none|full reclaim_period:count:ops "
+    "reclaim_grace:count:inspections topology_source:enum=sysfs|fallback "
+    "cpus:count packages:count numa_nodes:count cores:count smt:bool";
 
 /// Build the registry of built-in workloads (bench/workload_*.cpp).
 void register_builtin_workloads(workload_registry &registry);

@@ -17,9 +17,37 @@
 
 #include "bench_common.hpp"
 #include "harness/workload_registry.hpp"
+#include "mm/reclaim/timeline.hpp"
+#include "stats/latency_report.hpp"
 #include "trace/trace_export.hpp"
 #include "trace/tracer.hpp"
 #include "util/cli.hpp"
+
+/// The report's `schema` meta block: the specs (harness/reporter.hpp) of
+/// the meta, each selected workload's records and the shared blocks.  A
+/// workload's meta fields are written only when it runs alone.
+static std::string report_schema(
+    const std::vector<const klsm::bench::workload_entry *> &selected) {
+    using namespace klsm::bench;
+    klsm::json_record workloads, blocks, out;
+    for (const auto *e : selected) {
+        klsm::json_record w;
+        w.set("fields", record_header_schema + e->schema);
+        w.set("blocks", e->blocks);
+        workloads.set_raw(e->name, w.str());
+    }
+    blocks.set("latency", klsm::stats::latency_schema());
+    blocks.set("memory", memory_schema());
+    blocks.set("memory_timeline", klsm::mm::reclaim::memory_timeline::schema);
+    blocks.set("timeseries", klsm::trace::metrics_sampler::schema());
+    std::string meta = core_meta_schema;
+    if (selected.size() == 1)
+        meta += ' ' + selected.front()->meta_schema;
+    out.set("meta", meta);
+    out.set_raw("workloads", workloads.str());
+    out.set_raw("blocks", blocks.str());
+    return out.str();
+}
 
 int main(int argc, char **argv) {
     using namespace klsm::bench;
@@ -56,6 +84,7 @@ int main(int argc, char **argv) {
     klsm::json_reporter json(selection);
     annotate_core_meta(cfg, json);
     json.meta().set_raw("gates", gates_json(selected));
+    json.meta().set_raw("schema", report_schema(selected));
     // A comma selection shares one meta block; per-workload settings
     // would collide there, so each record's "workload" field carries
     // the attribution instead.

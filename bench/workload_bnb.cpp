@@ -143,6 +143,17 @@ workload_entry bnb_workload() {
          .kind = "verdict",
          .context = {"bnb.best", "bnb.optimum"}},
     };
+    e.schema = "expanded:count:nodes pin_failures:count:threads "
+               "elapsed_s:number:s time_to_optimum_s:number:s "
+               "ops_per_sec:number:ops/s " +
+               prefixed("bnb.",
+                        "items:count:items capacity:count:weight "
+                        "optimum:count:value best:count:value match:bool "
+                        "expanded:count:nodes wasted_expansions:count:nodes "
+                        "pruned_pops:count:nodes pushed:count:nodes "
+                        "failed_pops:count:pops time_to_optimum_s:number:s");
+    e.meta_schema = "bnb_items:count:items bnb_seed_depth:count:levels";
+    e.blocks = "latency timeseries memory";
     e.register_flags = [](cli_parser &cli) {
         cli.add_flag("bnb-items", "34",
                      "knapsack items in the generated instance "

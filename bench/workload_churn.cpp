@@ -3,8 +3,8 @@
 // with the queue quiesced and shrunk at every phase boundary.  Each
 // record carries a `memory_timeline` object — RSS and pool-counter
 // samples over the run plus the derived plateau verdict.  The timeline
-// is reported here and *enforced* by scripts/check_memory_schema.py
-// --bench-churn (shrink events observed, final RSS on the steady-phase
+// is reported here and *enforced* by scripts/check_report.py (shrink
+// events observed, and outside --smoke final RSS on the steady-phase
 // plateau), so a soak regression fails CI without making every local
 // bench run brittle.
 
@@ -116,6 +116,10 @@ workload_entry churn_workload() {
          .context = {"memory_timeline.plateau_ratio",
                      "memory_timeline.plateau_tolerance"}},
     };
+    e.schema = op_mix_schema;
+    e.meta_schema = "churn_ops:count:ops sample_interval_ms:number:ms "
+                    "prefill:count:items";
+    e.blocks = "memory_timeline timeseries memory";
     e.reclaim_soak = true;
     e.register_flags = [](cli_parser &cli) {
         cli.add_flag("churn-ops", "50000",

@@ -144,6 +144,21 @@ workload_entry des_workload() {
          .kind = "verdict",
          .context = {"des.violation_fraction", "des.budget"}},
     };
+    e.schema = "ops:count:events pin_failures:count:threads "
+               "elapsed_s:number:s events_per_sec:number:events/s "
+               "ops_per_sec:number:events/s " +
+               prefixed("des.",
+                        "lps:count:clocks population:count:events "
+                        "target_events:count:events committed:count:events "
+                        "scheduled:count:events failed_pops:count:pops "
+                        "violations:count:events violation_fraction:ratio "
+                        "lookahead:count:ticks mean_delay:count:ticks "
+                        "budget:ratio budget_ok:bool max_lag:count:ticks "
+                        "virtual_time:count:ticks");
+    e.meta_schema = "des_lps:count:clocks des_population:count:events "
+                    "des_target_events:count:events des_lookahead:count:ticks "
+                    "des_mean_delay:count:ticks des_budget:ratio";
+    e.blocks = "latency timeseries memory";
     e.register_flags = [](cli_parser &cli) {
         cli.add_flag("des-events", "200000",
                      "committed events before the run stops");

@@ -144,6 +144,12 @@ workload_entry quality_workload() {
          .tolerance = "advisory",
          .context = {"rho", "buffer_total"}},
     };
+    // rho, rho_hard and buffer_total: klsm records only.
+    e.schema = "deletes:count:ops mean_rank:number:rank max_rank:count:rank "
+               "pin_failures:count:threads rho?:count:rank rho_hard?:bool "
+               "buffer_total?:count:items";
+    e.meta_schema = "prefill:count:items ops_per_thread:count:ops";
+    e.blocks = "latency timeseries memory";
     e.register_flags = [](cli_parser &cli) {
         cli.add_flag("ops", "20000", "operations per thread");
     };

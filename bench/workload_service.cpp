@@ -214,6 +214,13 @@ workload_entry service_workload() {
          .context = {"slo.observed_p99_ns", "slo.p99_threshold_ns",
                      "slo.achieved_rate", "slo.offered_rate"}},
     };
+    e.schema = op_mix_schema + klsm::service::service_schema();
+    e.meta_schema =
+        "arrival:enum=steady|poisson|spike|diurnal rate:number:ops/s "
+        "duration_s:number:s insert_percent:count:% prefill:count:items "
+        "slo_p99_ns:count:ns slo_min_achieved_fraction:ratio "
+        "find_sustainable:bool";
+    e.blocks = "latency timeseries memory";
     e.register_flags = [](cli_parser &cli) {
         cli.add_flag("arrival", "poisson",
                      "arrival process: steady | poisson | spike | "

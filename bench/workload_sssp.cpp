@@ -109,6 +109,11 @@ workload_entry sssp_workload() {
     e.name = "sssp";
     e.summary = "parallel SSSP vs sequential Dijkstra (Figure 4)";
     e.gates = {{.path = "time_s", .unit = "s", .better = "lower"}};
+    e.schema = "time_s:number:s expansions:count:nodes settled:count:nodes "
+               "stale_pops:count:pops pin_failures:count:threads "
+               "mismatches:count:nodes";
+    e.meta_schema = "nodes:count:nodes arcs:count:arcs";
+    e.blocks = "latency memory";
     e.register_flags = [](cli_parser &cli) {
         cli.add_flag("nodes", "1000", "graph size");
         cli.add_flag("edge-prob", "0.05", "edge probability");

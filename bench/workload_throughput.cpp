@@ -88,6 +88,9 @@ workload_entry throughput_workload() {
     e.summary = "the paper's 50/50 insert/delete-min mix (Figure 3)";
     e.gates = {
         {.path = "ops_per_sec", .unit = "ops/s", .better = "higher"}};
+    e.schema = op_mix_schema;
+    e.meta_schema = "insert_percent:count:% duration_s:number:s";
+    e.blocks = "latency timeseries memory";
     e.register_flags = [](cli_parser &cli) {
         cli.add_flag("duration", "0.1",
                      "seconds per measurement window (the service "

@@ -57,9 +57,10 @@ layout is shared, identical to the C++ merge), which is what the sparse
 `--warn-only` prints the same comparison but always exits 0 — the
 advisory mode CI uses on pull requests, where runner-to-runner noise
 makes a hard gate unfair.  `--self-test` runs the built-in check suite;
-given a klsm_bench binary it also runs every registered workload once
-and checks the declarations against the real reports.  CTest invokes
-it, so the gate's own logic is covered by `ctest -L tier1`.
+given a klsm_bench binary it also runs every registered workload once,
+checks the declarations against the real reports, and runs
+check_report.py's self-test.  CTest invokes it, so the gate's own
+logic is covered by `ctest -L tier1`.
 
 `--head-to-head` takes ONE report and diffs klsm against multiqueue
 (the paper's queue vs the engineered-MultiQueue rival) within it:
@@ -72,9 +73,9 @@ when the report contains no matchable pairs, never on a losing ratio.
 import argparse
 import copy
 import json
-import re
-import subprocess
 import sys
+
+import check_report
 
 # The tolerance classes a gate names: the allowed fractional worsening.
 # --throughput-tolerance overrides "rate".
@@ -1036,6 +1037,9 @@ def self_test(args_factory, binary=None):
 
     if binary:
         check_real_reports(binary, args, verify, check)
+        # The report checker's mutation self-test shares this CTest entry.
+        verify("check_report.py --self-test passes",
+               check_report.self_test(binary) == 0)
 
 
     if failures:
@@ -1067,21 +1071,11 @@ def check_real_reports(binary, args, verify, check):
     — as a regression, or as a warning where the gate's `requires`
     field is false in the run (sanitizer builds sample RSS
     unreliably)."""
-    probe = subprocess.run([binary, "--workload", "?"],
-                           capture_output=True, text=True)
-    listed = re.search(r"registered: ([^)]*)\)", probe.stderr)
-    if not verify("klsm_bench lists its registered workloads", listed):
-        return
-    workloads = [w.strip() for w in listed.group(1).split(",")]
-    run = subprocess.run(
-        [binary, "--workload", ",".join(workloads), "--structure", "klsm",
-         "--smoke", "--json-out", "-"],
-        capture_output=True, text=True)
-    if not verify("klsm_bench smoke run of every workload succeeds",
-                  run.returncode == 0):
-        print(run.stderr)
-        return
-    report = json.loads(run.stdout)
+    workloads = check_report.registered(binary).split(",")
+    # check_report.bench raises unless the run succeeds and its report
+    # passes its schema.
+    report = check_report.bench(binary, "--workload", ",".join(workloads),
+                                "--structure", "klsm", "--smoke")
     check("real report of every workload diffs clean against itself",
           compare_reports(report, report, args), False)
 

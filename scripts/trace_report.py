@@ -16,8 +16,8 @@ Usage:
     trace_report.py trace.json [trace2.json ...]
     trace_report.py --self-test
 
-Exits nonzero on a malformed document, so CI can use it as a
-smoke-level loadability check on top of check_trace_schema.py.
+It summarizes, it does not validate: scripts/check_report.py checks a
+trace against its schema, so run that first.
 """
 
 import json
@@ -32,41 +32,26 @@ def percentile(sorted_vals, p):
     return sorted_vals[idx]
 
 
-def analyze(doc, path):
-    if not isinstance(doc, dict) or \
-            not isinstance(doc.get("traceEvents"), list):
-        raise ValueError(f"{path}: not a Chrome-trace document")
-    events = doc["traceEvents"]
-
+def analyze(doc):
     by_cat = {}
     spans = {}
     counters = {}
-    for ev in events:
-        if not isinstance(ev, dict):
-            raise ValueError(f"{path}: non-object trace event")
-        ph = ev.get("ph")
-        name = ev.get("name", "?")
+    for ev in doc["traceEvents"]:
+        ph, name = ev["ph"], ev["name"]
         if ph == "M":
             continue
         if ph == "C":
-            value = ev.get("args", {}).get("value")
-            if not isinstance(value, (int, float)):
-                raise ValueError(f"{path}: counter {name} without "
-                                 f"numeric value")
-            counters.setdefault(name, []).append(value)
+            counters.setdefault(name, []).append(ev["args"]["value"])
             continue
         cat = ev.get("cat", "misc")
         by_cat.setdefault(cat, {}).setdefault(name, [0])[0] += 1
         if ph == "X":
-            dur = ev.get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
-                raise ValueError(f"{path}: span {name} with bad dur")
-            spans.setdefault(name, []).append(dur)
+            spans.setdefault(name, []).append(ev["dur"])
     return by_cat, spans, counters
 
 
 def report(doc, path):
-    by_cat, spans, counters = analyze(doc, path)
+    by_cat, spans, counters = analyze(doc)
     other = doc.get("otherData", {})
     print(f"== {path} ==")
     print(f"  events: {other.get('recorded_events', '?')} recorded, "
@@ -122,7 +107,7 @@ def self_test():
         "otherData": {"recorded_events": 3, "dropped_events": 0,
                       "threads": 2},
     }
-    by_cat, spans, counters = analyze(doc, "<self-test>")
+    by_cat, spans, counters = analyze(doc)
     assert by_cat["dist_lsm"]["dist.publish"][0] == 2
     assert by_cat["dist_lsm"]["dist.spill"][0] == 1
     assert sorted(spans["dist.publish"]) == [2.5, 7.5]
@@ -130,17 +115,6 @@ def self_test():
     assert percentile([2.5, 7.5], 99) == 7.5
     assert percentile([], 99) == 0.0
     assert counters["klsm/none/t2 ops_per_sec"] == [1e6]
-    # Malformed documents must raise, not half-report.
-    for bad in ({}, {"traceEvents": 3},
-                {"traceEvents": [{"ph": "X", "name": "x"}]},
-                {"traceEvents": [{"ph": "C", "name": "c",
-                                  "args": {}}]}):
-        try:
-            analyze(bad, "<bad>")
-        except ValueError:
-            pass
-        else:
-            raise AssertionError(f"malformed doc accepted: {bad!r}")
     report(doc, "<self-test>")
     print("trace_report self-test OK")
 
@@ -160,8 +134,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    try:
-        sys.exit(main(sys.argv[1:]))
-    except (ValueError, AssertionError, json.JSONDecodeError) as e:
-        print(f"trace_report FAIL: {e}", file=sys.stderr)
-        sys.exit(1)
+    sys.exit(main(sys.argv[1:]))

@@ -108,6 +108,12 @@ public:
         os << "}";
     }
 
+    std::string str() const {
+        std::ostringstream os;
+        write(os);
+        return os.str();
+    }
+
 private:
     static std::string quote(const std::string &s) {
         std::string out = "\"";
@@ -133,6 +139,24 @@ private:
 
     std::vector<std::pair<std::string, std::string>> fields_;
 };
+
+/// Report schemas (scripts/check_report.py reads them from the report's
+/// `schema` meta block) are specs: whitespace-separated `path:type[:unit]`
+/// declarations.  A path is dotted ("[]" steps into every list element,
+/// a number into one; a trailing "?" marks a field that may be absent),
+/// and a type is one of count (an integer >= 0), number (finite, >= 0),
+/// ratio (a number in [0, 1]), bool, string (non-empty) or enum=a|b (one
+/// of the listed values).
+///
+/// `spec` with `prefix` before every path.
+inline std::string prefixed(const std::string &prefix,
+                            const std::string &spec) {
+    std::istringstream in(spec);
+    std::string out;
+    for (std::string decl; in >> decl;)
+        out += prefix + decl + ' ';
+    return out;
+}
 
 /// Accumulates one record per benchmark scenario and writes a single
 /// JSON document: `{"benchmark": ..., <meta fields>, "records": [...]}`.

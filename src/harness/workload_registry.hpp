@@ -19,6 +19,9 @@
 //   - `run(core, json)` executes the sweep and appends records,
 //     returning the process exit status (0 ok, 1 soft failure such as
 //     a quality-bound violation, 2 usage/internal error);
+//   - `schema` and `blocks` declare what each record holds; klsm_bench
+//     writes them into the report's `schema` meta block, which
+//     scripts/check_report.py checks every report against;
 //   - `gates` declares which record fields the regression gate
 //     (scripts/compare_bench.py) diffs, in which direction and under
 //     which tolerance.  klsm_bench writes the selected workloads'
@@ -91,9 +94,7 @@ struct metric_gate {
                 list += (list.size() > 1 ? ",\"" : "\"") + c + '"';
             r.set_raw("context", list + "]");
         }
-        std::ostringstream out;
-        r.write(out);
-        return out.str();
+        return r.str();
     }
 };
 
@@ -112,6 +113,12 @@ struct workload_entry {
     std::function<void(const core_config &, json_record &)> annotate_meta;
     std::function<int(const core_config &, json_reporter &)> run;
     std::vector<metric_gate> gates;
+    /// The specs (harness/reporter.hpp) of the fields `run` writes after
+    /// open_record's header and of the meta fields annotate_meta (or
+    /// `run`) writes, and the shared blocks its records may carry.
+    std::string schema;
+    std::string meta_schema;
+    std::string blocks;
 };
 
 /// The report's `gates` meta block: each selected workload's gate
@@ -128,9 +135,7 @@ gates_json(const std::vector<const workload_entry *> &selected) {
         }
         block.set_raw(e->name, list + "]");
     }
-    std::ostringstream out;
-    block.write(out);
-    return out.str();
+    return block.str();
 }
 
 class workload_registry {

@@ -3,9 +3,9 @@
 // memory_timeline — RSS + pool high-water telemetry over time.
 //
 // The churn soak harness (src/harness/churn.hpp) samples this during
-// and between workload phases; the JSON emitted here is validated by
-// scripts/check_memory_schema.py and diffed by scripts/compare_bench.py
-// (RSS high-water regressions are enforcing).
+// and between workload phases; the JSON emitted here is checked by
+// scripts/check_report.py against `schema` and diffed by
+// scripts/compare_bench.py (RSS high-water regressions are enforcing).
 //
 // The plateau verdict encodes the soak invariant: after the key-range
 // phase shifts, final RSS must settle within `plateau_tolerance` of the
@@ -142,8 +142,25 @@ struct memory_timeline {
             !rss_reliable || plateau_ratio <= 1.0 + plateau_tolerance;
     }
 
+    /// The fields of to_json's object (harness/reporter.hpp describes
+    /// the spec).
+    static constexpr const char *schema =
+        "rss_reliable:bool shrink_events:count:shrinks "
+        "rss_high_water_bytes:count:B final_rss_bytes:count:B "
+        "steady_rss_high_water_bytes:count:B pool_high_water_bytes:count:B "
+        "plateau_tolerance:number plateau_ratio:number plateau_ok:bool "
+        "phases[].index:count phases[].name:string "
+        "phases[].insert_percent:count:% phases[].bursty:bool "
+        "phases[].start_t_ns:count:ns phases[].end_t_ns:count:ns "
+        "phases[].shrink_ns:count:ns phases[].inserts:count:ops "
+        "phases[].deletes:count:ops phases[].failed_deletes:count:ops "
+        "samples[].t_ns:count:ns samples[].rss_bytes:count:B "
+        "samples[].pool_bytes:count:B samples[].released_bytes:count:B "
+        "samples[].reclaimed_chunks:count:chunks "
+        "samples[].shrink_events:count:shrinks samples[].phase:count";
+
     /// Nested JSON object for json_record::set_raw("memory_timeline", ...)
-    /// — README "Memory reclamation & soak testing" documents the schema.
+    /// — README "Memory reclamation & soak testing".
     std::string to_json() const {
         std::ostringstream os;
         os << "{\"rss_reliable\":" << (rss_reliable ? "true" : "false")

@@ -1,29 +1,9 @@
 #pragma once
 
 // JSON serialization of the `service` and `slo` objects every
-// service-workload record carries (README "Service mode & SLOs",
-// validated by scripts/check_service_schema.py, diffed by
-// scripts/compare_bench.py):
-//
-//   "service": {
-//     "arrival": "poisson", "nominal_rate": ..., "offered_rate": ...,
-//     "achieved_rate": ..., "duration_s": ...,
-//     "scheduled_ops": ..., "completed_ops": ...,
-//     "late_ops": ..., "late_grace_ns": ..., "max_lateness_ns": ...,
-//     "mean_lateness_ns": ..., "backlog_max": ...,
-//     "unit": "ns", "sub_bucket_bits": 5,
-//     "intended":   { "insert": {count, mean, min, p50, p90, p99, p999,
-//                                max, dropped_intervals, buckets},
-//                     "delete_min": {...} },
-//     "completion": { same shape }
-//   },
-//   "slo": {
-//     "metric": "intended_p99_ns", "p99_threshold_ns": ...,
-//     "min_achieved_fraction": ..., "offered_rate": ...,
-//     "achieved_rate": ..., "observed_p99_ns": ...,
-//     "latency_ok": bool, "rate_ok": bool, "pass": bool
-//     [, "sustainable_rate": ..., "probes": [[rate, pass], ...]]
-//   }
+// service-workload record carries (README "Service mode & SLOs";
+// service_schema() declares the fields, scripts/check_report.py checks
+// them and scripts/compare_bench.py diffs them).
 //
 // `nominal_rate` is the configured --rate; `offered_rate` is what the
 // generated schedule actually offered (scheduled_ops / duration —
@@ -67,6 +47,29 @@ inline double offered_rate(const service_result &res,
     return acfg.duration_s > 0
                ? static_cast<double>(res.scheduled_ops) / acfg.duration_s
                : 0;
+}
+
+/// The fields of service_json's `service` and slo_json's `slo` objects.
+inline std::string service_schema() {
+    return prefixed(
+               "service.",
+               "arrival:enum=steady|poisson|spike|diurnal "
+               "nominal_rate:number:ops/s offered_rate:number:ops/s "
+               "achieved_rate:number:ops/s duration_s:number:s "
+               "scheduled_ops:count:ops completed_ops:count:ops "
+               "late_ops:count:ops late_grace_ns:count:ns "
+               "max_lateness_ns:count:ns mean_lateness_ns:number:ns "
+               "backlog_max:count:ops unit:enum=ns "
+               "sub_bucket_bits:count:bits") +
+           prefixed("service.intended.", stats::latency_ops_schema()) +
+           prefixed("service.completion.", stats::latency_ops_schema()) +
+           prefixed("slo.",
+                    "metric:enum=intended_p99_ns p99_threshold_ns:count:ns "
+                    "min_achieved_fraction:ratio offered_rate:number:ops/s "
+                    "achieved_rate:number:ops/s observed_p99_ns:count:ns "
+                    "latency_ok:bool rate_ok:bool pass:bool "
+                    "sustainable_rate?:number:ops/s probes[].0?:number:ops/s "
+                    "probes[].1?:bool");
 }
 
 inline std::string service_json(const service_result &res,

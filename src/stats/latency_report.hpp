@@ -1,20 +1,9 @@
 #pragma once
 
 // JSON serialization of merged latency histograms: the `latency` object
-// every klsm_bench record carries when sampling is enabled.
-//
-// Schema (documented in README "Latency metrics"):
-//
-//   "latency": {
-//     "unit": "ns",
-//     "sample_stride": 4,
-//     "sub_bucket_bits": 5,
-//     "insert":     { "count": ..., "mean": ..., "min": ..., "p50": ...,
-//                     "p90": ..., "p99": ..., "p999": ..., "max": ...,
-//                     "dropped_intervals": ...,
-//                     "buckets": [[index, count], ...] },
-//     "delete_min": { ... same shape ... }
-//   }
+// every klsm_bench record carries when sampling is enabled, with
+// `insert` and `delete_min` stats objects (README "Latency metrics";
+// latency_schema() declares the fields).
 //
 // `dropped_intervals` counts samples that exceeded 10x the recorder's
 // running p99 estimate — the coordinated-omission tell: each such stall
@@ -22,15 +11,16 @@
 // latency_recorder.hpp).
 //
 // Percentiles are precomputed for at-a-glance reading; the sparse
-// `buckets` array is the ground truth — with `sub_bucket_bits` it fully
-// determines the bucket edges (latency_histogram.hpp's bucket_lower/
-// bucket_upper), so offline tooling (scripts/compare_bench.py among
-// them) can re-aggregate, re-percentile, or merge across records
-// without C++.
+// `buckets` array of [index, count] pairs is the ground truth — with
+// `sub_bucket_bits` it fully determines the bucket edges
+// (latency_histogram.hpp's bucket_lower/bucket_upper), so offline
+// tooling (scripts/compare_bench.py among them) can re-aggregate,
+// re-percentile, or merge across records without C++.
 
 #include <sstream>
 #include <string>
 
+#include "harness/reporter.hpp"
 #include "stats/latency_histogram.hpp"
 #include "stats/latency_recorder.hpp"
 
@@ -58,6 +48,21 @@ inline std::string latency_op_json(const latency_histogram &h,
     });
     os << "]}";
     return os.str();
+}
+
+/// The fields of an `insert` / `delete_min` pair of latency_op_json
+/// objects.
+inline std::string latency_ops_schema() {
+    const char *op = "count:count:samples mean:number:ns min:count:ns "
+                     "p50:count:ns p90:count:ns p99:count:ns p999:count:ns "
+                     "max:count:ns dropped_intervals:count:samples "
+                     "buckets[].0:count:bucket buckets[].1:count:samples";
+    return prefixed("insert.", op) + prefixed("delete_min.", op);
+}
+
+inline std::string latency_schema() {
+    return "unit:enum=ns sample_stride:count:ops sub_bucket_bits:count:bits " +
+           latency_ops_schema();
 }
 
 /// The full `latency` object for one benchmark record.

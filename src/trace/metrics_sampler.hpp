@@ -132,6 +132,15 @@ public:
         return out;
     }
 
+    /// The fields of json()'s object; a row is t_s, then one value per
+    /// column.
+    static std::string schema()
+    {
+        return "requested_interval_ms:number:ms interval_ms:number:ms "
+               "columns[].name:string columns[].kind:enum=counter|gauge "
+               "samples[][]:number";
+    }
+
     /// Counter tracks for the Chrome-trace export.  Counters are
     /// emitted as per-interval rates (per second) — the staircase of
     /// a cumulative counter is useless as a Perfetto graph — and

@@ -16,7 +16,7 @@
 //
 // Timestamps are microseconds (double) relative to the tracer's
 // enable() base, which keeps them small, positive, and monotone —
-// properties scripts/check_trace_schema.py asserts.
+// properties scripts/check_report.py asserts.
 
 #include <algorithm>
 #include <cstdint>

@@ -230,7 +230,7 @@ TEST(TraceExport, ChromeTraceIsWellFormedAndMonotone) {
     klsm::trace::write_chrome_trace(os, tracer::instance(), &counters);
     const std::string doc = os.str();
     // Structural spot checks; the full schema walk lives in
-    // scripts/check_trace_schema.py (shared with the CI smoke job).
+    // scripts/check_report.py (shared with the CI smoke job).
     EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(doc.find("\"dist.spill\""), std::string::npos);
     EXPECT_NE(doc.find("\"dist.publish\""), std::string::npos);
