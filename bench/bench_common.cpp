@@ -174,6 +174,12 @@ bool parse_core_config(const cli_parser &cli,
                      "millisecond count)\n";
         return false;
     }
+    if (*metrics_ms > 0 && *metrics_ms < min_metrics_interval_ms) {
+        std::cerr << "--metrics-interval: '" << cli.get("metrics-interval")
+                  << "' is below the 100us floor (use 0 or empty to "
+                     "turn sampling off)\n";
+        return false;
+    }
     cfg.metrics_interval_ms = *metrics_ms;
 
     for (const auto &pin : cfg.pins) {

@@ -60,6 +60,11 @@ extern std::vector<klsm::trace::counter_series> g_counter_tracks;
 /// sweep point each burst of events belongs to.
 extern std::uint32_t g_record_index;
 
+/// The shortest sampling period the sampler runs at (100us).  A
+/// nonzero --metrics-interval below it is a usage error, so a record's
+/// `interval_ms` never exceeds its `requested_interval_ms`.
+inline constexpr double min_metrics_interval_ms = 0.1;
+
 /// The sampling period one record actually runs with: the requested
 /// period, clamped so a duration-bounded run still yields ~16 rows
 /// (smoke runs last 50 ms; a 50 ms period would sample them twice).
@@ -70,7 +75,7 @@ inline double effective_metrics_interval_s(const core_config &cfg,
     double s = cfg.metrics_interval_ms / 1000.0;
     if (duration_hint_s > 0)
         s = std::min(s, duration_hint_s / 16.0);
-    return std::max(s, 1e-4);
+    return std::max(s, min_metrics_interval_ms / 1000.0);
 }
 
 /// The placement the k-LSM structures use: the configured reclamation

@@ -6,8 +6,9 @@ offending flag on stderr:
 
   * negative values of the unsigned count flags (--k, --prefill, --ops,
     --nodes), which must not wrap to 2^64 - 1;
-  * out-of-range values: --k above 2^32 - 1, and --reclaim policies
-    other than auto, none and full;
+  * out-of-range values: --k above 2^32 - 1, --reclaim policies
+    other than auto, none and full, and a nonzero --metrics-interval
+    below the sampler's 100us floor (the error must name the floor);
   * the flags klsm_bench no longer has.  Their settings are fixed
     constants now (README "Application workloads", "Service mode &
     SLOs", "Reclamation" and "Observability" give the values), and
@@ -44,6 +45,12 @@ OUT_OF_RANGE = [
     ("--reclaim", ["--smoke", "--reclaim", "shrink"]),
 ]
 
+# A sampling period below the floor would be sampled at the floor, and
+# the report's interval_ms would exceed its requested_interval_ms.
+BELOW_METRICS_FLOOR = ["--smoke", "--workload", "quality", "--structure",
+                       "klsm", "--threads", "2", "--metrics-interval",
+                       "50us"]
+
 # Retired flags with the value each one took by default.
 RETIRED = [
     ("--csv", None),
@@ -75,6 +82,7 @@ def expect_usage_error(binary, flag, args):
         f"{' '.join(args)}: exit {proc.returncode}, expected 2 ({first!r})"
     assert flag in first, \
         f"{' '.join(args)}: stderr does not name {flag}: {first!r}"
+    return first
 
 
 def main(argv):
@@ -87,6 +95,10 @@ def main(argv):
     for flag, value in RETIRED:
         expect_usage_error(binary, flag,
                            [flag] + ([] if value is None else [value]))
+    first = expect_usage_error(binary, "--metrics-interval",
+                               BELOW_METRICS_FLOOR)
+    assert "100us" in first, \
+        f"--metrics-interval 50us: stderr does not name the floor: {first!r}"
     usage = subprocess.run([binary, "--help"], stdout=subprocess.DEVNULL,
                            stderr=subprocess.PIPE, text=True,
                            timeout=TIMEOUT_S).stderr
@@ -95,7 +107,7 @@ def main(argv):
     still = sorted(flag for flag, _ in RETIRED if flag in listed)
     assert not still, f"--help still lists {still}"
     print(f"bench CLI OK: {len(NEGATIVE_COUNTS)} negative counts, "
-          f"{len(OUT_OF_RANGE)} out-of-range values and "
+          f"{len(OUT_OF_RANGE) + 1} out-of-range values and "
           f"{len(RETIRED)} retired flags rejected; --help lists "
           f"{len(listed)} flags")
     return 0

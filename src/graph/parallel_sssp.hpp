@@ -14,14 +14,25 @@
 // more than once ("additional iterations"), which the harness reports
 // exactly as the paper does.
 //
-// Termination: `pending` counts queue entries plus entries currently
-// being expanded; when it reaches zero the queue is empty and no
-// expansion can produce new work.
+// Termination: `pending` is the termination counter.  At every instant
+//
+//     pending >= queued entries + entries being expanded,
+//
+// and it reaches 0 only when the queue is empty and no worker can
+// produce new work.  A worker relaxes all arcs of a popped node first,
+// collecting the improved (distance, node) pairs, then settles the
+// expansion with one `pending.fetch_add(improved - 1 - owed)` and only
+// then inserts the pairs.  Every increment lands before the inserts it
+// counts; only decrements are deferred.  A stale pop adds 1 to the
+// worker's local `owed` instead of touching `pending`, and a failed pop
+// subtracts `owed` before it tests `pending == 0`, so `pending` reaches
+// 0 only after every idle worker has flushed what it owes.
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "graph/dijkstra.hpp"
@@ -54,11 +65,16 @@ public:
             dist_[i].store(sssp_unreached, std::memory_order_relaxed);
     }
 
-    /// In-flight entry counter for termination detection.  Every queue
-    /// entry decrements it exactly once: on a stale pop, after an
-    /// expansion, or via the lazy-deletion notification below.
+    /// Termination counter: at every instant at least the queued entries
+    /// plus the entries being expanded.  Each entry is counted before it
+    /// is inserted and uncounted once, after it leaves the queue: by its
+    /// expansion's settling add, by its popper's deferred `owed` flush
+    /// (stale pops), or by the lazy-deletion notification below.
     std::atomic<std::int64_t> &pending() { return pending_; }
 
+    /// The queue dropped an entry it will never return: uncount it at
+    /// once.  The entry had been counted before its insert, so the
+    /// invariant on pending() holds.
     void entry_dropped() {
         pending_.fetch_sub(1, std::memory_order_acq_rel);
     }
@@ -150,12 +166,21 @@ sssp_stats parallel_sssp(PQ &pq, const graph &g, graph::node_id source,
         std::uint64_t d;
         graph::node_id u;
         exp_backoff backoff;
+        std::uint64_t my_expansions = 0;
+        std::uint64_t my_stale = 0;
+        // Stale pops not yet subtracted from `pending`.
+        std::int64_t owed = 0;
+        std::vector<std::pair<std::uint64_t, graph::node_id>> improved;
         for (;;) {
             stats::op_sample pop_sample{latency, t,
                                         stats::op_kind::delete_min};
             if (!pq.try_delete_min(d, u)) {
+                if (owed != 0) {
+                    pending.fetch_sub(owed, std::memory_order_acq_rel);
+                    owed = 0;
+                }
                 if (pending.load(std::memory_order_acquire) == 0)
-                    return;
+                    break;
                 backoff();
                 continue;
             }
@@ -163,25 +188,36 @@ sssp_stats parallel_sssp(PQ &pq, const graph &g, graph::node_id source,
             backoff.reset();
             if (d > state.dist(u)) {
                 // Stale entry (lazy deletion).
-                stale.fetch_add(1, std::memory_order_relaxed);
-                pending.fetch_sub(1, std::memory_order_acq_rel);
+                ++my_stale;
+                ++owed;
                 continue;
             }
-            expansions.fetch_add(1, std::memory_order_relaxed);
+            ++my_expansions;
             const auto neighbors = g.neighbors(u);
             const auto weights = g.weights(u);
+            improved.clear();
             for (std::size_t i = 0; i < neighbors.size(); ++i) {
                 const std::uint64_t nd = d + weights[i];
-                if (state.relax(neighbors[i], nd)) {
-                    pending.fetch_add(1, std::memory_order_acq_rel);
-                    stats::op_sample ins_sample{latency, t,
-                                                stats::op_kind::insert};
-                    pq.insert(nd, neighbors[i]);
-                    ins_sample.commit();
-                }
+                if (state.relax(neighbors[i], nd))
+                    improved.emplace_back(nd, neighbors[i]);
             }
-            pending.fetch_sub(1, std::memory_order_acq_rel);
+            // Count the new entries and uncount this one and the stale
+            // pops before any insert, so `pending` never falls below
+            // what the queue holds.
+            const std::int64_t delta =
+                static_cast<std::int64_t>(improved.size()) - 1 - owed;
+            if (delta != 0)
+                pending.fetch_add(delta, std::memory_order_acq_rel);
+            owed = 0;
+            for (const auto &[nd, v] : improved) {
+                stats::op_sample ins_sample{latency, t,
+                                            stats::op_kind::insert};
+                pq.insert(nd, v);
+                ins_sample.commit();
+            }
         }
+        expansions.fetch_add(my_expansions, std::memory_order_relaxed);
+        stale.fetch_add(my_stale, std::memory_order_relaxed);
     };
 
     // Inline execution only when unpinned: pinning must happen on a

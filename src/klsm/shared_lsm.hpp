@@ -136,9 +136,12 @@ public:
     static constexpr std::uint32_t max_blocks = arr::max_blocks;
 
     /// `place` carries the reclamation settings of every thread's
-    /// shared-pool blocks (mm/placement.hpp).
+    /// shared-pool blocks (mm/placement.hpp).  Requires
+    /// k < SIZE_MAX / 16, so big_threshold(k) does not wrap.
     explicit shared_lsm(std::size_t k, mm::mem_placement place = {})
         : k_(k), big_(big_threshold(k)), settle_pool_(place) {
+        assert(k < std::numeric_limits<std::size_t>::max() / 16 &&
+               "16(k+1) must fit in size_t");
         for (auto &s : threads_)
             s = std::make_unique<thread_state>(place);
     }
@@ -148,11 +151,9 @@ public:
 
     std::size_t relaxation() const { return k_; }
 
-    /// Entries above which a merge is big and left to settle: 16(k+1),
-    /// saturating at SIZE_MAX instead of wrapping for huge k.
+    /// Entries above which a merge is big and left to settle.
     static constexpr std::size_t big_threshold(std::size_t k) {
-        constexpr std::size_t max = std::numeric_limits<std::size_t>::max();
-        return k >= max / 16 ? max : 16 * (k + 1);
+        return 16 * (k + 1);
     }
 
     /// Attach (or detach, with nullptr) a contention monitor; the

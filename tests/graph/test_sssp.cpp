@@ -17,6 +17,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <mutex>
+
 namespace klsm {
 namespace {
 
@@ -136,6 +139,80 @@ TEST(ParallelSssp, SingleThreadExactQueueDoesMinimalWork) {
     // An exact queue processed sequentially expands each node once.
     EXPECT_EQ(stats.expansions, ref.settled);
 }
+
+// Wraps spin_heap and checks the termination invariant: under its own
+// mutex, after every insert and every pop, pending() is at least the
+// number of queued entries.  Every 7th try_delete_min fails spuriously
+// without touching the heap, so workers take the failed-pop path (and
+// flush what their stale pops owe) while work is still queued.
+class pending_checking_heap {
+public:
+    using key_type = std::uint64_t;
+    using value_type = std::uint32_t;
+
+    explicit pending_checking_heap(sssp_state &state) : state_(state) {}
+
+    void insert(const key_type &key, const value_type &value) {
+        std::lock_guard<std::mutex> lock{mu_};
+        heap_.insert(key, value);
+        ++queued_;
+        check();
+    }
+
+    bool try_delete_min(key_type &key, value_type &value) {
+        std::lock_guard<std::mutex> lock{mu_};
+        if (++calls_ % 7 == 0)
+            return false;
+        if (!heap_.try_delete_min(key, value))
+            return false;
+        --queued_;
+        check();
+        return true;
+    }
+
+    std::uint64_t violations() const { return violations_; }
+    std::int64_t worst_shortfall() const { return worst_shortfall_; }
+
+private:
+    void check() {
+        const std::int64_t shortfall = queued_ - state_.pending().load();
+        if (shortfall > 0) {
+            ++violations_;
+            worst_shortfall_ = std::max(worst_shortfall_, shortfall);
+        }
+    }
+
+    sssp_state &state_;
+    std::mutex mu_;
+    spin_heap<key_type, value_type> heap_;
+    std::int64_t queued_ = 0;
+    std::uint64_t calls_ = 0;
+    std::uint64_t violations_ = 0;
+    std::int64_t worst_shortfall_ = 0;
+};
+
+class ParallelSsspPending : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ParallelSsspPending, NeverFallsBelowTheQueuedEntries) {
+    const unsigned threads = GetParam();
+    graph g = test_graph(500, 0.05, 4242);
+    auto ref = dijkstra(g, 0);
+    sssp_state state{g.num_nodes()};
+    pending_checking_heap pq{state};
+    const auto stats = parallel_sssp(pq, g, 0, threads, state);
+    EXPECT_EQ(pq.violations(), 0u)
+        << "pending() fell below the queued entries by up to "
+        << pq.worst_shortfall();
+    expect_dijkstra_equal(g, state, ref);
+    EXPECT_EQ(stats.settled, ref.settled);
+    EXPECT_EQ(state.pending().load(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ParallelSsspPending,
+                         ::testing::Values(1u, 4u),
+                         [](const auto &info) {
+                             return std::to_string(info.param) + "t";
+                         });
 
 TEST(ParallelSssp, LazyDeletionReducesStalePops) {
     graph g = test_graph(400, 0.1, 31);

@@ -116,17 +116,13 @@ TEST(SharedLsm, EmptyFindMin) {
     EXPECT_EQ(s.item_count_estimate(), 0u);
 }
 
-TEST(SharedLsm, BigThresholdSaturatesForHugeK) {
-    constexpr std::size_t max = std::numeric_limits<std::size_t>::max();
+TEST(SharedLsm, BigThresholdIsSixteenKPlusOne) {
     static_assert(shared_t::big_threshold(0) == 16);
     static_assert(shared_t::big_threshold(255) == 4096);
-    static_assert(shared_t::big_threshold(max / 16 - 1) == max / 16 * 16);
-    // 16(k+1) wraps to 0 at k = 2^60 - 1 on 64-bit size_t.
-    static_assert(shared_t::big_threshold(max / 16) == max);
-    static_assert(shared_t::big_threshold(max) == max);
-    // At the old wrap point every merge used to count as big.
+    // The largest k the constructor admits (k < SIZE_MAX / 16) still
+    // merges and drains.
     pool_t items;
-    shared_t s{max / 16};
+    shared_t s{std::numeric_limits<std::size_t>::max() / 16 - 1};
     source_block a{items, {3, 1}};
     source_block b{items, {0, 2}};
     s.insert(&a.blk, a.blk.filled());
