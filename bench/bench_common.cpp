@@ -238,8 +238,6 @@ void annotate_core_meta(const core_config &cfg, json_reporter &json) {
     json.meta().set("reclaim",
                     klsm::mm::reclaim::reclaim_policy_name(
                         cfg.reclaim.policy));
-    json.meta().set("reclaim_period", cfg.reclaim.maintenance_period);
-    json.meta().set("reclaim_grace", cfg.reclaim.grace_inspections);
     // The discovered machine layout: without it, cross-machine JSON
     // reports are not comparable (arXiv:1603.05047's central lesson).
     const auto &sys = klsm::topo::topology::system();

@@ -338,8 +338,7 @@ inline constexpr const char *core_meta_schema =
     "benchmark:string k:count:items trace:bool metrics_interval_ms:number:ms "
     "mq_stickiness:count:ops mq_buffer:count:items insert_buffer:count:items "
     "seed:count smoke:bool latency_sample:count:ops alloc_stats:bool "
-    "reclaim:enum=none|full reclaim_period:count:ops "
-    "reclaim_grace:count:inspections topology_source:enum=sysfs|fallback "
+    "reclaim:enum=none|full topology_source:enum=sysfs|fallback "
     "cpus:count packages:count numa_nodes:count cores:count smt:bool";
 
 /// Build the registry of built-in workloads (bench/workload_*.cpp).

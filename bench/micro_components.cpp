@@ -44,8 +44,8 @@ BENCHMARK(BM_item_pool_alloc_take);
 // One quiescent_shrink of a `full`-policy pool: ten full chunks (about
 // 2.6 x 10^5 items) plus a part-filled eleventh, every item dead except
 // one live item in each even chunk.  The shrink scans each chunk for its
-// dead items: the five odd chunks go cold, leave the sweep array and
-// release; the even chunks and the last one stay in service.  Set-up
+// dead items: the five odd chunks release and leave the sweep array;
+// the even chunks and the last one stay in service.  Set-up
 // and teardown are untimed.
 void BM_item_pool_quiescent_shrink(benchmark::State &state) {
     using pool_t = item_pool<bench_key, bench_val>;
@@ -60,7 +60,6 @@ void BM_item_pool_quiescent_shrink(benchmark::State &state) {
         pinned[first(c)] = true;
     mm::mem_placement place;
     place.reclaim.policy = mm::reclaim_policy::full;
-    place.reclaim.maintenance_period = 1u << 30; // no in-run maintenance
     std::size_t released = 0;
     for (auto _ : state) {
         state.PauseTiming();

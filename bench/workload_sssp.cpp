@@ -13,9 +13,11 @@
 namespace klsm::bench {
 namespace {
 
+// The default graph (about 10^6 arcs) runs for tens of ms at T = 4,
+// so time_s measures the search rather than thread start-up.
 struct sssp_config {
-    std::uint32_t nodes = 1000;
-    double edge_prob = 0.05;
+    std::uint32_t nodes = 100000;
+    double edge_prob = 0.0001;
 };
 
 int run(const sssp_config &w, const core_config &cfg,
@@ -115,8 +117,8 @@ workload_entry sssp_workload() {
     e.meta_schema = "nodes:count:nodes arcs:count:arcs";
     e.blocks = "latency memory";
     e.register_flags = [](cli_parser &cli) {
-        cli.add_flag("nodes", "1000", "graph size");
-        cli.add_flag("edge-prob", "0.05", "edge probability");
+        cli.add_flag("nodes", "100000", "graph size");
+        cli.add_flag("edge-prob", "0.0001", "edge probability");
     };
     e.configure = [w](const cli_parser &cli, const core_config &core) {
         if (core.smoke) {

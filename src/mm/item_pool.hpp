@@ -18,20 +18,18 @@
 // behaviour of other threads (wait-free).
 //
 // The reclamation tier (src/mm/reclaim/, opt-in via
-// mem_placement::reclaim) adds chunk lifecycle bookkeeping
-// (`chunk_rec`) on top of the sweep: a periodic maintenance step
-// inspects one full arena chunk at a time; a chunk whose items are all
-// dead is *quarantined* (its items leave the sweep array, so recycling
-// cannot re-warm it), and after a grace period of further inspections
-// its pages are returned to the OS (arena::release_chunk_pages).  The
-// virtual range stays mapped — type stability holds, stragglers read
-// zero pages (version 0 = even = dead, every stale take fails).  When
-// demand returns, quarantined chunks are revived for free and released
-// chunks refault with every item's version restored to the chunk's
+// mem_placement::reclaim) adds one step on top of the sweep:
+// quiescent_shrink(), called with no operation in flight, returns the
+// pages of every full arena chunk whose items are all dead to the OS
+// (arena::release_chunk_pages) and drops the chunk's items from the
+// sweep array.  A chunk is `active` or `released`; nothing releases
+// pages while takers run.  The virtual range stays mapped — type
+// stability holds, later stale reads see zero pages (version 0 = even
+// = dead, every stale take fails).  When demand returns, a released
+// chunk refaults with every item's version restored to the chunk's
 // recorded *version floor* (an even value >= every version the chunk
 // ever held), preserving the monotone-version ABA defense across the
-// zeroing.  quiescent_shrink() decides every chunk first, then compacts
-// the sweep array once for all of them.
+// zeroing.
 
 #include <algorithm>
 #include <cassert>
@@ -73,7 +71,7 @@ public:
     item_ref<K, V> allocate(const K &key, const V &value) {
         item<K, V> *it = find_reusable();
         if (it == nullptr && reclaim_.shrink_enabled())
-            it = revive_cold_chunk();
+            it = revive_released_chunk();
         if (it != nullptr) {
             stats_.count_reuse_hit();
         } else {
@@ -82,60 +80,37 @@ public:
             it->set_owner(owner_);
             all_.push_back(it);
         }
-        // Publish BEFORE maintenance: the inspection must see this item
-        // alive, or it could quarantine (and later zero) the chunk that
-        // holds the item we are about to hand out.  This ordering is
-        // what makes "inactive chunks are all-dead" an invariant, which
-        // reactivate_chunk relies on.
         const std::uint64_t version = it->publish(key, value);
-        if (reclaim_.shrink_enabled() &&
-            ++allocs_since_maintenance_ >= reclaim_.maintenance_period) {
-            allocs_since_maintenance_ = 0;
-            maintenance_step();
-        }
         return {it, version, key};
     }
 
-    /// Shrink every cold chunk right now, bypassing the grace period.
-    /// PRECONDITION: no concurrent operations on the owning queue.
-    /// Without in-flight takers no stale CAS can touch a released page,
-    /// so the grace period protects nothing.  Returns the number of
-    /// chunks whose pages were released.
+    /// Release the pages of every full chunk whose items are all dead,
+    /// then drop the released chunks' items from the sweep array.  A
+    /// chunk whose release the platform refuses stays active, in the
+    /// sweep.  PRECONDITION: no concurrent operations on the owning
+    /// queue, so no stale take can write a released page.  Returns the
+    /// number of chunks whose pages were released.
     std::size_t quiescent_shrink() {
         if (!reclaim_.shrink_enabled())
             return 0;
         sync_chunk_state();
-        // Decide every chunk first: quarantine the all-dead active
-        // ones and collect everything now quarantined.
-        std::vector<std::size_t> cold;
-        std::vector<chunk_span> newly_cold;
+        std::vector<chunk_span> released;
         for (std::size_t c = 0; c < chunk_state_.size(); ++c) {
-            const chunk_rec &rec = chunk_state_[c];
             std::uint64_t floor = 0;
-            if (rec.st == chunk_rec::active &&
-                chunk_fully_reusable(c, floor)) {
-                mark_quarantined(c, floor);
-                newly_cold.push_back(span_of(c));
-            }
-            if (rec.st == chunk_rec::quarantined)
-                cold.push_back(c);
+            if (chunk_state_[c].st == chunk_rec::active &&
+                chunk_fully_reusable(c, floor) && release_chunk(c, floor))
+                released.push_back(span_of(c));
         }
-        if (cold.empty())
-            return 0;
-        compact_sweep(newly_cold);
-        std::size_t released = 0;
-        for (std::size_t c : cold)
-            if (release_chunk(c))
-                ++released;
-        return released;
+        compact_sweep(released);
+        return released.size();
     }
 
     /// The thread slot stamped into every item this pool allocates.
     std::uint32_t owner() const { return owner_; }
 
     /// Total items currently in circulation (live + sweep-reusable);
-    /// quarantined and released chunks' items are excluded until their
-    /// chunk is revived.
+    /// released chunks' items are excluded until their chunk is
+    /// revived.
     std::size_t capacity() const { return all_.size(); }
 
     /// Allocation telemetry (owner increments, any thread may
@@ -146,7 +121,6 @@ public:
     /// Chunk-lifecycle census (test/diagnostic helper; owner-only).
     struct chunk_census {
         std::size_t active = 0;
-        std::size_t quarantined = 0;
         std::size_t released = 0;
     };
     chunk_census census() const {
@@ -154,8 +128,6 @@ public:
         for (const chunk_rec &rec : chunk_state_) {
             if (rec.st == chunk_rec::active)
                 ++out.active;
-            else if (rec.st == chunk_rec::quarantined)
-                ++out.quarantined;
             else
                 ++out.released;
         }
@@ -164,11 +136,10 @@ public:
 
 private:
     struct chunk_rec {
-        enum state : std::uint8_t { active, quarantined, released };
+        enum state : std::uint8_t { active, released };
         state st = active;
-        std::uint32_t cold_inspections = 0;
-        /// Even version >= every version any item of the chunk held at
-        /// quarantine time; restored on reactivation after a release.
+        /// Even version >= every version any item of the chunk held
+        /// when it was released; restored on reactivation.
         std::uint64_t version_floor = 0;
     };
 
@@ -195,7 +166,7 @@ private:
 
     /// Extend the lifecycle vector to cover newly-filled chunks (the
     /// arena's last, still-filling chunk is never tracked: it takes
-    /// fresh allocations and can't be cold).
+    /// fresh allocations and is never released).
     void sync_chunk_state() {
         std::size_t full = arena_.chunk_count();
         if (full > 0 && !arena_.chunk_full(full - 1))
@@ -204,39 +175,8 @@ private:
             chunk_state_.push_back({});
     }
 
-    void maintenance_step() {
-        sync_chunk_state();
-        const std::size_t nc = chunk_state_.size();
-        if (nc == 0)
-            return;
-        if (maintenance_cursor_ >= nc)
-            maintenance_cursor_ = 0;
-        inspect_chunk(maintenance_cursor_++);
-    }
-
-    void inspect_chunk(std::size_t c) {
-        chunk_rec &rec = chunk_state_[c];
-        switch (rec.st) {
-        case chunk_rec::active: {
-            std::uint64_t floor = 0;
-            if (chunk_fully_reusable(c, floor))
-                quarantine_chunk(c, floor);
-            break;
-        }
-        case chunk_rec::quarantined:
-            if (++rec.cold_inspections >= reclaim_.grace_inspections)
-                release_chunk(c);
-            break;
-        case chunk_rec::released:
-            break;
-        }
-    }
-
-    /// All items dead?  Sound under concurrency: only the owner (us)
-    /// can flip a version even->odd (publish), so an all-even
-    /// observation cannot be invalidated mid-scan.  Also computes the
-    /// chunk's version floor (max version; even because all observed
-    /// versions are even).
+    /// All items dead?  Also computes the chunk's version floor (max
+    /// version; even because all observed versions are even).
     bool chunk_fully_reusable(std::size_t c, std::uint64_t &floor) {
         item<K, V> *base = arena_.chunk_data(c);
         const std::size_t n = arena_.chunk_used(c);
@@ -252,36 +192,18 @@ private:
         return true;
     }
 
-    /// Flip chunk `c` to quarantined with its version floor.  Its
-    /// items stay in the sweep array until the caller compacts it.
-    void mark_quarantined(std::size_t c, std::uint64_t floor) {
-        chunk_rec &rec = chunk_state_[c];
-        rec.st = chunk_rec::quarantined;
-        rec.cold_inspections = 0;
-        rec.version_floor = floor;
-        KLSM_TRACE_EVENT(trace::kind::reclaim_quarantine, c,
-                         arena_.chunk_bytes(c));
-    }
-
-    /// Take chunk `c` out of circulation: mark it inactive, then drop
-    /// its items from the sweep array.
-    void quarantine_chunk(std::size_t c, std::uint64_t floor) {
-        mark_quarantined(c, floor);
-        compact_sweep({span_of(c)});
-    }
-
-    /// Release a quarantined chunk's pages.
-    bool release_chunk(std::size_t c) {
+    /// Release chunk `c`'s pages and record its version floor.
+    bool release_chunk(std::size_t c, std::uint64_t floor) {
         if (!arena_.release_chunk_pages(c))
-            return false; // platform refused; stays quarantined
-        chunk_state_[c].st = chunk_rec::released;
+            return false; // platform refused; stays active
+        chunk_state_[c] = {chunk_rec::released, floor};
         KLSM_TRACE_EVENT(trace::kind::reclaim_release, c,
                          arena_.chunk_bytes(c));
         return true;
     }
 
-    /// Drop the items of the just-quarantined chunks `drop` from the
-    /// sweep array (it holds no item of an older inactive chunk).
+    /// Drop the items of the just-released chunks `drop` from the
+    /// sweep array (it holds no item of an older released chunk).
     void compact_sweep(const std::vector<chunk_span> &drop) {
         if (drop.empty())
             return;
@@ -306,47 +228,33 @@ private:
         return false;
     }
 
-    /// Bring a cold chunk back into service when demand returns and the
-    /// sweep found nothing.  Quarantined chunks (storage intact) are
-    /// preferred over released ones (refault + version-floor restore).
-    /// Returns one of the revived chunk's items, or nullptr.
-    item<K, V> *revive_cold_chunk() {
-        sync_chunk_state();
-        std::size_t candidate = chunk_state_.size();
-        for (std::size_t c = 0; c < chunk_state_.size(); ++c) {
-            if (chunk_state_[c].st == chunk_rec::quarantined) {
-                candidate = c;
-                break;
-            }
-            if (chunk_state_[c].st == chunk_rec::released &&
-                candidate == chunk_state_.size())
-                candidate = c;
-        }
-        if (candidate == chunk_state_.size())
-            return nullptr;
-        return reactivate_chunk(candidate);
+    /// Bring a released chunk back into service when demand returns
+    /// and the sweep found nothing: refault it and restore every
+    /// item's version to the chunk's floor.  Returns one of the revived
+    /// chunk's items, or nullptr.
+    item<K, V> *revive_released_chunk() {
+        for (std::size_t c = 0; c < chunk_state_.size(); ++c)
+            if (chunk_state_[c].st == chunk_rec::released)
+                return reactivate_chunk(c);
+        return nullptr;
     }
 
     item<K, V> *reactivate_chunk(std::size_t c) {
         chunk_rec &rec = chunk_state_[c];
         item<K, V> *base = arena_.chunk_data(c);
         const std::size_t n = arena_.chunk_used(c);
-        const bool was_released = rec.st == chunk_rec::released;
         // Every item of a full chunk was stamped before its first
         // publish, so the floor (a max over their versions) carries the
         // owner byte and revived items keep their owner.
         assert((item<K, V>::owner_of(rec.version_floor) == owner_));
         for (std::size_t i = 0; i < n; ++i) {
-            if (was_released)
-                base[i].reset_after_reclaim(rec.version_floor);
+            base[i].reset_after_reclaim(rec.version_floor);
             all_.push_back(&base[i]);
         }
-        if (was_released)
-            arena_.note_chunk_reactivated(c);
+        arena_.note_chunk_reactivated(c);
         // Point the sweep at the revived items.
         cursor_ = all_.size() - n;
         rec.st = chunk_rec::active;
-        rec.cold_inspections = 0;
         return base;
     }
 
@@ -356,8 +264,6 @@ private:
     std::size_t cursor_ = 0;
     mm::reclaim_config reclaim_;
     std::vector<chunk_rec> chunk_state_;
-    std::size_t maintenance_cursor_ = 0;
-    std::uint32_t allocs_since_maintenance_ = 0;
     std::uint32_t owner_;
 };
 

@@ -7,25 +7,24 @@
 // travel with the placement through every pool constructor without
 // touching a single queue-layer signature.
 //
-// One mechanism on top of the pools' sweep recycling (paper Section
-// 4.4): epoch-style chunk reclamation.  When every item in a full arena
-// chunk is observed dead, the chunk is quarantined (removed from
-// circulation), and after a grace period of further maintenance
-// inspections its pages are returned to the OS with
-// madvise(MADV_DONTNEED).  The virtual range stays mapped, so the
+// One rule on top of the pools' sweep recycling (paper Section 4.4):
+// pages go back to the OS only in quiescent_shrink(), which its caller
+// runs with no operation in flight.  The item pool releases each full
+// arena chunk whose items are all dead; the block pools release the
+// entry pages of their free blocks.  Release is
+// madvise(MADV_DONTNEED): the virtual range stays mapped, so the
 // type-stability invariant the versioned items rely on is preserved: a
-// straggler reading a reclaimed item faults in a zero page, sees
-// version 0 (even = dead), and fails its CAS exactly as it would
-// against any other freed item.
+// stale reference read later faults in a zero page, sees version 0
+// (even = dead), and fails its CAS exactly as it would against any
+// other freed item.
 
-#include <cstddef>
 #include <cstdint>
 
 namespace klsm::mm::reclaim {
 
 enum class reclaim_policy : std::uint8_t {
     none, ///< seed behavior: pools only grow, sweep-only recycling
-    full, ///< sweep recycling + chunk quarantine and madvise shrink
+    full, ///< sweep recycling + page release at quiescent_shrink()
 };
 
 inline const char *reclaim_policy_name(reclaim_policy p) {
@@ -52,18 +51,6 @@ inline bool parse_reclaim_policy(const char *s, reclaim_policy &out) {
 
 struct reclaim_config {
     reclaim_policy policy = reclaim_policy::none;
-    /// A maintenance step (one chunk inspected for quarantine/release)
-    /// runs every `maintenance_period` pool allocations.
-    std::uint32_t maintenance_period = 512;
-    /// Consecutive maintenance inspections a quarantined chunk must
-    /// survive before its pages are released.  The grace period lets
-    /// stale takers still holding a reference into the chunk finish:
-    /// their take CAS fails, but a CAS faults its page in for writing,
-    /// so on a released page it would commit again the memory the
-    /// shrink just returned.
-    /// quiescent_shrink() bypasses it because its precondition (no
-    /// concurrent operations) rules such takers out.
-    std::uint32_t grace_inspections = 2;
 
     bool shrink_enabled() const { return policy == reclaim_policy::full; }
 

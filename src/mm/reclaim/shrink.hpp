@@ -12,8 +12,8 @@
 // and every take() against it fails exactly as against any freed item.
 //
 // On non-Linux hosts release_pages() reports failure and the shrink
-// machinery simply keeps chunks quarantined (recyclable, never
-// released) — graceful decay, no #ifdef in the pools.
+// machinery simply keeps chunks active (recyclable, never released) —
+// graceful decay, no #ifdef in the pools.
 
 #include <cstddef>
 

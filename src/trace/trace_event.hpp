@@ -37,10 +37,7 @@ enum class kind : std::uint16_t {
     /// shared_lsm::insert won the publish CAS (span over the whole
     /// copy/pivot/publish loop; a = CAS retries burned first).
     shared_publish,
-    /// A pool chunk whose items are all dead left the allocation path
-    /// (instant; b = chunk bytes).
-    reclaim_quarantine,
-    /// A quarantined region's pages went back to the OS via
+    /// A pool region's pages went back to the OS via
     /// madvise(MADV_DONTNEED) (instant; b = bytes released).
     reclaim_release,
     /// A quiescent shrink pass over a whole structure (instant;
@@ -69,7 +66,7 @@ enum class kind : std::uint16_t {
     /// the merge itself; a = capacity level of the merged block).
     shared_settle,
 };
-inline constexpr std::uint16_t kind_count = 15;
+inline constexpr std::uint16_t kind_count = 14;
 
 /// Two words: 8-byte timestamp + 8-byte payload.
 struct trace_event {
@@ -96,7 +93,6 @@ inline constexpr kind_info kind_table[kind_count] = {
     {"dist.spill", "dist_lsm", false, "level", "items"},
     {"dist.batch_flush", "dist_lsm", false, "", "items"},
     {"shared.publish", "shared_lsm", true, "retries", nullptr},
-    {"reclaim.quarantine", "mm", false, "pool", "bytes"},
     {"reclaim.release", "mm", false, "pool", "bytes"},
     {"reclaim.shrink", "mm", false, "", "released"},
     {"epoch.advance", "mm", false, "", "epoch"},

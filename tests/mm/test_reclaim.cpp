@@ -1,13 +1,17 @@
 // The reclamation tier end to end at the item_pool level: chunk
-// lifecycle (active -> quarantined -> released -> revived), version
-// monotonicity across a release/regrow cycle, and the none-policy
-// "byte-identical to seed" contract.  The concurrent churn test at the bottom is the
-// ASan/TSan/UBSan no-use-after-reclaim witness for the whole stack.
+// lifecycle (active -> released at a quiescent shrink -> revived by a
+// later allocation), no release before the shrink however long the
+// pool churns, version monotonicity across a release/regrow cycle, and
+// the none-policy "byte-identical to seed" contract.  The concurrent
+// churn test at the bottom is the ASan/TSan/UBSan no-use-after-reclaim
+// witness for the whole stack: its shrinks between rounds leave
+// shared-LSM entries pointing into released and revived chunks.
 
 #include "mm/item_pool.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -22,13 +26,9 @@ namespace {
 using pool_t = item_pool<std::uint32_t, std::uint64_t>;
 using ref_t = item_ref<std::uint32_t, std::uint64_t>;
 
-mm::mem_placement with_policy(mm::reclaim_policy p,
-                              std::uint32_t period = 512,
-                              std::uint32_t grace = 2) {
+mm::mem_placement with_policy(mm::reclaim_policy p) {
     mm::mem_placement place;
     place.reclaim.policy = p;
-    place.reclaim.maintenance_period = period;
-    place.reclaim.grace_inspections = grace;
     return place;
 }
 
@@ -64,7 +64,7 @@ TEST(Reclaim, QuiescentShrinkReleasesFullyDeadChunks) {
     EXPECT_GE(released, 2u) << "both full, all-dead chunks must release";
     const auto census = pool.census();
     EXPECT_EQ(census.released, released);
-    EXPECT_EQ(census.active + census.quarantined, 0u);
+    EXPECT_EQ(census.active, 0u);
     const auto snap = pool.stats().snapshot();
     EXPECT_EQ(snap.reclaimed_chunks, released) << "gauge tracks census";
     EXPECT_EQ(snap.shrink_events, released);
@@ -74,41 +74,23 @@ TEST(Reclaim, QuiescentShrinkReleasesFullyDeadChunks) {
     EXPECT_LE(snap.released_bytes, snap.bytes);
 }
 
-TEST(Reclaim, QuiescentShrinkReleasesMaintenanceAndBoundaryChunksTogether) {
+TEST(Reclaim, QuiescentShrinkReleasesOnlyAllDeadChunks) {
     if (!mm::reclaim::release_pages_supported())
         GTEST_SKIP() << "madvise(MADV_DONTNEED) unavailable";
-    // Maintenance every allocation, with a grace no test run reaches:
-    // an in-run quarantine stays quarantined until the boundary.
-    pool_t pool{with_policy(mm::reclaim_policy::full, 1, 1000)};
+    pool_t pool{with_policy(mm::reclaim_policy::full)};
     // Chunks 0-2 (items 0-255, 256-767, 768-1791) fill; two more open
     // chunk 3.
     std::vector<ref_t> refs;
     for (std::uint32_t i = 0; i < 1792 + 2; ++i)
         refs.push_back(pool.allocate(i, i));
-    // Chunk 1 dies.  Churn recycles dead items (chunk 1's among them)
-    // or takes fresh ones from chunk 3, and the maintenance that follows
-    // each allocation inspects chunks 0-2 in turn: chunk 1 goes cold at
-    // the first inspection that finds none of its items republished.
-    for (std::size_t i = 256; i < 768; ++i)
+    // Chunks 1 and 2 die; chunk 0 keeps its live items, and chunk 3,
+    // still filling, is never released.
+    for (std::size_t i = 256; i < 1794; ++i)
         ASSERT_TRUE(refs[i].take());
-    ASSERT_TRUE(refs[1792].take());
-    ASSERT_TRUE(refs[1793].take());
-    for (int i = 0; i < 1000 && pool.census().quarantined == 0; ++i) {
-        auto r = pool.allocate(5000, 0);
-        ASSERT_TRUE(r.take());
-    }
-    ASSERT_EQ(pool.census().quarantined, 1u)
-        << "maintenance must quarantine all-dead chunk 1 in-run";
-    // Chunk 2 dies with no allocation after it: only the boundary
-    // shrink sees it.
-    for (std::size_t i = 768; i < 1792; ++i)
-        ASSERT_TRUE(refs[i].take());
-    ASSERT_EQ(pool.census().active, 2u);
 
     EXPECT_EQ(pool.quiescent_shrink(), 2u);
     const auto census = pool.census();
     EXPECT_EQ(census.released, 2u);
-    EXPECT_EQ(census.quarantined, 0u);
     EXPECT_EQ(census.active, 1u) << "chunk 0 holds live items";
     // A shrink-enabled chunk of n items is n items rounded up to pages.
     const auto chunk_bytes = [](std::size_t items) {
@@ -125,7 +107,41 @@ TEST(Reclaim, QuiescentShrinkReleasesMaintenanceAndBoundaryChunksTogether) {
     EXPECT_EQ(snap.released_bytes, chunk_bytes(512) + chunk_bytes(1024));
     // The sweep keeps chunk 0 and the used part of chunk 3, and no item
     // of a released chunk.
-    EXPECT_EQ(pool.capacity(), 256 + (snap.fresh_allocs - 1792));
+    EXPECT_EQ(pool.capacity(), 256u + 2u);
+}
+
+TEST(Reclaim, DeadChunksStayResidentUntilQuiescentShrink) {
+    if (!mm::reclaim::release_pages_supported())
+        GTEST_SKIP() << "madvise(MADV_DONTNEED) unavailable";
+    pool_t pool{with_policy(mm::reclaim_policy::full)};
+    // Chunks 0-2 fill exactly, and every item dies.
+    constexpr std::uint32_t filled = 256 + 512 + 1024;
+    std::vector<ref_t> refs;
+    for (std::uint32_t i = 0; i < filled; ++i)
+        refs.push_back(pool.allocate(i, i));
+    for (auto &r : refs)
+        ASSERT_TRUE(r.take());
+    // Churn far past any allocation-driven cadence: with no shrink,
+    // every dead chunk stays resident and in the sweep.
+    constexpr std::uint32_t churn = 16 * 512;
+    for (std::uint32_t i = 0; i < churn; ++i) {
+        auto r = pool.allocate(5000 + i, 0);
+        ASSERT_TRUE(r.take());
+    }
+    const auto before = pool.stats().snapshot();
+    EXPECT_EQ(pool.census().released, 0u)
+        << "a chunk was released while the pool was in use";
+    EXPECT_EQ(before.shrink_events, 0u);
+    EXPECT_EQ(before.fresh_allocs, filled);
+    EXPECT_EQ(before.reuse_hits, churn) << "the sweep recycles every item";
+    EXPECT_EQ(pool.capacity(), filled);
+
+    EXPECT_EQ(pool.quiescent_shrink(), 3u);
+    const auto census = pool.census();
+    EXPECT_EQ(census.released, 3u);
+    EXPECT_EQ(census.active, 0u);
+    EXPECT_EQ(pool.stats().snapshot().shrink_events, 3u);
+    EXPECT_EQ(pool.capacity(), 0u);
 }
 
 TEST(Reclaim, StaleTakeAgainstReleasedChunkFailsSafely) {
@@ -183,44 +199,6 @@ TEST(Reclaim, RevivedChunkRestoresVersionFloor) {
     EXPECT_GE(snap.reactivated_chunks, 1u);
     EXPECT_EQ(snap.reclaimed_chunks, 0u)
         << "the reclaimed gauge must fall back on reactivation";
-}
-
-TEST(Reclaim, MaintenanceQuarantinesBeforeReleasing) {
-    // With maintenance every allocation and a 3-inspection grace, a
-    // fully dead chunk must pass through quarantine before release.
-    // Chunks 0 (256 items) and 1 (512) both fill; keeping one live item
-    // in chunk 0 pins it active, so the round-robin inspection can only
-    // ever take chunk 1 through the lifecycle.
-    pool_t pool{with_policy(mm::reclaim_policy::full, 1, 3)};
-    std::vector<ref_t> refs;
-    for (std::uint32_t i = 0; i < 768; ++i)
-        refs.push_back(pool.allocate(i, i));
-    for (auto &r : refs)
-        ASSERT_TRUE(r.take());
-    // Allocation #1 republishes chunk-0 item 0 (kept live) and inspects
-    // chunk 0, which its own publish just pinned; allocation #2 inspects
-    // chunk 1: fully dead, quarantined.
-    std::vector<ref_t> live;
-    live.push_back(pool.allocate(1000, 0));
-    {
-        auto r = pool.allocate(1001, 0);
-        ASSERT_TRUE(r.take());
-    }
-    EXPECT_EQ(pool.census().quarantined, 1u);
-    EXPECT_EQ(pool.census().active, 1u);
-    // Six more inspections alternate between the chunks; the third cold
-    // inspection of chunk 1 ends its grace and releases it.
-    for (std::uint32_t i = 0; i < 6; ++i) {
-        auto r = pool.allocate(2000 + i, 0);
-        ASSERT_TRUE(r.take());
-    }
-    const auto census = pool.census();
-    if (mm::reclaim::release_pages_supported())
-        EXPECT_EQ(census.released, 1u)
-            << "grace elapsed: the quarantined chunk must release";
-    else
-        EXPECT_EQ(census.quarantined, 1u)
-            << "platform refused: the chunk must stay quarantined";
 }
 
 TEST(Reclaim, ShrinkThenRegrowRefaultsTheReleasedChunk) {
@@ -296,40 +274,47 @@ TEST(Reclaim, MappedChunkReleasesAndRevives) {
 }
 
 TEST(Reclaim, ConcurrentChurnThroughKlsmWithFullReclaim) {
-    // The sanitizer witness: hammer a k_lsm whose pools run the full
-    // reclamation tier from several threads, with maintenance forced
-    // often, then verify counter coherence and that the queue still
-    // drains correctly.  Under ASan/TSan this is the no-use-after-
-    // reclaim / no-race proof for the sweep + shrink machinery.
-    mm::mem_placement place = with_policy(mm::reclaim_policy::full,
-                                          /*period=*/64, /*grace=*/1);
-    k_lsm<std::uint32_t, std::uint32_t> q{64, {}, place};
+    // The sanitizer witness: rounds of four-thread churn on a k_lsm
+    // whose pools run the full reclamation tier, each followed by a
+    // quiescent shrink.  The next round starts with shared-LSM entries
+    // pointing into released chunks and revives them under contention.
+    // Under ASan/TSan this is the no-use-after-reclaim / no-race proof
+    // for the sweep + shrink machinery; every key must come out once.
+    k_lsm<std::uint32_t, std::uint32_t> q{
+        64, {}, with_policy(mm::reclaim_policy::full)};
     constexpr unsigned threads = 4;
-    constexpr std::uint32_t ops = 8000;
+    constexpr unsigned rounds = 4;
+    constexpr std::uint32_t ops = 4000;
     std::atomic<std::uint32_t> next_key{0};
-    std::vector<std::thread> workers;
-    for (unsigned t = 0; t < threads; ++t) {
-        workers.emplace_back([&, t] {
-            std::uint32_t key, value;
-            for (std::uint32_t i = 0; i < ops; ++i) {
-                // Phase-shifted mix: the first half inserts twice as
-                // often as it deletes, the second half the reverse, so
-                // chunks fill, die, and revive under contention.
-                const bool ins = (i < ops / 2) ? (i % 3) != 0
-                                               : (i % 3) == 0;
-                if (ins)
-                    q.insert(next_key.fetch_add(1,
-                                                std::memory_order_relaxed),
-                             t);
-                else
-                    q.try_delete_min(key, value);
-            }
-        });
+    std::vector<std::vector<std::uint32_t>> deleted(threads);
+    for (unsigned round = 0; round < rounds; ++round) {
+        std::vector<std::thread> workers;
+        for (unsigned t = 0; t < threads; ++t) {
+            workers.emplace_back([&, t] {
+                std::uint32_t key, value;
+                for (std::uint32_t i = 0; i < ops; ++i) {
+                    // Phase-shifted mix: the first half inserts twice
+                    // as often as it deletes, the second half the
+                    // reverse, so chunks fill, then die.
+                    const bool ins = (i < ops / 2) ? (i % 3) != 0
+                                                   : (i % 3) == 0;
+                    if (ins)
+                        q.insert(next_key.fetch_add(
+                                     1, std::memory_order_relaxed),
+                                 t);
+                    else if (q.try_delete_min(key, value))
+                        deleted[t].push_back(key);
+                }
+                // Drain, so most of the round's items are dead and
+                // the shrink finds whole dead chunks.
+                while (q.try_delete_min(key, value))
+                    deleted[t].push_back(key);
+            });
+        }
+        for (auto &w : workers)
+            w.join();
+        q.quiescent_shrink();
     }
-    for (auto &w : workers)
-        w.join();
-    const std::size_t released = q.quiescent_shrink();
-    (void)released; // platform-dependent; coherence checked below
     const auto stats = q.memory_stats();
     const auto &s = stats.items;
     EXPECT_LE(s.reclaimed_chunks, s.chunks);
@@ -337,14 +322,22 @@ TEST(Reclaim, ConcurrentChurnThroughKlsmWithFullReclaim) {
     EXPECT_GT(s.fresh_allocs, 0u);
     EXPECT_GT(s.reuse_hits, 0u)
         << "sustained churn must recycle, not only grow";
-    // Drain: keys must still come out plausibly (no duplicates beyond
-    // what relaxation allows, no crash, no sanitizer report).
+    if (mm::reclaim::release_pages_supported()) {
+        EXPECT_GT(s.shrink_events, 0u) << "no item chunk was released";
+    }
+    // Conservation: the deleted keys plus the drained ones are exactly
+    // the inserted keys, each once.
+    std::vector<std::uint32_t> out;
+    for (const auto &d : deleted)
+        out.insert(out.end(), d.begin(), d.end());
     std::uint32_t key, value;
-    std::size_t drained = 0;
     while (q.try_delete_min(key, value))
-        ++drained;
+        out.push_back(key);
     EXPECT_FALSE(q.try_delete_min(key, value));
-    (void)drained;
+    std::sort(out.begin(), out.end());
+    ASSERT_EQ(out.size(), next_key.load());
+    for (std::uint32_t i = 0; i < out.size(); ++i)
+        ASSERT_EQ(out[i], i) << "key lost or duplicated";
 }
 
 } // namespace
