@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "topo/pinning.hpp"
-#include "topo/topology.hpp"
 #include "util/thread_id.hpp"
 
 namespace klsm::bench {
@@ -47,9 +46,8 @@ std::optional<double> parse_interval_ms(const std::string &text) {
 }
 
 std::vector<std::uint32_t> pin_order(const std::string &policy) {
-    const auto order =
-        klsm::topo::cpu_order(klsm::topo::topology::system(), policy);
-    return order ? *order : std::vector<std::uint32_t>{};
+    const auto p = klsm::topo::parse_pin_policy(policy);
+    return p ? klsm::topo::cpu_order(*p) : std::vector<std::uint32_t>{};
 }
 
 std::string record_label(const std::string &name, const std::string &pin,
@@ -67,8 +65,9 @@ void register_core_flags(cli_parser &cli,
                  "comma-separated: klsm,dlsm,multiqueue,linden,"
                  "spraylist,heap,centralized,hybrid");
     cli.add_flag("pin", "none",
-                 "comma-separated pinning policies: none,compact,"
-                 "scatter");
+                 "comma-separated pinning policies: none, affinity "
+                 "(worker t on the (t mod n)-th cpu of the affinity "
+                 "mask)");
     cli.add_flag("threads", "4", "comma-separated thread counts");
     cli.add_flag("k", "256", "k-LSM relaxation parameter");
     cli.add_flag("mq-stickiness", "8",
@@ -184,8 +183,8 @@ bool parse_core_config(const cli_parser &cli,
 
     for (const auto &pin : cfg.pins) {
         if (!klsm::topo::parse_pin_policy(pin)) {
-            std::cerr << "unknown pin policy: " << pin
-                      << " (expected none, compact, or scatter)\n";
+            std::cerr << "--pin: unknown pin policy '" << pin
+                      << "' (expected none, affinity)\n";
             return false;
         }
     }
@@ -238,16 +237,9 @@ void annotate_core_meta(const core_config &cfg, json_reporter &json) {
     json.meta().set("reclaim",
                     klsm::mm::reclaim::reclaim_policy_name(
                         cfg.reclaim.policy));
-    // The discovered machine layout: without it, cross-machine JSON
-    // reports are not comparable (arXiv:1603.05047's central lesson).
-    const auto &sys = klsm::topo::topology::system();
-    json.meta().set("topology_source",
-                    sys.from_sysfs() ? "sysfs" : "fallback");
-    json.meta().set("cpus", sys.num_cpus());
-    json.meta().set("packages", sys.num_packages());
-    json.meta().set("numa_nodes", sys.num_nodes());
-    json.meta().set("cores", sys.num_cores());
-    json.meta().set("smt", sys.smt());
+    // The CPUs the run may use: the size of the affinity mask, which is
+    // also the length of the pinned order.
+    json.meta().set("cpus", klsm::topo::affinity_cpus().size());
 }
 
 void register_builtin_workloads(workload_registry &registry) {

@@ -125,8 +125,8 @@ bool with_structure(const std::string &name, unsigned threads,
     return true;
 }
 
-/// Resolve a pinning-policy name against the live machine topology;
-/// empty order means "do not pin".
+/// Resolve a pinning-policy name against the calling thread's affinity
+/// mask; empty order means "do not pin".
 std::vector<std::uint32_t> pin_order(const std::string &policy);
 
 /// The fields of the `memory` object attach_memory writes
@@ -330,7 +330,7 @@ bool parse_core_config(const cli_parser &cli,
                        const std::vector<const workload_entry *> &selected,
                        core_config &cfg);
 
-/// Write the core meta block (knobs + discovered machine topology).
+/// Write the core meta block (knobs + the size of the affinity mask).
 void annotate_core_meta(const core_config &cfg, json_reporter &json);
 
 /// The fields annotate_core_meta writes.
@@ -338,8 +338,7 @@ inline constexpr const char *core_meta_schema =
     "benchmark:string k:count:items trace:bool metrics_interval_ms:number:ms "
     "mq_stickiness:count:ops mq_buffer:count:items insert_buffer:count:items "
     "seed:count smoke:bool latency_sample:count:ops alloc_stats:bool "
-    "reclaim:enum=none|full topology_source:enum=sysfs|fallback "
-    "cpus:count packages:count numa_nodes:count cores:count smt:bool";
+    "reclaim:enum=none|full cpus:count";
 
 /// Build the registry of built-in workloads (bench/workload_*.cpp).
 void register_builtin_workloads(workload_registry &registry);

@@ -9,6 +9,9 @@ offending flag on stderr:
   * out-of-range values: --k above 2^32 - 1, --reclaim policies
     other than auto, none and full, and a nonzero --metrics-interval
     below the sampler's 100us floor (the error must name the floor);
+  * the retired pin policies compact and scatter (the error must name
+    the accepted values, none and affinity), while `--pin
+    none,affinity` runs;
   * the flags klsm_bench no longer has.  Their settings are fixed
     constants now (README "Application workloads", "Service mode &
     SLOs", "Reclamation" and "Observability" give the values), and
@@ -44,6 +47,12 @@ OUT_OF_RANGE = [
     ("--reclaim", ["--smoke", "--reclaim", "freelist"]),
     ("--reclaim", ["--smoke", "--reclaim", "shrink"]),
 ]
+
+# Retired pin policies; the error names the two that remain.
+RETIRED_PINS = ["compact", "scatter"]
+PIN_VALUES = "none, affinity"
+BOTH_PINS = ["--smoke", "--workload", "throughput", "--structure", "klsm",
+             "--threads", "1", "--pin", "none,affinity", "--json-out", "-"]
 
 # A sampling period below the floor would be sampled at the floor, and
 # the report's interval_ms would exceed its requested_interval_ms.
@@ -95,6 +104,16 @@ def main(argv):
     for flag, value in RETIRED:
         expect_usage_error(binary, flag,
                            [flag] + ([] if value is None else [value]))
+    for pin in RETIRED_PINS:
+        first = expect_usage_error(binary, "--pin",
+                                   ["--smoke", "--pin", pin])
+        assert PIN_VALUES in first, \
+            f"--pin {pin}: stderr does not name {PIN_VALUES}: {first!r}"
+    both = subprocess.run([binary] + BOTH_PINS, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True,
+                          timeout=TIMEOUT_S)
+    assert both.returncode == 0, \
+        f"--pin none,affinity: exit {both.returncode}: {both.stderr!r}"
     first = expect_usage_error(binary, "--metrics-interval",
                                BELOW_METRICS_FLOOR)
     assert "100us" in first, \
@@ -107,7 +126,8 @@ def main(argv):
     still = sorted(flag for flag, _ in RETIRED if flag in listed)
     assert not still, f"--help still lists {still}"
     print(f"bench CLI OK: {len(NEGATIVE_COUNTS)} negative counts, "
-          f"{len(OUT_OF_RANGE) + 1} out-of-range values and "
+          f"{len(OUT_OF_RANGE) + 1} out-of-range values, "
+          f"{len(RETIRED_PINS)} retired pin policies and "
           f"{len(RETIRED)} retired flags rejected; --help lists "
           f"{len(listed)} flags")
     return 0

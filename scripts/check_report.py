@@ -22,13 +22,14 @@ passes its schema then runs the named cross-field INVARIANTS.
 memory (--alloc-stats under each --reclaim policy, which must reach
 the meta and the klsm records), churn (the soak at
 real scale, where the plateau verdict holds; --smoke runs a miniature),
-service, trace (stdout stays one JSON document with tracing on) and
-workloads (bnb and des, plus a k-sensitivity probe).  --self-test
-checks one smoke report of every registered workload, every optional
-block on, and a traced service-only run; then it breaks them one at a
-time (each declared field missing, each of the wrong type, each block
-dropped or added, one value per invariant, --alloc-stats off) and
-checks that every broken copy fails.
+service, trace (stdout stays one JSON document with tracing on),
+workloads (bnb and des, plus a k-sensitivity probe) and pin (--pin
+affinity under a one-CPU mask reports cpus 1 and no pin failures).
+--self-test checks one smoke report of every registered workload, every
+optional block on, and a traced service-only run; then it breaks them
+one at a time (each declared field missing, each of the wrong type,
+each block dropped or added, one value per invariant, --alloc-stats
+off) and checks that every broken copy fails.
 """
 
 import copy
@@ -539,7 +540,7 @@ def alloc_stats_wired(report):
 
 def section_memory(binary, smoke):
     for policy in ("none", "full"):
-        report = bench(binary, "--structure", "klsm", "--pin", "compact",
+        report = bench(binary, "--structure", "klsm", "--pin", "affinity",
                        "--smoke", "--alloc-stats", "--reclaim", policy)
         alloc_stats_wired(report)
         assert report["reclaim"] == policy, f"--reclaim {policy} ignored"
@@ -594,8 +595,26 @@ def section_workloads(binary, smoke):
                          "probe seed")
 
 
+def section_pin(binary, smoke):
+    """Pinning stays inside the process's CPU mask: under a one-CPU
+    mask, two workers pinned by --pin affinity both get that CPU."""
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {max(mask)})
+    try:
+        report = bench(binary, "--smoke", "--workload", "throughput",
+                       "--structure", "klsm", "--threads", "2",
+                       "--pin", "affinity")
+    finally:
+        os.sched_setaffinity(0, mask)
+    assert report["cpus"] == 1, f"cpus {report['cpus']} under a 1-cpu mask"
+    assert report["records"] and all(
+        r["pin"] == "affinity" and r["pin_failures"] == 0
+        for r in report["records"]), "a record is unpinned or failed to pin"
+
+
 SECTIONS = {"memory": section_memory, "churn": section_churn,
             "trace": section_trace, "workloads": section_workloads,
+            "pin": section_pin,
             "service": lambda binary, smoke: bench(
                 binary, "--workload", "service", "--structure", "klsm,dlsm",
                 "--arrival", "poisson", "--rate", "500000", "--smoke")}

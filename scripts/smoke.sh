@@ -55,19 +55,19 @@ done
 echo "smoke OK: every structure x throughput, quality, sssp"
 
 echo "== pinning policies =="
-# Every pinning policy; on a runner without sysfs this exercises the
-# topology fallback path end to end.
-for p in none compact scatter; do
+for p in none affinity; do
     bench "pin-$p" --workload throughput --structure klsm --threads 2 \
         --pin "$p"
 done
 bench pin-sweep --workload throughput --structure klsm \
-    --pin compact,scatter --threads 1,2
-# The placement paths under every workload, not just throughput.
+    --pin none,affinity --threads 1,2
+# The pinned order under every workload, not just throughput.
 for w in throughput quality sssp; do
     bench "pin-sweep-$w" --workload "$w" --structure klsm \
-        --pin compact,scatter --threads 2
+        --pin affinity --threads 2
 done
+# Under a one-CPU mask the pinned order is that CPU alone.
+python3 "$SCRIPTS/check_report.py" --bench "$BENCH" pin > /dev/null
 echo "smoke OK: pinning"
 
 echo "== buffered handles: engineered multiqueue vs buffered k-LSM =="
@@ -91,7 +91,7 @@ for rp in none full; do
     bench "memory-$rp" --workload throughput --structure klsm,dlsm \
         --threads 2 --alloc-stats --reclaim "$rp"
 done
-bench memory-accept --structure klsm --pin compact --alloc-stats
+bench memory-accept --structure klsm --pin affinity --alloc-stats
 echo "smoke OK: allocation telemetry"
 
 echo "== service mode: arrival processes x SLO verdicts =="

@@ -3,12 +3,13 @@
 // Allocation telemetry for the pool layer.
 //
 // Same shape as the src/stats/ latency recorder: every pool owns one
-// cache-line-aligned counter block that only its owning thread
-// increments (relaxed atomics, so a merge pass — or a curious test —
-// can read mid-run without a data race or a shared cache line on the
-// allocation path).  The queue aggregates all of its pools' counters
-// into one `memory_stats` snapshot after a run; klsm_bench serializes
-// that as the `memory` JSON object when --alloc-stats is on.
+// cache-line-aligned counter block that one thread at a time increments
+// (relaxed loads and stores, so a merge pass — or a curious test — can
+// read mid-run without a data race, and the allocation path pays no
+// locked instruction and shares no cache line).  The queue aggregates
+// all of its pools' counters into one `memory_stats` snapshot after a
+// run; klsm_bench serializes that as the `memory` JSON object when
+// --alloc-stats is on.
 //
 // What is counted, per pool family (item pools vs block pools):
 //   * chunks / bytes        — arena chunks or blocks actually allocated
@@ -85,9 +86,22 @@ struct pool_alloc_snapshot {
     }
 };
 
+/// Add `delta` (modulo 2^64) to a counter with a relaxed load and a
+/// relaxed store instead of a locked read-modify-write.  Precondition:
+/// no other thread writes `c` at the same time.  Every counter block
+/// has one writer at a time — the pool's owning thread, the settle
+/// pool's claim holder (successive holders are ordered by the claim's
+/// acquire and release), or a quiescent shrink — so no increment is
+/// lost.  Readers on other threads may see a stale value, never a torn
+/// one.
+inline void owner_add(std::atomic<std::uint64_t> &c, std::uint64_t delta) {
+    c.store(c.load(std::memory_order_relaxed) + delta,
+            std::memory_order_relaxed);
+}
+
 /// Owner-increment counter block, one per pool.  Aligned so two pools'
 /// counters never share a cache line; increments are relaxed stores by
-/// the owning thread, reads may come from any thread.
+/// the one writer (owner_add), reads may come from any thread.
 struct alignas(cache_line_size) alloc_counters {
     std::atomic<std::uint64_t> chunks{0};
     std::atomic<std::uint64_t> bytes{0};
@@ -101,34 +115,29 @@ struct alignas(cache_line_size) alloc_counters {
     std::atomic<std::uint64_t> reactivated_chunks{0};
 
     void count_chunk(std::size_t chunk_bytes, bool page_aligned) {
-        chunks.fetch_add(1, std::memory_order_relaxed);
-        bytes.fetch_add(chunk_bytes, std::memory_order_relaxed);
+        owner_add(chunks, 1);
+        owner_add(bytes, chunk_bytes);
         if (page_aligned)
-            page_aligned_chunks.fetch_add(1, std::memory_order_relaxed);
+            owner_add(page_aligned_chunks, 1);
     }
-    void count_reuse_hit() {
-        reuse_hits.fetch_add(1, std::memory_order_relaxed);
-    }
-    void count_fresh() {
-        fresh_allocs.fetch_add(1, std::memory_order_relaxed);
-    }
-    void count_growth() {
-        growth_beyond_bound.fetch_add(1, std::memory_order_relaxed);
-    }
+    void count_reuse_hit() { owner_add(reuse_hits, 1); }
+    void count_fresh() { owner_add(fresh_allocs, 1); }
+    void count_growth() { owner_add(growth_beyond_bound, 1); }
     /// One chunk's pages returned to the OS.  `reclaimed_chunks` /
     /// `released_bytes` are gauges (current state, so the schema
     /// invariant reclaimed_chunks <= chunks always holds);
     /// `shrink_events` counts every release cumulatively.
     void count_reclaim(std::size_t chunk_bytes) {
-        reclaimed_chunks.fetch_add(1, std::memory_order_relaxed);
-        released_bytes.fetch_add(chunk_bytes, std::memory_order_relaxed);
-        shrink_events.fetch_add(1, std::memory_order_relaxed);
+        owner_add(reclaimed_chunks, 1);
+        owner_add(released_bytes, chunk_bytes);
+        owner_add(shrink_events, 1);
     }
     /// A released chunk brought back into service (pages will refault).
     void count_reactivate(std::size_t chunk_bytes) {
-        reclaimed_chunks.fetch_sub(1, std::memory_order_relaxed);
-        released_bytes.fetch_sub(chunk_bytes, std::memory_order_relaxed);
-        reactivated_chunks.fetch_add(1, std::memory_order_relaxed);
+        // The gauges fall: adding 2^64 - n subtracts n.
+        owner_add(reclaimed_chunks, -std::uint64_t{1});
+        owner_add(released_bytes, -static_cast<std::uint64_t>(chunk_bytes));
+        owner_add(reactivated_chunks, 1);
     }
 
     pool_alloc_snapshot snapshot() const {

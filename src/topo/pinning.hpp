@@ -1,24 +1,16 @@
 #pragma once
 
-// Thread-placement policies over a discovered topology.
+// Thread pinning.
 //
-// A policy is a deterministic ordering of the online logical CPUs; the
-// harnesses pin worker t to the t-th CPU of the order (mod size).  The
-// two non-trivial policies are the standard affinity shapes:
+// One pinned order: the CPUs of the calling thread's affinity mask in
+// ascending order.  The harnesses pin worker t to the (t mod n)-th CPU
+// of that order, so a run started under `taskset -c 2,3` (or a cgroup
+// cpuset) pins only inside its mask.  Pinning makes runs repeat
+// (arXiv:1603.05047); no figure reproduced here varies placement.
 //
-//   compact   — pack threads as close together as possible: fill every
-//               hardware thread of a core, then the next core of the same
-//               package, then the next package.  Maximizes cache sharing,
-//               measures single-socket behavior first.
-//   scatter   — spread threads as far apart as possible: round-robin
-//               across packages, physical cores before SMT siblings.
-//               Maximizes aggregate cache/memory bandwidth, exposes
-//               cross-socket traffic at low thread counts.
-//
-// `none` performs no pinning at all (the scheduler decides), which is
-// the pre-topology behavior and the default everywhere.
+//   none      — no pinning at all (the scheduler decides); the default.
+//   affinity  — worker t on the (t mod n)-th CPU of the mask.
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -29,102 +21,44 @@
 #include <sched.h>
 #endif
 
-#include "topo/topology.hpp"
-
 namespace klsm::topo {
 
-enum class pin_policy { none, compact, scatter };
+enum class pin_policy { none, affinity };
 
 inline const char *pin_policy_name(pin_policy p) {
-    switch (p) {
-    case pin_policy::none: return "none";
-    case pin_policy::compact: return "compact";
-    case pin_policy::scatter: return "scatter";
-    }
-    return "none";
+    return p == pin_policy::affinity ? "affinity" : "none";
 }
 
 inline std::optional<pin_policy> parse_pin_policy(const std::string &s) {
     if (s == "none")
         return pin_policy::none;
-    if (s == "compact")
-        return pin_policy::compact;
-    if (s == "scatter")
-        return pin_policy::scatter;
+    if (s == "affinity")
+        return pin_policy::affinity;
     return std::nullopt;
+}
+
+/// The CPUs of the calling thread's affinity mask, ascending.  Empty
+/// where the platform cannot say.
+inline std::vector<std::uint32_t> affinity_cpus() {
+    std::vector<std::uint32_t> out;
+#if defined(__linux__)
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) != 0)
+        return out;
+    for (int c = 0; c < CPU_SETSIZE; ++c)
+        if (CPU_ISSET(c, &set))
+            out.push_back(static_cast<std::uint32_t>(c));
+#endif
+    return out;
 }
 
 /// The OS cpu ids a policy assigns, in placement order.  `none` returns
 /// an empty vector: harnesses treat that as "do not pin".
-inline std::vector<std::uint32_t> cpu_order(const topology &t,
-                                            pin_policy policy) {
-    std::vector<std::uint32_t> out;
+inline std::vector<std::uint32_t> cpu_order(pin_policy policy) {
     if (policy == pin_policy::none)
-        return out;
-
-    if (policy == pin_policy::compact) {
-        // (package, core, smt_rank) lexicographic.
-        std::vector<logical_cpu> v = t.cpus();
-        std::sort(v.begin(), v.end(),
-                  [](const logical_cpu &a, const logical_cpu &b) {
-                      if (a.package != b.package)
-                          return a.package < b.package;
-                      if (a.core != b.core)
-                          return a.core < b.core;
-                      if (a.smt_rank != b.smt_rank)
-                          return a.smt_rank < b.smt_rank;
-                      return a.os_id < b.os_id;
-                  });
-        for (const auto &c : v)
-            out.push_back(c.os_id);
-        return out;
-    }
-
-    // scatter: per-package lists ordered physical-cores-first
-    // (smt_rank, core), then a round-robin merge across packages.
-    std::vector<std::uint32_t> pkg_ids;
-    for (const auto &c : t.cpus())
-        if (std::find(pkg_ids.begin(), pkg_ids.end(), c.package) ==
-            pkg_ids.end())
-            pkg_ids.push_back(c.package);
-    std::sort(pkg_ids.begin(), pkg_ids.end());
-    std::vector<std::vector<logical_cpu>> per_pkg(pkg_ids.size());
-    for (const auto &c : t.cpus()) {
-        const auto idx = static_cast<std::size_t>(
-            std::find(pkg_ids.begin(), pkg_ids.end(), c.package) -
-            pkg_ids.begin());
-        per_pkg[idx].push_back(c);
-    }
-    for (auto &v : per_pkg)
-        std::sort(v.begin(), v.end(),
-                  [](const logical_cpu &a, const logical_cpu &b) {
-                      if (a.smt_rank != b.smt_rank)
-                          return a.smt_rank < b.smt_rank;
-                      if (a.core != b.core)
-                          return a.core < b.core;
-                      return a.os_id < b.os_id;
-                  });
-    for (std::size_t i = 0;; ++i) {
-        bool any = false;
-        for (const auto &v : per_pkg) {
-            if (i < v.size()) {
-                out.push_back(v[i].os_id);
-                any = true;
-            }
-        }
-        if (!any)
-            break;
-    }
-    return out;
-}
-
-/// Convenience: policy order by name; nullopt for an unknown name.
-inline std::optional<std::vector<std::uint32_t>>
-cpu_order(const topology &t, const std::string &policy_name) {
-    const auto p = parse_pin_policy(policy_name);
-    if (!p)
-        return std::nullopt;
-    return cpu_order(t, *p);
+        return {};
+    return affinity_cpus();
 }
 
 /// Pin the calling thread to one OS cpu.  Returns true on success; on

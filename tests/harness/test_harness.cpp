@@ -155,16 +155,16 @@ TEST(ThreadCapacity, BoundaryIsOneBelowTheRegistrySize) {
 
 TEST(Throughput, PinnedWorkersMatchUnpinnedSemantics) {
     // Pinning must not change what the benchmark computes, only where
-    // it runs: counts stay consistent with every policy order.
+    // it runs: counts stay consistent under the pinned order.
     spin_heap<std::uint32_t, std::uint64_t> q;
     prefill_queue(q, 1000, 6);
     throughput_params params;
     params.threads = 2;
     params.duration_s = 0.05;
-    params.pin_cpus =
-        topo::cpu_order(topo::topology::system(), topo::pin_policy::compact);
+    params.pin_cpus = topo::cpu_order(topo::pin_policy::affinity);
     ASSERT_FALSE(params.pin_cpus.empty());
     const auto res = run_throughput(q, params);
+    EXPECT_EQ(res.pin_failures, 0u);
     EXPECT_GT(res.total_ops, 0u);
     EXPECT_EQ(res.total_ops,
               res.inserts + res.deletes + res.failed_deletes);

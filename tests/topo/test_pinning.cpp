@@ -1,5 +1,6 @@
-// Pinning policies: exact placement orders against the fixture machine
-// (see test_topology.cpp for its shape), plus pin_self on the real host.
+// Pin policies, and the pinned order under a narrowed affinity mask:
+// a thread whose mask holds fewer CPUs than the machine is pinned only
+// inside its mask.
 
 #include "topo/pinning.hpp"
 
@@ -10,91 +11,84 @@
 namespace klsm::topo {
 namespace {
 
-topology fixture() {
-    return topology::discover(std::string(KLSM_TOPO_FIXTURE_DIR) +
-                              "/fake_sysfs");
-}
-
 TEST(PinPolicy, NamesRoundTrip) {
-    for (const auto p : {pin_policy::none, pin_policy::compact,
-                         pin_policy::scatter}) {
+    for (const auto p : {pin_policy::none, pin_policy::affinity}) {
         const auto parsed = parse_pin_policy(pin_policy_name(p));
         ASSERT_TRUE(parsed.has_value());
         EXPECT_EQ(*parsed, p);
     }
     EXPECT_FALSE(parse_pin_policy("").has_value());
-    EXPECT_FALSE(parse_pin_policy("Compact").has_value());
-    EXPECT_FALSE(parse_pin_policy("numa").has_value());
-    EXPECT_FALSE(parse_pin_policy("numa_fill").has_value());
+    EXPECT_FALSE(parse_pin_policy("Affinity").has_value());
+    EXPECT_FALSE(parse_pin_policy("none,affinity").has_value());
 }
 
-TEST(PinPolicy, NoneIsEmpty) {
-    EXPECT_TRUE(cpu_order(fixture(), pin_policy::none).empty());
+#if defined(__linux__)
+/// Narrow the calling thread's own mask to `cpus`.
+bool narrow_mask(const std::vector<std::uint32_t> &cpus) {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    for (const auto c : cpus)
+        CPU_SET(static_cast<int>(c), &set);
+    return sched_setaffinity(0, sizeof(set), &set) == 0;
+}
+#endif
+
+TEST(PinSelf, NarrowedMaskPinsInsideIt) {
+#if !defined(__linux__)
+    GTEST_SKIP() << "affinity masks are Linux-only";
+#else
+    // The last CPU of the mask, so an order that lists every online
+    // CPU from 0 up cannot pass by accident.
+    const auto mask = cpu_order(pin_policy::affinity);
+    ASSERT_FALSE(mask.empty());
+    const std::uint32_t target = mask.back();
+    bool narrowed = false, pinned = false;
+    std::vector<std::uint32_t> order;
+    std::uint32_t observed = ~0u;
+    std::thread t([&] {
+        narrowed = narrow_mask({target});
+        order = cpu_order(pin_policy::affinity);
+        if (order.empty())
+            return;
+        pinned = pin_self(order.front());
+        const auto cpu = current_cpu();
+        observed = cpu ? *cpu : ~0u;
+    });
+    t.join();
+    ASSERT_TRUE(narrowed);
+    EXPECT_EQ(order, std::vector<std::uint32_t>{target});
+    EXPECT_TRUE(pinned);
+    EXPECT_EQ(observed, target);
+#endif
 }
 
-// Fixture layout reminder: package0 = cores {0:(0,4), 1:(1,[5 off])},
-// package1 = cores {0:(2,6), 1:(3,7)}; node0 = {0,2,4,6},
-// node1 = {1,3,7}.
-
-TEST(PinPolicy, CompactFillsCoreThenPackage) {
-    // (package, core, smt_rank) lexicographic: both threads of a core
-    // before the next core, all of package0 before package1.
-    EXPECT_EQ(cpu_order(fixture(), pin_policy::compact),
-              (std::vector<std::uint32_t>{0, 4, 1, 2, 6, 3, 7}));
-}
-
-TEST(PinPolicy, ScatterRoundRobinsPackagesCoresFirst) {
-    // Physical cores of each package first (smt_rank 0), alternating
-    // packages; SMT siblings only after every physical core is used.
-    EXPECT_EQ(cpu_order(fixture(), pin_policy::scatter),
-              (std::vector<std::uint32_t>{0, 2, 1, 3, 4, 6, 7}));
-}
-
-TEST(PinPolicy, AllPoliciesCoverEveryOnlineCpuOnce) {
-    const topology t = fixture();
-    for (const auto p : {pin_policy::compact, pin_policy::scatter}) {
-        auto order = cpu_order(t, p);
-        ASSERT_EQ(order.size(), t.num_cpus()) << pin_policy_name(p);
-        std::sort(order.begin(), order.end());
-        EXPECT_EQ(order, (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 6, 7}))
-            << pin_policy_name(p);
-    }
-}
-
-TEST(PinPolicy, ByNameLookup) {
-    const topology t = fixture();
-    const auto order = cpu_order(t, std::string("compact"));
-    ASSERT_TRUE(order.has_value());
-    EXPECT_EQ(order->size(), t.num_cpus());
-    EXPECT_FALSE(cpu_order(t, std::string("bogus")).has_value());
-}
-
-TEST(PinPolicy, FallbackTopologyOrdersAreIdentity) {
-    const topology t = topology::fallback(4);
-    const std::vector<std::uint32_t> identity{0, 1, 2, 3};
-    EXPECT_EQ(cpu_order(t, pin_policy::compact), identity);
-    EXPECT_EQ(cpu_order(t, pin_policy::scatter), identity);
+TEST(PinSelf, NarrowedToTwoCpusIsAscending) {
+#if !defined(__linux__)
+    GTEST_SKIP() << "affinity masks are Linux-only";
+#else
+    const auto mask = cpu_order(pin_policy::affinity);
+    if (mask.size() < 2)
+        GTEST_SKIP() << "the mask holds one cpu";
+    const std::vector<std::uint32_t> pair{mask.front(), mask.back()};
+    bool narrowed = false;
+    std::vector<std::uint32_t> order;
+    std::thread t([&] {
+        narrowed = narrow_mask({mask.back(), mask.front()});
+        order = cpu_order(pin_policy::affinity);
+    });
+    t.join();
+    ASSERT_TRUE(narrowed);
+    EXPECT_EQ(order, pair);
+#endif
 }
 
 TEST(PinSelf, PinsASpawnedThreadToARealCpu) {
 #if !defined(__linux__)
     GTEST_SKIP() << "pin_self is Linux-only";
 #else
-    // Pin to a cpu from the process's *allowed* mask, not from the
-    // discovered topology: under a restricted cpuset (docker
-    // --cpuset-cpus) the fallback topology invents os_ids that the
-    // kernel would reject.
-    cpu_set_t allowed;
-    CPU_ZERO(&allowed);
-    ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
-    std::uint32_t target = ~0u;
-    for (std::uint32_t c = 0; c < CPU_SETSIZE; ++c) {
-        if (CPU_ISSET(c, &allowed)) {
-            target = c;
-            break;
-        }
-    }
-    ASSERT_NE(target, ~0u);
+    const auto order = cpu_order(pin_policy::affinity);
+    ASSERT_FALSE(order.empty());
+    const std::uint32_t target = order.front();
     bool pinned = false;
     std::uint32_t observed = ~0u;
     std::thread t([&] {

@@ -1,187 +1,40 @@
-// Topology discovery against the checked-in fake sysfs tree
-// (tests/topo/fixtures/fake_sysfs) plus generated edge-case trees.
-//
-// The fixture models a deliberately awkward machine:
-//   2 packages x 2 cores x 2 SMT threads = cpus 0-7, with
-//   cpu5 offline (a hole: its core keeps one online thread) and an
-//   interleaved sub-NUMA-cluster split (node0 = {0,2,4,6},
-//   node1 = {1,3,5,7}) so nodes do not coincide with packages.
+// The pinned order over the process's CPU mask: the CPUs of the calling
+// thread's affinity mask, ascending, each once, and exactly as many as
+// the mask's CPU_COUNT (the `cpus` meta key of every report).
 
-#include "topo/topology.hpp"
+#include "topo/pinning.hpp"
 
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
 namespace klsm::topo {
 namespace {
 
-std::string fixture_root() {
-    return std::string(KLSM_TOPO_FIXTURE_DIR) + "/fake_sysfs";
+TEST(PinnedOrder, NoneIsEmpty) {
+    EXPECT_TRUE(cpu_order(pin_policy::none).empty());
 }
 
-TEST(ParseCpulist, RangesAndSingles) {
-    std::vector<std::uint32_t> v;
-    ASSERT_TRUE(parse_cpulist("0-3,5,8-9", v));
-    EXPECT_EQ(v, (std::vector<std::uint32_t>{0, 1, 2, 3, 5, 8, 9}));
-    ASSERT_TRUE(parse_cpulist("7", v));
-    EXPECT_EQ(v, (std::vector<std::uint32_t>{7}));
-    ASSERT_TRUE(parse_cpulist("0-4,6-7\n", v));
-    EXPECT_EQ(v, (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 6, 7}));
+TEST(PinnedOrder, AscendingWithoutRepeats) {
+    const auto order = cpu_order(pin_policy::affinity);
+    ASSERT_FALSE(order.empty());
+    EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+    EXPECT_EQ(std::adjacent_find(order.begin(), order.end()), order.end())
+        << "a cpu repeats";
 }
 
-TEST(ParseCpulist, EmptyIsValidAndEmpty) {
-    // Memory-only NUMA nodes publish an empty cpulist.
-    std::vector<std::uint32_t> v;
-    ASSERT_TRUE(parse_cpulist("", v));
-    EXPECT_TRUE(v.empty());
-    ASSERT_TRUE(parse_cpulist("\n", v));
-    EXPECT_TRUE(v.empty());
-}
-
-TEST(ParseCpulist, RejectsMalformed) {
-    std::vector<std::uint32_t> v;
-    EXPECT_FALSE(parse_cpulist("3-1", v)) << "reversed range";
-    EXPECT_FALSE(parse_cpulist("a", v));
-    EXPECT_FALSE(parse_cpulist("1,,2", v));
-    EXPECT_FALSE(parse_cpulist("1,", v)) << "trailing comma";
-    EXPECT_FALSE(parse_cpulist("1-", v)) << "open range";
-    EXPECT_FALSE(parse_cpulist("-3", v));
-    // Ids beyond any real NR_CPUS are rejected outright: a hostile or
-    // corrupt cpulist must not be able to balloon the expansion (and
-    // 4294967295 once wrapped the uint32 range counter into an
-    // infinite loop).
-    EXPECT_FALSE(parse_cpulist("4294967295", v));
-    EXPECT_FALSE(parse_cpulist("0-100000000", v));
-    EXPECT_FALSE(parse_cpulist("65536", v));
-    EXPECT_TRUE(v.empty()) << "failed parse must leave the output empty";
-}
-
-TEST(ParseCpulist, DeduplicatesAndSorts) {
-    std::vector<std::uint32_t> v;
-    ASSERT_TRUE(parse_cpulist("5,1-3,2", v));
-    EXPECT_EQ(v, (std::vector<std::uint32_t>{1, 2, 3, 5}));
-}
-
-TEST(Discover, FixtureCounts) {
-    const topology t = topology::discover(fixture_root());
-    ASSERT_TRUE(t.from_sysfs());
-    EXPECT_EQ(t.num_cpus(), 7u) << "cpu5 is offline";
-    EXPECT_EQ(t.num_packages(), 2u);
-    EXPECT_EQ(t.num_nodes(), 2u);
-    EXPECT_EQ(t.num_cores(), 4u);
-    EXPECT_TRUE(t.smt());
-    EXPECT_EQ(t.node_ids(), (std::vector<std::uint32_t>{0, 1}));
-}
-
-TEST(Discover, FixturePerCpuRecords) {
-    const topology t = topology::discover(fixture_root());
-    ASSERT_EQ(t.cpus().size(), 7u);
-    // {os_id, package, core, node, smt_rank}, sorted by os_id.
-    const std::vector<logical_cpu> expected{
-        {0, 0, 0, 0, 0}, {1, 0, 1, 1, 0}, {2, 1, 0, 0, 0},
-        {3, 1, 1, 1, 0}, {4, 0, 0, 0, 1}, {6, 1, 0, 0, 1},
-        {7, 1, 1, 1, 1},
-    };
-    EXPECT_EQ(t.cpus(), expected);
-}
-
-TEST(Discover, FixtureOfflineHole) {
-    const topology t = topology::discover(fixture_root());
-    for (const auto &c : t.cpus())
-        EXPECT_NE(c.os_id, 5u);
-    // cpu1's core nominally holds {1,5}; with 5 offline the core has one
-    // online thread and cpu1 keeps rank 0.
-    EXPECT_EQ(t.cpus()[1].os_id, 1u);
-    EXPECT_EQ(t.cpus()[1].smt_rank, 0u);
-    // node_of on the offline cpu falls back to the first node.
-    EXPECT_EQ(t.node_of(5), 0u);
-}
-
-TEST(Discover, NodeLookups) {
-    const topology t = topology::discover(fixture_root());
-    EXPECT_EQ(t.node_of(0), 0u);
-    EXPECT_EQ(t.node_of(1), 1u);
-    EXPECT_EQ(t.node_of(6), 0u);
-    EXPECT_EQ(t.node_of(7), 1u);
-    EXPECT_EQ(t.node_index(0), 0u);
-    EXPECT_EQ(t.node_index(1), 1u);
-    const auto n0 = t.cpus_of_node(0);
-    ASSERT_EQ(n0.size(), 4u);
-    EXPECT_EQ(n0[0].os_id, 0u);
-    EXPECT_EQ(n0[1].os_id, 2u);
-    EXPECT_EQ(n0[2].os_id, 4u);
-    EXPECT_EQ(n0[3].os_id, 6u);
-    EXPECT_EQ(t.cpus_of_node(1).size(), 3u) << "cpu5 offline";
-}
-
-TEST(Discover, MissingTreeFallsBack) {
-    const topology t = topology::discover("/nonexistent/sysfs/root");
-    EXPECT_FALSE(t.from_sysfs());
-    EXPECT_GE(t.num_cpus(), 1u);
-    EXPECT_EQ(t.num_packages(), 1u);
-    EXPECT_EQ(t.num_nodes(), 1u);
-    EXPECT_FALSE(t.smt());
-}
-
-TEST(Discover, MalformedOnlineFallsBack) {
-    namespace fs = std::filesystem;
-    const fs::path root =
-        fs::temp_directory_path() / "klsm_topo_malformed_XXXX";
-    fs::create_directories(root / "cpu");
-    std::ofstream(root / "cpu" / "online") << "not a cpulist";
-    const topology t = topology::discover(root.string());
-    EXPECT_FALSE(t.from_sysfs());
-    EXPECT_GE(t.num_cpus(), 1u);
-    fs::remove_all(root);
-}
-
-TEST(Discover, NoNodeDirMeansSingleNode) {
-    namespace fs = std::filesystem;
-    const fs::path root =
-        fs::temp_directory_path() / "klsm_topo_nonuma_XXXX";
-    for (int cpu = 0; cpu < 2; ++cpu) {
-        const fs::path tdir =
-            root / "cpu" / ("cpu" + std::to_string(cpu)) / "topology";
-        fs::create_directories(tdir);
-        // Deliberately the legacy short name: discovery must accept it
-        // when physical_package_id (the kernel's name, used by the
-        // checked-in fixture) is absent.
-        std::ofstream(tdir / "package_id") << "0\n";
-        std::ofstream(tdir / "core_id") << cpu << "\n";
-        std::ofstream(tdir / "thread_siblings_list") << cpu << "\n";
-    }
-    std::ofstream(root / "cpu" / "online") << "0-1\n";
-    const topology t = topology::discover(root.string());
-    EXPECT_TRUE(t.from_sysfs());
-    EXPECT_EQ(t.num_cpus(), 2u);
-    EXPECT_EQ(t.num_nodes(), 1u);
-    EXPECT_EQ(t.node_of(1), 0u);
-    fs::remove_all(root);
-}
-
-TEST(Fallback, ShapesAsRequested) {
-    const topology t = topology::fallback(4);
-    EXPECT_FALSE(t.from_sysfs());
-    EXPECT_EQ(t.num_cpus(), 4u);
-    EXPECT_EQ(t.num_packages(), 1u);
-    EXPECT_EQ(t.num_nodes(), 1u);
-    EXPECT_EQ(t.num_cores(), 4u) << "fallback assumes no SMT";
-    for (std::uint32_t i = 0; i < 4; ++i) {
-        EXPECT_EQ(t.cpus()[i].os_id, i);
-        EXPECT_EQ(t.node_of(i), 0u);
-    }
-    EXPECT_EQ(topology::fallback(0).num_cpus(), 1u)
-        << "zero clamps to one cpu";
-}
-
-TEST(System, DiscoversSomething) {
-    const topology &t = topology::system();
-    EXPECT_GE(t.num_cpus(), 1u);
-    EXPECT_GE(t.num_nodes(), 1u);
-    EXPECT_EQ(&t, &topology::system()) << "system() is cached";
+TEST(PinnedOrder, SizeIsTheMaskCount) {
+#if !defined(__linux__)
+    GTEST_SKIP() << "affinity masks are Linux-only";
+#else
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+    const auto order = cpu_order(pin_policy::affinity);
+    EXPECT_EQ(order.size(), static_cast<std::size_t>(CPU_COUNT(&mask)));
+    for (const auto c : order)
+        EXPECT_TRUE(CPU_ISSET(static_cast<int>(c), &mask)) << "cpu " << c;
+#endif
 }
 
 } // namespace
