@@ -41,11 +41,39 @@ void BM_item_pool_alloc_take(benchmark::State &state) {
 }
 BENCHMARK(BM_item_pool_alloc_take);
 
+// One fresh allocation after a full-budget sweep that finds only live
+// items: the pool's miss path, which sssp takes on about two thirds of
+// its allocations (item reuse ratio ~0.34).  No item is ever taken, so
+// every sweep probes sweep_budget live items before the arena hands out
+// a new one.  The pool is rebuilt (untimed) every 2^16 allocations to
+// bound its memory.
+void BM_item_pool_sweep_miss(benchmark::State &state) {
+    using pool_t = item_pool<bench_key, bench_val>;
+    constexpr std::size_t per_pool = std::size_t{1} << 16;
+    std::unique_ptr<pool_t> pool;
+    std::size_t made = per_pool;
+    std::uint32_t i = 0;
+    for (auto _ : state) {
+        if (made == per_pool) {
+            state.PauseTiming();
+            pool = std::make_unique<pool_t>();
+            for (made = 0; made < pool_t::sweep_budget; ++made)
+                pool->allocate(i++, 0);
+            state.ResumeTiming();
+        }
+        auto ref = pool->allocate(i++, 0);
+        benchmark::DoNotOptimize(ref.it);
+        ++made;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_item_pool_sweep_miss);
+
 // One quiescent_shrink of a `full`-policy pool: ten full chunks (about
 // 2.6 x 10^5 items) plus a part-filled eleventh, every item dead except
 // one live item in each even chunk.  The shrink scans each chunk for its
-// dead items: the five odd chunks release and leave the sweep array;
-// the even chunks and the last one stay in service.  Set-up
+// dead items: the five odd chunks release, and the sweep skips them
+// from then on; the even chunks and the last one stay in service.  Set-up
 // and teardown are untimed.
 void BM_item_pool_quiescent_shrink(benchmark::State &state) {
     using pool_t = item_pool<bench_key, bench_val>;

@@ -193,7 +193,12 @@ public:
 
     // ---- reading ---------------------------------------------------------
 
-    item_ref<K, V> load_entry(std::uint32_t i) const {
+    /// Always inlined: merge_from's loop calls it twice per entry, and
+    /// GCC's unit-wide inlining budget (--param inline-unit-growth) is
+    /// spent before it reaches this call in a translation unit as large
+    /// as ledger/ledger_bench.cpp, which left an out-of-line call per
+    /// merged entry.
+    [[gnu::always_inline]] item_ref<K, V> load_entry(std::uint32_t i) const {
         item_ref<K, V> ref;
         ref.it = entries_[i].it.load(std::memory_order_relaxed);
         ref.version = entries_[i].version.load(std::memory_order_relaxed);

@@ -7,9 +7,10 @@
 // address must stay dereferenceable for the lifetime of the queue, because
 // stale pointers to it may be read (and then rejected via version checks)
 // at any time.  This arena allocates objects in geometrically growing
-// chunks that are never freed or moved until the arena is destroyed, and
-// supports iteration over all allocated objects (used by the item pool's
-// reuse sweep).
+// chunks that are never freed or moved until the arena is destroyed.
+// Its chunk-granular access (chunk_data / chunk_used) is how the item
+// pool's reuse sweep walks the objects in place, in allocation order, and
+// how the shrink tier finds and releases whole dead chunks.
 //
 // Each chunk's storage follows the arena's `mem_placement`
 // (mm/placement.hpp): a large chunk commits its pages only as its
@@ -65,6 +66,7 @@ public:
     }
 
     /// Visit every allocated object.  Order is allocation order.
+    /// (Test helper, like at().)
     template <typename F>
     void for_each(F &&f) {
         for (std::size_t c = 0; c < chunks_.size(); ++c) {
@@ -76,7 +78,8 @@ public:
         }
     }
 
-    // --- Chunk-granular access for the shrink tier (mm/reclaim/) ---
+    // --- Chunk-granular access: the item pool's sweep and the shrink
+    // tier (mm/reclaim/) ---
     // Chunks are never removed or reordered, so an index is a stable
     // chunk identity for the pool's lifecycle bookkeeping.
 

@@ -12,8 +12,10 @@
 // Reuse policy: an item becomes reusable the moment its version turns
 // even (logically deleted), even if blocks still reference it — the
 // monotone version counter makes such references harmless.  The pool finds
-// reusable items with an amortized-O(1) cyclic sweep over its own items;
-// if the bounded sweep finds nothing (queue mostly full of live items) it
+// reusable items with an amortized-O(1) cyclic sweep that walks its
+// arena's chunks in place, in allocation order: the cursor is a position
+// inside one chunk, and the pool keeps no second index of its items.  If
+// the bounded sweep finds nothing (queue mostly full of live items) it
 // falls back to fresh arena allocation, so allocation never blocks on the
 // behaviour of other threads (wait-free).
 //
@@ -21,17 +23,16 @@
 // mem_placement::reclaim) adds one step on top of the sweep:
 // quiescent_shrink(), called with no operation in flight, returns the
 // pages of every full arena chunk whose items are all dead to the OS
-// (arena::release_chunk_pages) and drops the chunk's items from the
-// sweep array.  A chunk is `active` or `released`; nothing releases
-// pages while takers run.  The virtual range stays mapped — type
-// stability holds, later stale reads see zero pages (version 0 = even
-// = dead, every stale take fails).  When demand returns, a released
-// chunk refaults with every item's version restored to the chunk's
-// recorded *version floor* (an even value >= every version the chunk
-// ever held), preserving the monotone-version ABA defense across the
-// zeroing.
+// (arena::release_chunk_pages).  A chunk is `active` or `released`; the
+// sweep skips released chunks, and nothing releases pages while takers
+// run.  The virtual range stays mapped — type stability holds, later
+// stale reads see zero pages (version 0 = even = dead, every stale take
+// fails).  When demand returns, a released chunk refaults with every
+// item's version restored to the chunk's recorded *version floor* (an
+// even value >= every version the chunk ever held), preserving the
+// monotone-version ABA defense across the zeroing, and the sweep resumes
+// inside it.
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -78,31 +79,36 @@ public:
             stats_.count_fresh();
             it = arena_.allocate();
             it->set_owner(owner_);
-            all_.push_back(it);
+            ++circulating_;
+            if (sweep_pos_ == nullptr) // the pool's first item
+                point_sweep_at(0);
         }
         const std::uint64_t version = it->publish(key, value);
         return {it, version, key};
     }
 
-    /// Release the pages of every full chunk whose items are all dead,
-    /// then drop the released chunks' items from the sweep array.  A
-    /// chunk whose release the platform refuses stays active, in the
-    /// sweep.  PRECONDITION: no concurrent operations on the owning
-    /// queue, so no stale take can write a released page.  Returns the
-    /// number of chunks whose pages were released.
+    /// Release the pages of every full chunk whose items are all dead;
+    /// the sweep skips released chunks from then on.  A chunk whose
+    /// release the platform refuses stays active, in the sweep.
+    /// PRECONDITION: no concurrent operations on the owning queue, so
+    /// no stale take can write a released page.  Returns the number of
+    /// chunks whose pages were released.
     std::size_t quiescent_shrink() {
         if (!reclaim_.shrink_enabled())
             return 0;
         sync_chunk_state();
-        std::vector<chunk_span> released;
+        std::size_t released = 0;
         for (std::size_t c = 0; c < chunk_state_.size(); ++c) {
             std::uint64_t floor = 0;
             if (chunk_state_[c].st == chunk_rec::active &&
                 chunk_fully_reusable(c, floor) && release_chunk(c, floor))
-                released.push_back(span_of(c));
+                ++released;
         }
-        compact_sweep(released);
-        return released.size();
+        // A cursor left inside a released chunk moves on at its next
+        // probe (advance_sweep).
+        if (released_chunk(sweep_chunk_))
+            sweep_end_ = sweep_pos_;
+        return released;
     }
 
     /// The thread slot stamped into every item this pool allocates.
@@ -111,7 +117,7 @@ public:
     /// Total items currently in circulation (live + sweep-reusable);
     /// released chunks' items are excluded until their chunk is
     /// revived.
-    std::size_t capacity() const { return all_.size(); }
+    std::size_t capacity() const { return circulating_; }
 
     /// Allocation telemetry (owner increments, any thread may
     /// snapshot; see mm/alloc_stats.hpp).
@@ -143,25 +149,65 @@ private:
         std::uint64_t version_floor = 0;
     };
 
-    /// [lo, hi) of one chunk's used items.
-    struct chunk_span {
-        const item<K, V> *lo;
-        const item<K, V> *hi;
-    };
-
+    /// Probe up to min(sweep_budget, capacity()) items from the cursor
+    /// on, in allocation order, wrapping past the last item.
     item<K, V> *find_reusable() {
-        const std::size_t n = all_.size();
+        const std::size_t n = circulating_;
         if (n == 0)
             return nullptr;
         std::size_t budget = sweep_budget < n ? sweep_budget : n;
+        // The probe loop keeps the cursor in locals: one store per call,
+        // not one per probe.
+        item<K, V> *pos = sweep_pos_;
+        item<K, V> *end = sweep_end_;
         while (budget-- > 0) {
-            if (cursor_ >= n)
-                cursor_ = 0;
-            item<K, V> *it = all_[cursor_++];
-            if (it->reusable())
+            if (pos == end) {
+                sweep_pos_ = pos;
+                advance_sweep();
+                pos = sweep_pos_;
+                end = sweep_end_;
+            }
+            item<K, V> *it = pos++;
+            if (it->reusable()) {
+                sweep_pos_ = pos;
                 return it;
+            }
         }
+        sweep_pos_ = pos;
         return nullptr;
+    }
+
+    /// The cursor has reached the end its chunk had when last looked
+    /// at.  A part-filled last chunk may have grown since: then probe
+    /// on into it.  Otherwise move to the next active chunk, wrapping
+    /// to chunk 0 past the last one.  Needs an active chunk
+    /// (capacity() > 0).
+    void advance_sweep() {
+        std::size_t c = sweep_chunk_;
+        if (!released_chunk(c)) {
+            item<K, V> *end = arena_.chunk_data(c) + arena_.chunk_used(c);
+            if (sweep_pos_ != end) {
+                sweep_end_ = end;
+                return;
+            }
+        }
+        do
+            c = c + 1 == arena_.chunk_count() ? 0 : c + 1;
+        while (released_chunk(c));
+        point_sweep_at(c);
+    }
+
+    void point_sweep_at(std::size_t c) {
+        sweep_chunk_ = c;
+        sweep_pos_ = arena_.chunk_data(c);
+        sweep_end_ = sweep_pos_ + arena_.chunk_used(c);
+    }
+
+    /// The arena's last, still-filling chunk is never tracked, so
+    /// never released.
+    bool released_chunk(std::size_t c) const {
+        return c < chunk_state_.size() &&
+               chunk_state_[c].st == chunk_rec::released;
     }
 
     /// Extend the lifecycle vector to cover newly-filled chunks (the
@@ -197,35 +243,10 @@ private:
         if (!arena_.release_chunk_pages(c))
             return false; // platform refused; stays active
         chunk_state_[c] = {chunk_rec::released, floor};
+        circulating_ -= arena_.chunk_used(c);
         KLSM_TRACE_EVENT(trace::kind::reclaim_release, c,
                          arena_.chunk_bytes(c));
         return true;
-    }
-
-    /// Drop the items of the just-released chunks `drop` from the
-    /// sweep array (it holds no item of an older released chunk).
-    void compact_sweep(const std::vector<chunk_span> &drop) {
-        if (drop.empty())
-            return;
-        all_.erase(std::remove_if(all_.begin(), all_.end(),
-                                  [&drop](const item<K, V> *p) {
-                                      return in_spans(drop, p);
-                                  }),
-                   all_.end());
-        cursor_ = 0;
-    }
-
-    chunk_span span_of(std::size_t c) {
-        const item<K, V> *base = arena_.chunk_data(c);
-        return {base, base + arena_.chunk_used(c)};
-    }
-
-    static bool in_spans(const std::vector<chunk_span> &spans,
-                         const item<K, V> *p) {
-        for (const chunk_span &s : spans)
-            if (p >= s.lo && p < s.hi)
-                return true;
-        return false;
     }
 
     /// Bring a released chunk back into service when demand returns
@@ -247,21 +268,26 @@ private:
         // publish, so the floor (a max over their versions) carries the
         // owner byte and revived items keep their owner.
         assert((item<K, V>::owner_of(rec.version_floor) == owner_));
-        for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t i = 0; i < n; ++i)
             base[i].reset_after_reclaim(rec.version_floor);
-            all_.push_back(&base[i]);
-        }
         arena_.note_chunk_reactivated(c);
-        // Point the sweep at the revived items.
-        cursor_ = all_.size() - n;
+        circulating_ += n;
         rec.st = chunk_rec::active;
+        // Resume the sweep inside the revived chunk.
+        point_sweep_at(c);
         return base;
     }
 
     mm::alloc_counters stats_; ///< declared before arena_ (ctor order)
     arena<item<K, V>> arena_;
-    std::vector<item<K, V> *> all_;
-    std::size_t cursor_ = 0;
+    /// Items in circulation: the used items of every active chunk.
+    std::size_t circulating_ = 0;
+    /// Sweep cursor: the next item to probe, in chunk sweep_chunk_
+    /// (null until the first item exists); sweep_end_ is that chunk's
+    /// used end as last looked at.
+    std::size_t sweep_chunk_ = 0;
+    item<K, V> *sweep_pos_ = nullptr;
+    item<K, V> *sweep_end_ = nullptr;
     mm::reclaim_config reclaim_;
     std::vector<chunk_rec> chunk_state_;
     std::uint32_t owner_;

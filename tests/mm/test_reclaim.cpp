@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -25,6 +26,7 @@ namespace {
 
 using pool_t = item_pool<std::uint32_t, std::uint64_t>;
 using ref_t = item_ref<std::uint32_t, std::uint64_t>;
+using item_t = item<std::uint32_t, std::uint64_t>;
 
 mm::mem_placement with_policy(mm::reclaim_policy p) {
     mm::mem_placement place;
@@ -108,6 +110,74 @@ TEST(Reclaim, QuiescentShrinkReleasesOnlyAllDeadChunks) {
     // The sweep keeps chunk 0 and the used part of chunk 3, and no item
     // of a released chunk.
     EXPECT_EQ(pool.capacity(), 256u + 2u);
+}
+
+TEST(Reclaim, SweepSkipsReleasedChunkBetweenActiveOnes) {
+    if (!mm::reclaim::release_pages_supported())
+        GTEST_SKIP() << "madvise(MADV_DONTNEED) unavailable";
+    pool_t pool{with_policy(mm::reclaim_policy::full)};
+    // Chunks 0-2 (items 0-255, 256-767, 768-1791) fill; two more open
+    // chunk 3.
+    std::vector<ref_t> refs;
+    for (std::uint32_t i = 0; i < 1792 + 2; ++i)
+        refs.push_back(pool.allocate(i, i));
+    const auto in_chunk1 = [&](const item_t *p) {
+        return p >= refs[256].it && p <= refs[767].it;
+    };
+    // Chunk 1 dies whole.  In chunks 0 and 2 every 16th item dies, and
+    // so does chunk 0's last, so the sweep meets a dead item within its
+    // budget all the way round and never needs the released chunk.
+    std::set<const item_t *> dead;
+    for (std::size_t i = 0; i < 1792; ++i) {
+        if (i >= 256 && i < 768) {
+            ASSERT_TRUE(refs[i].take());
+        } else if (i % 16 == 0 || i == 255) {
+            ASSERT_TRUE(refs[i].take());
+            dead.insert(refs[i].it);
+        }
+    }
+    ASSERT_EQ(pool.quiescent_shrink(), 1u);
+    ASSERT_EQ(pool.census().released, 1u);
+    EXPECT_EQ(pool.capacity(), 256u + 1024u + 2u);
+
+    // Two laps of allocate-and-take: each allocation gets the next dead
+    // item, never one of the released chunk's (their zeroed versions
+    // read as dead), and the item after chunk 0's last is chunk 2's
+    // first, one probe on.
+    std::size_t skips = 0;
+    const item_t *prev = nullptr;
+    for (std::size_t i = 0; i < 2 * dead.size(); ++i) {
+        ref_t r = pool.allocate(5000, 0);
+        ASSERT_FALSE(in_chunk1(r.it)) << "allocation " << i;
+        ASSERT_EQ(dead.count(r.it), 1u) << "allocation " << i;
+        if (prev == refs[255].it) {
+            EXPECT_EQ(r.it, refs[768].it);
+            ++skips;
+        }
+        prev = r.it;
+        ASSERT_TRUE(r.take());
+    }
+    EXPECT_GE(skips, 1u) << "no sweep stepped over the released chunk";
+    EXPECT_EQ(pool.census().released, 1u);
+    EXPECT_EQ(pool.stats().snapshot().fresh_allocs, 1792u + 2u);
+
+    // Demand returns: allocations that keep their items use up the dead
+    // ones, then revive the released chunk, and the sweep resumes
+    // inside it.
+    std::set<const item_t *> handed;
+    for (std::size_t i = 0; i < dead.size(); ++i) {
+        ref_t r = pool.allocate(6000, 0);
+        ASSERT_EQ(dead.count(r.it), 1u) << "allocation " << i;
+        ASSERT_TRUE(handed.insert(r.it).second) << "live item handed out";
+    }
+    EXPECT_EQ(pool.census().released, 1u);
+    EXPECT_EQ(pool.allocate(7000, 0).it, refs[256].it)
+        << "the sweep ran dry, so the released chunk must revive";
+    EXPECT_EQ(pool.census().released, 0u);
+    EXPECT_EQ(pool.allocate(7001, 0).it, refs[257].it)
+        << "the sweep must resume inside the revived chunk";
+    EXPECT_EQ(pool.capacity(), 1792u + 2u);
+    EXPECT_EQ(pool.stats().snapshot().fresh_allocs, 1792u + 2u);
 }
 
 TEST(Reclaim, DeadChunksStayResidentUntilQuiescentShrink) {
