@@ -77,13 +77,13 @@ int run(const quality_config &w, const core_config &cfg,
                         const bool has_rho = name == "klsm";
                         // Buffered handles hide up to buffer_total items
                         // per worker; the extended rho (quality.hpp)
-                        // charges T * max_buffer_depth_seen() on top of
-                        // Lemma 2's relaxation term.
+                        // charges T * buffer_total() on top of Lemma 2's
+                        // relaxation term.
                         std::uint64_t buffer_total = 0;
                         if constexpr (klsm::dynamic_buffering<
                                           std::remove_reference_t<
                                               decltype(q)>>)
-                            buffer_total = q.max_buffer_depth_seen();
+                            buffer_total = q.buffer_total();
                         const std::uint64_t rho = klsm::rank_error_bound(
                             threads, cfg.k, buffer_total);
                         std::string bound_cell = "none";

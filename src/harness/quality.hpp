@@ -62,8 +62,8 @@ struct quality_result {
 /// T counts the worker threads; the prefill runs on the calling (main)
 /// thread with direct (unbuffered) inserts, hence the +1 on the k term
 /// but not on the buffer term.  `buffer_total` is the per-handle
-/// hidden-item budget (k_lsm::buffer_total / max_buffer_depth_seen: the
-/// insert-buffer depth plus the handle's one carried pair): every
+/// hidden-item budget (k_lsm::buffer_total: the insert-buffer depth
+/// plus the handle's one carried pair): every
 /// worker can be hiding that many items from a given delete, each of
 /// which may rank below the served key — so the relaxation budget
 /// provably absorbs the buffering.  buffer_total = 0 gives the paper's

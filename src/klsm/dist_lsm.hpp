@@ -361,20 +361,15 @@ private:
     template <typename Lazy>
     block<K, V> *merge_replacing(block<K, V> *prev, block<K, V> *b,
                                  const Lazy &lazy) {
-        const std::uint32_t cap =
-            (prev->level() > b->level() ? prev->level() : b->level()) + 1;
-        block<K, V> *nb =
-            pool_.acquire(cap, cap, block_pool<K, V>::always_recyclable);
-        nb->merge_from(*prev, prev->filled(), *b, b->filled(), lazy);
-        nb->set_level(block<K, V>::level_for(nb->filled()));
-        nb->seal();
+        block<K, V> *nb = merge_pair(prev, b, lazy);
         pool_.release(b);
         assert(merged_count_ < max_levels);
         merged_[merged_count_++] = prev;
         return nb;
     }
 
-    /// Merge two published blocks into a new held block (consolidate).
+    /// Merge two blocks into a new held block (consolidate and the
+    /// insert chain).
     template <typename Lazy>
     block<K, V> *merge_pair(block<K, V> *a, block<K, V> *c,
                             const Lazy &lazy) {

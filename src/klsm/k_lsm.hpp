@@ -36,6 +36,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -85,38 +86,18 @@ public:
         shared_.set_monitor(m);
     }
 
-    // ---- handle buffering knob (dynamic_buffering concept) --------------
-    //
-    // Handles read the depth per operation, so retuning a live queue is
-    // safe: a handle holding more than the new depth simply flushes on
-    // its next insert.  Rank-error bounds after a run with buffering must
-    // use max_buffer_depth_seen(), the high-water mark of the per-handle
-    // hidden-item budget (the staged inserts plus the one carried pair a
-    // buffered handle may hold, hence the +1).
-
     /// Per-handle insert-buffer depth; 0 = unbuffered (every h.insert
-    /// reaches the DistLSM immediately).
-    std::size_t buffer_depth() const {
-        return ins_depth_.load(std::memory_order_relaxed);
-    }
-
+    /// reaches the DistLSM immediately).  Set it once, before any thread
+    /// operates on the queue, so one buffer_total() holds for the run.
     void set_buffer_depth(std::size_t d) {
-        ins_depth_.store(d, std::memory_order_relaxed);
-        note_buffer_high_water();
+        assert(dir_.size() == 0 && "buffer depth set before any operation");
+        ins_depth_ = d;
     }
 
-    /// Items a single handle may currently hide from other threads:
-    /// the insert buffer plus its carry slot (see note above).
-    std::size_t buffer_total() const {
-        const std::size_t d = ins_depth_.load(std::memory_order_relaxed);
-        return d + (d > 0);
-    }
-
-    /// High-water mark of buffer_total() over the queue's lifetime — the
-    /// per-thread term rank bounds must be computed against.
-    std::size_t max_buffer_depth_seen() const {
-        return max_buffer_seen_.load(std::memory_order_relaxed);
-    }
+    /// Items a single handle may hide from other threads: the staged
+    /// inserts plus the one carried pair a buffered handle may hold.
+    /// Rank bounds charge it per thread (harness/quality.hpp).
+    std::size_t buffer_total() const { return ins_depth_ + (ins_depth_ > 0); }
 
     void insert(const K &key, const V &value) {
         const std::uint32_t slot = dir_.register_self();
@@ -187,7 +168,7 @@ public:
     /// Per-thread operation handle (buffered k-LSM).  Owned by exactly
     /// one thread; not thread-safe.
     ///
-    ///   * insert: staged locally up to buffer_depth() pairs, then the
+    ///   * insert: staged locally up to the buffer depth, then the
     ///     whole run is sorted descending and enters the owner's DistLSM
     ///     as ONE pre-sorted block via insert_batch — one merge chain
     ///     (and at most one shared-LSM spill) per batch instead of per
@@ -229,8 +210,7 @@ public:
         }
 
         void insert(const K &key, const V &value) {
-            const std::size_t depth =
-                q_->ins_depth_.load(std::memory_order_relaxed);
+            const std::size_t depth = q_->ins_depth_;
             if (depth == 0) {
                 q_->insert(key, value);
                 return;
@@ -375,25 +355,12 @@ private:
         // Bound the copy to k items (Section 4.2's space bound); always
         // allow at least one so spying makes progress for k == 0.
         const std::size_t cap = k_ > 0 ? k_ : 1;
-        // Random victim first (the paper's scheme), then one sweep over
-        // all registered slots so a false return means every DistLSM was
-        // observed empty — spurious failures stay possible but rare.
-        const std::uint32_t victim = dir_.random_victim(slot);
-        if (victim < max_registered_threads && victim != slot &&
-            dist_[slot]->spy_from(*dist_[victim], cap)) {
-            note(adapt::event::spy);
-            return true;
-        }
-        const std::uint32_t n = dir_.size();
-        for (std::uint32_t i = 0; i < n; ++i) {
-            const std::uint32_t s = dir_.at(i);
-            if (s != slot && s != victim &&
-                dist_[slot]->spy_from(*dist_[s], cap)) {
-                note(adapt::event::spy);
-                return true;
-            }
-        }
-        return false;
+        if (!dir_.any_victim(slot, [&](std::uint32_t victim) {
+                return dist_[slot]->spy_from(*dist_[victim], cap);
+            }))
+            return false;
+        note(adapt::event::spy);
+        return true;
     }
 
     /// One predictable branch when no monitor is attached.
@@ -404,20 +371,9 @@ private:
             m->count(e);
     }
 
-    void note_buffer_high_water() {
-        const std::size_t total = buffer_total();
-        std::size_t cur = max_buffer_seen_.load(std::memory_order_relaxed);
-        while (total > cur && !max_buffer_seen_.compare_exchange_weak(
-                                  cur, total, std::memory_order_relaxed,
-                                  std::memory_order_relaxed)) {
-        }
-    }
-
     const std::size_t k_;
-    /// Handle insert-buffer depth and the high-water mark of
-    /// buffer_total() (see the knob accessors).
-    std::atomic<std::size_t> ins_depth_{0};
-    std::atomic<std::size_t> max_buffer_seen_{0};
+    /// Handle insert-buffer depth, fixed before the first operation.
+    std::size_t ins_depth_ = 0;
     /// Contention telemetry sink; null when no monitor is attached.
     std::atomic<adapt::contention_monitor *> monitor_{nullptr};
     Lazy lazy_;
@@ -495,20 +451,10 @@ public:
 
 private:
     bool spy(std::uint32_t slot) {
-        const std::uint32_t victim = dir_.random_victim(slot);
-        if (victim < max_registered_threads && victim != slot &&
-            dist_[slot]->spy_from(*dist_[victim],
-                                  dist_lsm_local<K, V>::unbounded))
-            return true;
-        const std::uint32_t n = dir_.size();
-        for (std::uint32_t i = 0; i < n; ++i) {
-            const std::uint32_t s = dir_.at(i);
-            if (s != slot && s != victim &&
-                dist_[slot]->spy_from(*dist_[s],
-                                      dist_lsm_local<K, V>::unbounded))
-                return true;
-        }
-        return false;
+        return dir_.any_victim(slot, [&](std::uint32_t victim) {
+            return dist_[slot]->spy_from(*dist_[victim],
+                                         dist_lsm_local<K, V>::unbounded);
+        });
     }
 
     std::unique_ptr<dist_lsm_local<K, V>> dist_[max_registered_threads];

@@ -18,8 +18,8 @@
 //       delete buffer), which flush() returns to the queue.  Structures
 //       without native handles are adapted by `passthrough_handle`
 //       below, so harness loops have exactly ONE code path.
-//   dynamic_buffering    — per-thread handle buffer depth is retunable
-//       online (set_buffer_depth / max_buffer_depth_seen).
+//   dynamic_buffering    — handles hide up to buffer_total() items each,
+//       a per-thread term that rank bounds charge (harness/quality.hpp).
 //   monitorable          — accepts a contention_monitor (set_monitor)
 //       that its hot paths count publishes, hits and spies into.
 //   pool_backed          — owns mm/ pools: exposes allocation telemetry
@@ -59,10 +59,8 @@ concept handle_pq = relaxed_priority_queue<PQ> && requires(PQ q) {
 };
 
 template <typename PQ>
-concept dynamic_buffering = requires(PQ q, const PQ cq, std::size_t d) {
-    { cq.buffer_depth() } -> std::convertible_to<std::size_t>;
-    q.set_buffer_depth(d);
-    { cq.max_buffer_depth_seen() } -> std::convertible_to<std::size_t>;
+concept dynamic_buffering = requires(const PQ cq) {
+    { cq.buffer_total() } -> std::convertible_to<std::size_t>;
 };
 
 template <typename PQ>

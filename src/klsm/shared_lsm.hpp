@@ -6,12 +6,16 @@
 // BlockArray.  Every thread keeps:
 //   * two BlockArray instances it alternates between (Section 4.4), used
 //     both as private snapshots of `shared_` and as the staging area for
-//     updates, plus a growable safety valve;
+//     updates;
 //   * a block pool whose published blocks are reclaimed once they are no
 //     longer referenced by the *current* shared array (see block_pool.hpp
 //     for why absence from the current array is a stable criterion);
 //   * the stamped pointer (`observed`) and full version under which its
 //     snapshot was copied.
+//
+// Each mechanism beyond Listings 2-3 states its price: what the ledger
+// (`ledger_bench --workload W --seed 1`, medians of 10 alternating pairs
+// per workload, 4 CPUs, Release) read with that mechanism removed.
 //
 // delete-min relaxation: find_min picks uniformly at random one of the
 // <= k+1 smallest entries, delimited per block by the pivot indices
@@ -28,7 +32,9 @@
 // global minimum, which all threads chase.  The exact owner keeps the
 // relaxation intact.  The own scan reads owners from the entries,
 // dereferences only the caller's items, and resumes from per-slot
-// cursors that stay valid while the snapshot is unchanged.
+// cursors that stay valid while the snapshot is unchanged.  Price of a
+// full scan per find_min instead: `job_s` des +16%, mix50 +7%, sssp +6%,
+// churn +3% (0, 2, 1 and 5 of 10 pairs lower).
 //
 // Nothing below a key (has_key_below): every candidate find_min returns
 // (the random pick, the block-minimum fallback, the caller's own
@@ -37,23 +43,21 @@
 // fill - 1.  has_key_below(key) compares `key` with that bound, so k_lsm
 // can serve its local item without a draw when no shared key is smaller.
 // The bound counts dead entries, so it is conservative, and a trim only
-// raises it.  It is cached per thread for one snapshot pointer and
-// version, as the own-scan cursors are, and built lazily: a query scans
-// slots only until it meets a block minimum below its key, and the next
-// query on the same snapshot resumes there, so each slot's minimum is
-// read at most once per snapshot.  Its keys come from blocks that their
-// owner may recycle once the array referencing them is superseded, so a
-// "nothing below" answer stands only when `shared_` still equals
-// `observed` after the bound was read or reused; otherwise the caller
-// runs find_min.  An empty or null shared LSM answers "nothing below",
-// as find_min would return empty.
+// raises it.  It is computed over every slot once per snapshot pointer
+// and version, the key the own-scan cursors are kept under.  Its keys
+// come from blocks that their owner may recycle once the array
+// referencing them is superseded, so a "nothing below" answer stands
+// only when `shared_` still equals `observed` after the bound was read
+// or reused; otherwise the caller runs find_min.  An empty or null
+// shared LSM answers "nothing below", as find_min would return empty.
 //
 // Pivots (block_array::calculate_pivots / extend_pivots): an insert, or
 // a consolidation that merged blocks, recomputes them with a (k+1)-step
 // walk from every block's fill.  A consolidation that only trimmed dead
 // suffixes extends them instead: the surviving candidates are still the
 // smallest entries, so the walk continues from them for as many steps as
-// candidates were trimmed.
+// candidates were trimmed.  Price of a full walk instead: `job_s` churn
+// +139%, mix50 +71%, sssp +35%, des +33% (0/10 pairs lower on each).
 //
 // Shape and settling.  Listing 3 merges every level violation into the
 // private snapshot before the publish CAS, so a lost CAS discards all
@@ -77,7 +81,10 @@
 // and only while both inputs are still present with the generations
 // they had when picked.  The winner keeps settling while its last
 // publish left a big violation, so a carry climbs one level per
-// publish, and releases the claim on every exit.
+// publish, and releases the claim on every exit.  Price of merging big
+// pairs on the publish path instead (no claim word, no settle pool):
+// `job_s` mix50 +31%, churn +23%, sssp +21%, des +4%, and `peak_rss_mb`
+// mix50 119 -> 305, sssp 124 -> 233, churn 92 -> 180 MiB (0/10 lower).
 //
 // Why a substitution loses and corrupts nothing:
 //   * Blocks are immutable once published, and a slot's fill view only
@@ -96,7 +103,9 @@
 //     the array's shape never enters the rho bound.
 //   * The slot bound stays hard: once an array is within four slots of
 //     max_blocks, normalize merges big violations too, smallest first,
-//     until it is clear of the bound.
+//     until it is clear of the bound.  Price of merging the leftmost
+//     (largest) first instead: `peak_rss_mb` mix50 117 -> 211, sssp
+//     124 -> 160, churn 92 -> 114 MiB; `job_s` mix50 +6%.
 //
 // Progress: operations retry only when another thread successfully
 // replaced the shared array or recycled an array/block we were reading —
@@ -108,6 +117,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -122,7 +132,6 @@
 #include "mm/placement.hpp"
 #include "trace/tracer.hpp"
 #include "util/align.hpp"
-#include "util/backoff.hpp"
 #include "util/rng.hpp"
 #include "util/stamped_ptr.hpp"
 #include "util/thread_id.hpp"
@@ -186,54 +195,35 @@ public:
             if (!refresh_if_needed(ts))
                 return {}; // shared is null: empty
             arr *snap = ts.snapshot;
-            if (snap->count() == 0) {
-                // A published empty array; replace it with null.
-                push_null(ts);
-                ts.snapshot = nullptr;
-                continue;
-            }
-
-            item_ref<K, V> cand = select_candidate(ts, snap, tid);
-            if (!cand.empty() && cand.alive()) {
-                // Lemma 2 linearizes a successful delete at the *last*
-                // comparison of shared with observed; re-verify here so
-                // the window between verification and the caller's take
-                // CAS is as small as the paper's.
-                if (shared_.load() != ts.observed) {
-                    ts.snapshot = nullptr;
-                    continue;
+            if (snap->count() != 0) {
+                item_ref<K, V> cand = select_candidate(ts, snap, tid);
+                if (!cand.empty() && cand.alive()) {
+                    // Lemma 2 linearizes a successful delete at the *last*
+                    // comparison of shared with observed; re-verify here
+                    // so the window between verification and the caller's
+                    // take CAS is as small as the paper's.
+                    if (shared_.load() != ts.observed) {
+                        ts.snapshot = nullptr;
+                        continue;
+                    }
+                    return cand;
                 }
-                return cand;
             }
 
             // The selected candidate (and the block-minimum fallback) was
             // logically deleted: consolidate, and publish if the shape
-            // changed (Listing 3).
+            // changed (Listing 3).  An array left empty is replaced with
+            // null.
             snap->begin_mutate();
             const bool merged = consolidate(ts, snap, lazy);
             if (merged)
                 snap->calculate_pivots(k_);
             else
                 snap->extend_pivots(k_);
-            const std::uint64_t v = snap->seal();
-
-            if (snap->count() == 0) {
-                rollback_created(ts);
-                push_null(ts);
-                ts.snapshot = nullptr;
-                continue;
-            }
-            if (merged) {
-                if (push_snapshot(ts, snap, v)) {
-                    commit_created(ts);
-                    ts.snapshot = nullptr;
-                    settle(ts, snap, lazy);
-                } else {
-                    rollback_created(ts);
-                    ts.snapshot = nullptr;
-                }
-            }
-            // Not merged: keep using the locally trimmed snapshot.
+            if (!merged && snap->count() != 0)
+                snap->seal(); // keep using the locally trimmed snapshot
+            else if (seal_and_push(ts, snap) && snap->count() != 0)
+                settle(ts, snap, lazy);
         }
     }
 
@@ -251,27 +241,24 @@ public:
         if (ts.bound_snap != snap || ts.bound_version != version) {
             ts.bound_snap = snap;
             ts.bound_version = version;
-            ts.bound_scanned = 0;
-            ts.bound_any = false;
-        }
-        if (ts.bound_any && ts.bound < key)
-            return true;
-        // Extend the bound over the slots not yet scanned, up to the
-        // first block minimum below `key`.
-        while (ts.bound_scanned < snap->count()) {
-            const auto &s = snap->slots[ts.bound_scanned++];
-            const std::uint32_t f = s.filled.load(std::memory_order_relaxed);
-            if (f == 0)
-                continue;
-            const K m =
-                s.blk.load(std::memory_order_relaxed)->load_entry(f - 1).key;
-            if (!ts.bound_any || m < ts.bound) {
-                ts.bound = m;
-                ts.bound_any = true;
+            // With no slot the bound stays at the largest key, below
+            // which no key is: "nothing below", as find_min returns empty.
+            ts.bound = std::numeric_limits<K>::max();
+            for (std::uint32_t i = 0; i < snap->count(); ++i) {
+                const auto &s = snap->slots[i];
+                const std::uint32_t f =
+                    s.filled.load(std::memory_order_relaxed);
+                if (f == 0)
+                    continue;
+                const K m = s.blk.load(std::memory_order_relaxed)
+                                ->load_entry(f - 1)
+                                .key;
+                if (m < ts.bound)
+                    ts.bound = m;
             }
-            if (m < key)
-                return true;
         }
+        if (ts.bound < key)
+            return true;
         // The blocks were still referenced by the current array after
         // their keys were read, so none was recycled under the reads.
         std::atomic_thread_fence(std::memory_order_acquire);
@@ -319,13 +306,16 @@ public:
         return levels;
     }
 
-    /// Diagnostic: number of BlockArray instances allocated beyond the
-    /// paper's two-per-thread bound.
-    std::size_t extra_array_allocations() const {
-        std::size_t n = 0;
-        for (const auto &s : threads_)
-            n += s->extra_arrays.size();
-        return n;
+    /// Diagnostic: the key at each slot's fill - 1 in the current shared
+    /// array, left to right (quiescent-only, as slot_levels).
+    std::vector<K> block_minima() const {
+        std::vector<K> minima;
+        if (const arr *a = shared_.load().ptr())
+            for (std::uint32_t i = 0; i < a->count(); ++i)
+                if (const auto f = a->slots[i].filled.load(); f != 0)
+                    minima.push_back(
+                        a->slots[i].blk.load()->load_entry(f - 1).key);
+        return minima;
     }
 
     /// Fold every thread's shared-pool telemetry into `out`.
@@ -350,7 +340,6 @@ private:
         explicit thread_state(mm::mem_placement place) : pool(place) {}
 
         std::unique_ptr<arr> arrays[2];
-        std::vector<std::unique_ptr<arr>> extra_arrays; // safety valve
         arr *snapshot = nullptr;
         stamped_ptr<arr> observed{};
         std::uint64_t observed_version = 0;
@@ -367,12 +356,9 @@ private:
 
         /// has_key_below's bound, valid for one snapshot pointer and
         /// version: the smallest key at fill - 1 (dead entries included)
-        /// over the first bound_scanned slots; bound_any is false while
-        /// none of them was read.
+        /// over every slot.
         const arr *bound_snap = nullptr;
         std::uint64_t bound_version = 0;
-        std::uint32_t bound_scanned = 0;
-        bool bound_any = false;
         K bound{};
     };
 
@@ -397,7 +383,6 @@ private:
     template <typename Lazy>
     const arr *publish(thread_state &ts, const block<K, V> *src,
                        std::uint32_t src_filled, const Lazy &lazy) {
-        exp_backoff backoff;
         KLSM_TRACE_SPAN(publish_span, trace::kind::shared_publish);
         std::uint16_t publish_retries = 0;
         for (;;) {
@@ -430,21 +415,15 @@ private:
 
             insert_block_slot(ts, snap, nb, lazy);
             snap->calculate_pivots(k_);
-            const std::uint64_t v = snap->seal();
-
             assert(snap->count() > 0 && "inserted a non-empty block");
-            if (push_snapshot(ts, snap, v)) {
-                commit_created(ts);
+            if (seal_and_push(ts, snap)) {
                 note(adapt::event::shared_publish);
                 publish_span.arg(publish_retries);
                 return snap;
             }
-            rollback_created(ts);
-            ts.snapshot = nullptr;
             note(adapt::event::shared_publish_retry);
             if (publish_retries != 0xffff)
                 ++publish_retries;
-            backoff();
         }
     }
 
@@ -455,7 +434,6 @@ private:
     bool refresh_if_needed(thread_state &ts) {
         if (ts.snapshot != nullptr && shared_.load() == ts.observed)
             return true;
-        exp_backoff backoff;
         for (;;) {
             const auto cur = shared_.load();
             arr *src = cur.ptr();
@@ -466,20 +444,16 @@ private:
             }
             const std::uint64_t v1 =
                 src->version.load(std::memory_order_acquire);
-            if ((v1 & 1) != 0 || !cur.matches(v1)) {
-                // Array being recycled: its publication must already have
-                // been superseded; retry on the fresh pointer.
-                backoff();
+            // A torn stamp or copy means the array is being recycled: its
+            // publication was already superseded; retry on a fresh pointer.
+            if ((v1 & 1) != 0 || !cur.matches(v1))
                 continue;
-            }
             arr *dst = acquire_scratch(ts, src);
             dst->begin_mutate();
             const bool ok = dst->copy_from(*src, v1);
             dst->seal();
-            if (!ok) {
-                backoff();
+            if (!ok)
                 continue;
-            }
             ts.snapshot = dst;
             ts.observed = cur;
             ts.observed_version = v1;
@@ -487,11 +461,9 @@ private:
         }
     }
 
-    /// One of my arrays that is neither `avoid` nor the currently
-    /// published array.  Such an array always exists (only I can publish
-    /// my own arrays, and at most one of them can be the current shared
-    /// array); the safety-valve allocation keeps us robust if that
-    /// reasoning is ever violated.
+    /// One of my two arrays (Section 4.4) that is neither `avoid` nor
+    /// the currently published array.  One always is: only I publish my
+    /// arrays, and at most one of them is the current shared array.
     arr *acquire_scratch(thread_state &ts, arr *avoid) {
         arr *shared_now = shared_.load().ptr();
         for (auto &a : ts.arrays) {
@@ -500,55 +472,37 @@ private:
             if (a.get() != avoid && a.get() != shared_now)
                 return a.get();
         }
-        for (auto &a : ts.extra_arrays)
-            if (a.get() != avoid && a.get() != shared_now)
-                return a.get();
         assert(false && "both thread-local BlockArrays unavailable");
-        ts.extra_arrays.push_back(std::make_unique<arr>());
-        return ts.extra_arrays.back().get();
+        std::abort();
     }
 
-    /// CAS-publish the sealed snapshot (Listing 3's push_snapshot), with
-    /// the paper's pre-CAS full-version verification of `observed` to
-    /// minimize the 10-bit stamp wraparound window (Section 4.4).
-    bool push_snapshot(thread_state &ts, arr *snap, std::uint64_t version) {
-        arr *obs = ts.observed.ptr();
-        if (obs != nullptr &&
-            obs->version.load(std::memory_order_acquire) !=
-                ts.observed_version)
-            return false;
-        const stamped_ptr<arr> desired(snap, version);
-        return shared_.compare_exchange(ts.observed, desired);
+    /// The array `observed` names was not recycled since it was copied:
+    /// the paper's full-version check, which closes the 10-bit stamp's
+    /// wraparound window (Section 4.4).
+    static bool observed_intact(const thread_state &ts) {
+        const arr *obs = ts.observed.ptr();
+        return obs == nullptr || obs->version.load(std::memory_order_acquire) ==
+                                     ts.observed_version;
     }
 
-    /// ts.snapshot's source array is still the current one, unrecycled.
-    bool still_observed(const thread_state &ts) const {
-        return shared_.load() == ts.observed &&
-               ts.observed.ptr()->version.load(std::memory_order_acquire) ==
-                   ts.observed_version;
-    }
-
-    /// Replace a fully empty published array with null.
-    void push_null(thread_state &ts) {
-        arr *obs = ts.observed.ptr();
-        if (obs == nullptr)
-            return;
-        if (obs->version.load(std::memory_order_acquire) !=
-            ts.observed_version)
-            return;
-        shared_.compare_exchange(ts.observed, stamped_ptr<arr>{});
-    }
-
-    void commit_created(thread_state &ts) {
+    /// Seal the mutating snapshot and CAS-publish it in place of
+    /// `observed` (Listing 3's push_snapshot), or null when it holds no
+    /// slot.  The blocks this attempt created are then published, or
+    /// recycled when the CAS lost.  Either way the snapshot is spent.
+    bool seal_and_push(thread_state &ts, arr *snap) {
+        const std::uint64_t v = snap->seal();
+        const stamped_ptr<arr> desired =
+            snap->count() == 0 ? stamped_ptr<arr>{} : stamped_ptr<arr>(snap, v);
+        const bool won = observed_intact(ts) &&
+                         shared_.compare_exchange(ts.observed, desired);
         for (block<K, V> *b : ts.created)
-            ts.pool.mark_published(b);
+            if (won)
+                ts.pool.mark_published(b);
+            else
+                ts.pool.release(b);
         ts.created.clear();
-    }
-
-    void rollback_created(thread_state &ts) {
-        for (block<K, V> *b : ts.created)
-            ts.pool.release(b);
-        ts.created.clear();
+        ts.snapshot = nullptr;
+        return won;
     }
 
     // ---- block recycling --------------------------------------------------
@@ -777,7 +731,7 @@ private:
             gc = p.c->generation();
             // The copied array was current before and after the
             // generations were read, so they name the lives it holds.
-            if (still_observed(ts))
+            if (shared_.load() == ts.observed && observed_intact(ts))
                 break;
             ts.snapshot = nullptr;
         }
@@ -794,7 +748,6 @@ private:
         }
         const std::uint32_t mf = m->filled();
 
-        exp_backoff backoff;
         for (;;) {
             assert(ts.created.empty());
             std::uint32_t ia = no_slot, ic = no_slot;
@@ -822,20 +775,14 @@ private:
             // m stays out of ts.created: a lost CAS must not free it.
             normalize(ts, snap, lazy);
             snap->calculate_pivots(k_);
-            const std::uint64_t v = snap->seal();
-            if (push_snapshot(ts, snap, v)) {
-                commit_created(ts);
+            if (seal_and_push(ts, snap)) {
                 if (mf == 0)
                     settle_pool_.release(m);
                 else
                     settle_pool_.mark_published(m);
                 note(adapt::event::shared_settle);
-                ts.snapshot = nullptr;
                 return snap;
             }
-            rollback_created(ts);
-            ts.snapshot = nullptr;
-            backoff();
         }
     }
 

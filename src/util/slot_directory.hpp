@@ -61,6 +61,24 @@ public:
         return self; // only self is registered
     }
 
+    /// Try `f(victim)` on a random registered slot other than `self`
+    /// (the paper's spy), then once on every other one, until it returns
+    /// true.  A false return means `f` failed on every registered slot
+    /// but `self`.
+    template <typename F>
+    bool any_victim(std::uint32_t self, F &&f) const {
+        const std::uint32_t first = random_victim(self);
+        if (first < max_registered_threads && first != self && f(first))
+            return true;
+        const std::uint32_t n = size();
+        for (std::uint32_t i = 0; i < n; ++i) {
+            const std::uint32_t slot = at(i);
+            if (slot != self && slot != first && f(slot))
+                return true;
+        }
+        return false;
+    }
+
     /// Registered slot by dense position (pos < size()).
     std::uint32_t at(std::uint32_t pos) const {
         return slots_[pos].load(std::memory_order_acquire);

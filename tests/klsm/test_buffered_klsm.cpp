@@ -30,16 +30,29 @@ TEST(BufferedKlsm, SatisfiesBufferingConcepts) {
     static_assert(dynamic_buffering<pq_t>);
 }
 
+// The depth is set once, before any operation, so one buffer_total()
+// holds for the whole run and rank bounds charge exactly it.
 TEST(BufferedKlsm, BufferTotalAccounting) {
     pq_t q{16};
     EXPECT_EQ(q.buffer_total(), 0u);
     q.set_buffer_depth(16);
     // The staged inserts plus the carry slot for an unserved popped item.
     EXPECT_EQ(q.buffer_total(), 17u);
+    // Before the first operation the last setting holds.
     q.set_buffer_depth(0);
     EXPECT_EQ(q.buffer_total(), 0u);
-    // High-water mark survives shrinking the knob back down.
-    EXPECT_EQ(q.max_buffer_depth_seen(), 17u);
+    q.set_buffer_depth(4);
+    auto h = q.get_handle();
+    for (std::uint32_t i = 0; i < 3; ++i)
+        h.insert(i, i);
+    EXPECT_EQ(h.inserts_buffered(), 3u) << "the handle stages to depth 4";
+    h.insert(3, 3);
+    EXPECT_EQ(h.inserts_buffered(), 0u) << "the fourth insert flushes";
+#ifndef NDEBUG
+    EXPECT_DEATH(q.set_buffer_depth(8), "before any operation")
+        << "the depth changed after a thread operated";
+#endif
+    EXPECT_EQ(q.buffer_total(), 5u);
 }
 
 TEST(BufferedKlsm, InsertBatchPublishesSortedBlock) {
@@ -201,7 +214,7 @@ TEST(BufferedKlsm, RankErrorWithinExtendedBoundUnderChurn) {
     const quality_result res = measure_rank_error(q, params);
     ASSERT_GT(res.deletes, 0u);
     const std::uint64_t rho = rank_error_bound(
-        params.threads, q.relaxation(), q.max_buffer_depth_seen());
+        params.threads, q.relaxation(), q.buffer_total());
     EXPECT_LE(res.rank_max, rho)
         << "rank error beyond the buffered bound";
 }

@@ -110,6 +110,17 @@ dealt_blocks(Items &items, const std::vector<std::uint32_t> &sizes) {
     return blocks;
 }
 
+/// Refill `src` with `keys` (any order) and publish it into `s`.
+void spill(shared_t &s, block_t &src, pool_t &items,
+           std::vector<std::uint32_t> keys) {
+    std::sort(keys.rbegin(), keys.rend());
+    src.reuse_begin(src.capacity_pow());
+    for (auto k : keys)
+        src.append(items.allocate(k, k));
+    src.seal();
+    s.insert(&src, src.filled());
+}
+
 TEST(SharedLsm, EmptyFindMin) {
     shared_t s{4};
     EXPECT_TRUE(s.find_min(0).empty());
@@ -334,6 +345,11 @@ TEST(SharedLsm, OwnCursorNeverSkipsALiveOwnEntry) {
     EXPECT_TRUE(s.find_min(me).empty()) << "everything was taken";
 }
 
+// Each thread works in the paper's two BlockArrays (Section 4.4); a
+// third is never needed, and acquire_scratch aborts the process (in every
+// build type) if one ever is.  Inserts, find_min's consolidations and
+// settles all draw scratch arrays here, one thread alone and then four
+// at once.
 TEST(SharedLsm, TwoArraysPerThreadSuffice) {
     pool_t items;
     shared_t s{2};
@@ -348,8 +364,40 @@ TEST(SharedLsm, TwoArraysPerThreadSuffice) {
                 ref.take();
         }
     }
-    EXPECT_EQ(s.extra_array_allocations(), 0u)
-        << "paper bound of two BlockArrays per thread violated";
+
+    constexpr std::uint32_t threads = 4;
+    adapt::contention_monitor mon;
+    s.set_monitor(&mon);
+    std::unique_ptr<pool_t> items_by_thread[threads];
+    std::vector<std::thread> ts;
+    for (std::uint32_t t = 0; t < threads; ++t) {
+        ts.emplace_back([&, t] {
+            const std::uint32_t tid = thread_index();
+            items_by_thread[t] =
+                std::make_unique<pool_t>(mm::mem_placement{}, tid);
+            // k = 2 makes every merge above 48 entries big, so spills of
+            // up to 32 keys leave big pairs for settle.
+            block_t src{block_t::level_for(32)};
+            xoroshiro128 rng{900 + t};
+            std::uint32_t next = 10000 + t * 100000;
+            for (std::uint32_t i = 0; i < 800; ++i) {
+                std::vector<std::uint32_t> keys(1 + rng.bounded(32));
+                for (auto &k : keys)
+                    k = next++;
+                spill(s, src, *items_by_thread[t], keys);
+                for (std::uint64_t d = rng.bounded(keys.size() + 1); d > 0;
+                     --d) {
+                    const ref_t ref = s.find_min(tid);
+                    if (ref.empty())
+                        break;
+                    ref.take();
+                }
+            }
+        });
+    }
+    for (auto &t : ts)
+        t.join();
+    EXPECT_GT(mon.totals().settles, 0u);
 }
 
 TEST(SharedLsmKeyBelow, EmptyHoldsNothingBelow) {
@@ -374,8 +422,8 @@ TEST(SharedLsmKeyBelow, ComparesWithTheSmallestBlockMinimum) {
     s.insert(&a.blk, a.blk.filled());
     s.insert(&b.blk, b.blk.filled());
     ASSERT_EQ(s.slot_levels(), (std::vector<std::uint32_t>{2, 1}));
-    // 41 is decided at the first slot (minimum 40); 35 must resume the
-    // scan at the second (minimum 30).
+    // The bound is the smaller block minimum, 30, whichever slot a
+    // query would meet first.
     EXPECT_TRUE(s.has_key_below(41));
     EXPECT_TRUE(s.has_key_below(35));
     EXPECT_TRUE(s.has_key_below(31));
@@ -414,6 +462,64 @@ TEST(SharedLsmKeyBelow, SeesAnotherThreadsPublish) {
     other.join();
     EXPECT_TRUE(s.has_key_below(500))
         << "the bound of a superseded snapshot was reused";
+}
+
+// The bound is the smallest key at any slot's fill - 1, dead entries
+// included.  Random arrays go through random takes (dead entries left in
+// place) and find_min trims, then one more insert publishes the trimmed
+// snapshot, so the caller's next snapshot is a copy of the array
+// block_minima() reads.  Queries on that one snapshot come in random key
+// order, and each must match the brute-force minimum over every slot.
+// Three such phases run on each queue, so a bound cached for an earlier
+// snapshot in the same BlockArray must not answer for a later one.
+TEST(SharedLsmKeyBelow, AgreesWithBlockMinima) {
+    xoroshiro128 rng{4242};
+    for (int round = 0; round < 200; ++round) {
+        pool_t items;
+        shared_t s{rng.bounded(8)};
+        std::vector<std::unique_ptr<source_block>> blocks;
+        std::vector<ref_t> refs;
+        const auto insert_random = [&] {
+            std::vector<std::uint32_t> keys(1 + rng.bounded(40));
+            for (auto &k : keys)
+                k = static_cast<std::uint32_t>(rng.bounded(1000));
+            blocks.push_back(std::make_unique<source_block>(items, keys));
+            const block_t &b = blocks.back()->blk;
+            for (std::uint32_t i = 0; i < b.filled(); ++i)
+                refs.push_back(b.load_entry(i));
+            s.insert(&b, b.filled());
+        };
+        for (int phase = 0; phase < 3; ++phase) {
+            for (std::uint64_t b = rng.bounded(8); b > 0; --b)
+                insert_random();
+            for (std::uint64_t d = rng.bounded(refs.size() + 1); d > 0; --d)
+                refs[rng.bounded(refs.size())].take();
+            for (std::uint64_t t = rng.bounded(4); t > 0; --t) {
+                const ref_t ref = s.find_min(0);
+                if (!ref.empty() && rng.bounded(2) == 0)
+                    ref.take();
+            }
+            insert_random();
+
+            const std::vector<std::uint32_t> minima = s.block_minima();
+            ASSERT_FALSE(minima.empty());
+            std::vector<std::uint32_t> queries{0, 1000, ~0u};
+            for (const std::uint32_t m : minima)
+                for (const std::uint32_t q : {m - 1, m, m + 1})
+                    queries.push_back(q);
+            for (int i = 0; i < 20; ++i)
+                queries.push_back(
+                    static_cast<std::uint32_t>(rng.bounded(1001)));
+            for (std::size_t i = queries.size(); i > 1; --i)
+                std::swap(queries[i - 1], queries[rng.bounded(i)]);
+            const std::uint32_t bound =
+                *std::min_element(minima.begin(), minima.end());
+            for (const std::uint32_t q : queries)
+                ASSERT_EQ(s.has_key_below(q), bound < q)
+                    << "round " << round << ", phase " << phase
+                    << ", query " << q << ", bound " << bound;
+        }
+    }
 }
 
 TEST(SharedLsm, ConcurrentInsertDeleteConservation) {
@@ -463,17 +569,6 @@ TEST(SharedLsm, ConcurrentInsertDeleteConservation) {
 }
 
 // ---- settling big merges off the publish path ----------------------------
-
-/// Refill `src` with `keys` (any order) and publish it into `s`.
-void spill(shared_t &s, block_t &src, pool_t &items,
-           std::vector<std::uint32_t> keys) {
-    std::sort(keys.rbegin(), keys.rend());
-    src.reuse_begin(src.capacity_pow());
-    for (auto k : keys)
-        src.append(items.allocate(k, k));
-    src.seal();
-    s.insert(&src, src.filled());
-}
 
 TEST(SharedLsm, LoneInserterSettlesEveryTie) {
     // k = 3 makes every merge above 64 entries big.  A lone inserter
